@@ -218,6 +218,13 @@ def _cross_check(v: dict[str, Any]) -> None:
             "key 'compare.auto_start_day': regime timeline must satisfy "
             "1 <= auto_start_day <= auto_end_day <= total_days"
         )
+    last_sample = (v["control.window_start_min"]
+                   + (v["monitor.sample_count"] - 1) * v["monitor.sample_interval_min"])
+    if last_sample >= v["control.window_end_min"]:
+        raise ConfigError(
+            f"key 'monitor.sample_count': last sample at minute {last_sample} of the day "
+            f"is past the control window ending at {v['control.window_end_min']}"
+        )
 
 
 def load_config(path: str) -> Config:

@@ -55,17 +55,52 @@ class CameraConfig:
             raise ValueError("stem_fraction must be in (0, 1]")
 
 
-@dataclass(eq=False)
 class Frame:
-    """One captured image plus its capture metadata."""
+    """One captured image plus its capture metadata.
 
-    pixels: np.ndarray  # (480, 640, 3) uint8, row-major RGB
-    distance_cm: float
-    timestamp_min: float
+    The image is held as ``patch``, an (h, w, 3) uint8 RGB block whose top-left
+    pixel sits at ``origin`` (row, column), and ``background``, the one colour
+    of every pixel outside the patch. A noiseless render keeps only the
+    plant's bounding box. A whole frame (``Frame(pixels=...)``, a noisy render,
+    a PPM read) is the case where the patch is the full frame at (0, 0).
 
-    def __post_init__(self):
-        if self.pixels.shape != (FRAME_H, FRAME_W, 3) or self.pixels.dtype != np.uint8:
-            raise ValueError("frame buffer must be 480x640x3 uint8")
+    ``pixels`` is the full (480, 640, 3) buffer; for a patch frame it is
+    built on first access and cached.
+    """
+
+    def __init__(self, pixels: np.ndarray | None = None, distance_cm: float = 0.0,
+                 timestamp_min: float = 0.0, *, patch: np.ndarray | None = None,
+                 origin: tuple[int, int] = (0, 0),
+                 background: tuple[int, int, int] = (0, 0, 0)):
+        if (pixels is None) == (patch is None):
+            raise ValueError("give exactly one of pixels and patch")
+        if pixels is not None:
+            if pixels.shape != (FRAME_H, FRAME_W, 3) or pixels.dtype != np.uint8:
+                raise ValueError("frame buffer must be 480x640x3 uint8")
+            patch, origin = pixels, (0, 0)
+        else:
+            r, c = origin
+            if (patch.ndim != 3 or patch.shape[2] != 3 or patch.dtype != np.uint8
+                    or r < 0 or c < 0
+                    or r + patch.shape[0] > FRAME_H or c + patch.shape[1] > FRAME_W):
+                raise ValueError("patch must be h x w x 3 uint8 and lie inside the 480x640 frame")
+        self.patch = patch
+        self.origin = origin
+        self.background = background
+        self.distance_cm = distance_cm
+        self.timestamp_min = timestamp_min
+        self._pixels = pixels
+
+    @property
+    def pixels(self) -> np.ndarray:
+        if self._pixels is None:
+            full = np.empty((FRAME_H, FRAME_W, 3), dtype=np.uint8)
+            for ch in range(3):  # one strided fill per channel: far faster than a broadcast
+                full[:, :, ch] = self.background[ch]
+            r, c = self.origin
+            full[r:r + self.patch.shape[0], c:c + self.patch.shape[1]] = self.patch
+            self._pixels = full
+        return self._pixels
 
 
 @dataclass(frozen=True)
@@ -88,7 +123,12 @@ def capture_distance(age_days: float) -> float:
 def render(plant: PlantState, cam: CameraConfig, distance_cm: float,
            timestamp_min: float = 0.0,
            growth_params: GrowthParams = DEFAULT_GROWTH) -> tuple[Frame, GroundTruth]:
-    """Rasterize one plant seen from ``distance_cm``; returns the frame and ground truth."""
+    """Rasterize one plant seen from ``distance_cm``; returns the frame and ground truth.
+
+    Only the silhouette's bounding box is filled: the frame holds that patch
+    and the background colour, and builds the full buffer only when
+    ``Frame.pixels`` is read. With camera noise the frame is built whole.
+    """
     if distance_cm <= 0.0:
         raise ValueError("distance_cm must be > 0")
 
@@ -111,18 +151,19 @@ def render(plant: PlantState, cam: CameraConfig, distance_cm: float,
         plant_pixel_count=int(local.sum()),
     )
 
-    pixels = np.empty((cam.frame_h, cam.frame_w, 3), dtype=np.uint8)
-    for ch in range(3):
-        pixels[:, :, ch] = cam.background[ch]
-    region = pixels[r_lo:r_lo + local.shape[0], c_lo:c_lo + local.shape[1]]
-    region[local] = np.asarray(cam.plant_color, dtype=np.uint8)
+    palette = np.array([cam.background, cam.plant_color], dtype=np.uint8)
+    patch = palette.take(local.view(np.uint8), axis=0)
+    frame = Frame(patch=patch, origin=(r_lo, c_lo), background=cam.background,
+                  distance_cm=distance_cm, timestamp_min=timestamp_min)
     if cam.noise_amplitude > 0:
+        # Noise covers every pixel, so a noisy frame is built whole.
         rng = np.random.default_rng(cam.noise_seed)
         jitter = rng.integers(-cam.noise_amplitude, cam.noise_amplitude + 1,
-                              size=pixels.shape, dtype=np.int16)
-        pixels = np.clip(pixels.astype(np.int16) + jitter, 0, 255).astype(np.uint8)
+                              size=(cam.frame_h, cam.frame_w, 3), dtype=np.int16)
+        noisy = np.clip(frame.pixels.astype(np.int16) + jitter, 0, 255).astype(np.uint8)
+        frame = Frame(pixels=noisy, distance_cm=distance_cm, timestamp_min=timestamp_min)
 
-    return Frame(pixels=pixels, distance_cm=distance_cm, timestamp_min=timestamp_min), truth
+    return frame, truth
 
 
 def _rasterize(cam: CameraConfig, height_px: float, width_px: float) -> tuple[np.ndarray, int, int]:
@@ -157,11 +198,9 @@ def _rasterize(cam: CameraConfig, height_px: float, width_px: float) -> tuple[np
     return np.ones((1, 1), dtype=bool), cam.frame_h - 1, min(cam.frame_w - 1, int(cx))
 
 
-def overlap_flag(group: list[PlantState], spacing_cm: float, distance_cm: float,
+def overlap_flag(group: list[PlantState], spacing_cm: float,
                  growth_params: GrowthParams = DEFAULT_GROWTH) -> bool:
     """True when any plant's canopy is wider than the row spacing, so neighbors would overlap in frame."""
     if spacing_cm <= 0.0:
         raise ValueError("spacing_cm must be > 0")
-    if distance_cm <= 0.0:
-        raise ValueError("distance_cm must be > 0")
     return any(effective_width(p, growth_params) > spacing_cm for p in group)

@@ -173,7 +173,7 @@ def run_growth_experiment(cfg: Config, out_dir: str | Path, seed: int | None = N
         distance = capture_distance(day)
 
         everyone = [p for grp in plants for p in grp]
-        if overlap_flag(everyone, spacing, distance, gp):
+        if overlap_flag(everyone, spacing, gp):
             overlap_stop_day = day
             log.info("individual capture stopped at day %d: canopies wider than %.0f cm spacing",
                      day, spacing)

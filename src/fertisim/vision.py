@@ -1,7 +1,8 @@
 """Vision pipeline: red-background segmentation and plant morphometry.
 
 Segmentation is a red-dominance test per pixel (background iff red exceeds
-both green and blue by a configurable margin). Measurement takes the
+both green and blue by a configurable margin), run on the frame's patch and
+once on its uniform background colour. Measurement takes the
 bounding box of the plant mask and converts pixel extents to centimeters
 through the known camera distance, so measurements taken at different
 distances stay comparable.
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .render import CameraConfig, Frame
+from .render import FRAME_H, FRAME_W, CameraConfig, Frame
 
 DEFAULT_RED_MARGIN = 60
 DEFAULT_MIN_PLANT_PIXELS = 25
@@ -35,21 +36,35 @@ class Morphometry:
 
 def segment(frame: Frame, red_dominance_margin: int = DEFAULT_RED_MARGIN,
             cleanup: bool = False) -> np.ndarray:
-    """Boolean plant mask, same shape as the frame.
+    """Boolean plant mask, full frame size (480, 640).
+
+    The red-dominance test runs once on the frame's background colour and
+    then on its patch pixels only; the patch result is written into a mask
+    filled with the background's class, so every pixel is classified exactly
+    as if the whole buffer had been tested.
 
     ``cleanup`` applies a 3x3 majority filter; leave it off for noiseless
     frames so the mask matches the rasterized silhouette exactly.
     """
-    r = frame.pixels[:, :, 0]
-    g = frame.pixels[:, :, 1]
-    b = frame.pixels[:, :, 2]
-    # int16 differences: uint8 arithmetic would wrap at the margin test
-    red_over_green = np.subtract(r, g, dtype=np.int16)
-    red_over_blue = np.subtract(r, b, dtype=np.int16)
-    mask = ~((red_over_green >= red_dominance_margin) & (red_over_blue >= red_dominance_margin))
+    background = np.asarray(frame.background, dtype=np.uint8).reshape(1, 1, 3)
+    mask = np.full((FRAME_H, FRAME_W), _plant_pixels(background, red_dominance_margin)[0, 0])
+    r, c = frame.origin
+    h, w = frame.patch.shape[:2]
+    mask[r:r + h, c:c + w] = _plant_pixels(frame.patch, red_dominance_margin)
     if cleanup:
         mask = _majority_filter(mask)
     return mask
+
+
+def _plant_pixels(rgb: np.ndarray, red_dominance_margin: int) -> np.ndarray:
+    """True where a pixel is not red-dominant, over the first two axes of ``rgb``."""
+    r = rgb[:, :, 0]
+    g = rgb[:, :, 1]
+    b = rgb[:, :, 2]
+    # int16 differences: uint8 arithmetic would wrap at the margin test
+    red_over_green = np.subtract(r, g, dtype=np.int16)
+    red_over_blue = np.subtract(r, b, dtype=np.int16)
+    return ~((red_over_green >= red_dominance_margin) & (red_over_blue >= red_dominance_margin))
 
 
 def _majority_filter(mask: np.ndarray) -> np.ndarray:

@@ -35,6 +35,16 @@ def test_bad_config_value(tmp_path, capsys):
     assert "pump.flow_l_per_min" in capsys.readouterr().err
 
 
+def test_monitor_past_control_window_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text("monitor.sample_count = 40\n")
+    assert main(["monitor", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "monitor.sample_count" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_render_then_measure_round_trip(tmp_path, capsys):
     frame = tmp_path / "frame.ppm"
     assert main(["render-frame", "--height-cm", "50", "--width-cm", "25",

@@ -79,6 +79,15 @@ def test_cross_field_timeline_check():
         parse_config("compare.auto_end_day = 60\n")
 
 
+def test_cross_field_monitor_session_check():
+    with pytest.raises(ConfigError, match="monitor.sample_count"):
+        parse_config("monitor.sample_count = 40\n")  # 480 + 39 * 15 = 1065 >= 1020
+    with pytest.raises(ConfigError, match="monitor.sample_count"):
+        parse_config("monitor.sample_interval_min = 1\nmonitor.sample_count = 541\n")
+    last_in_window = parse_config("monitor.sample_interval_min = 1\nmonitor.sample_count = 540\n")
+    assert last_in_window["monitor.sample_count"] == 540
+
+
 def test_dump_defaults_round_trips():
     assert parse_config(dump_defaults()) == default_config()
 

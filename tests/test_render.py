@@ -112,15 +112,15 @@ class TestRender:
 class TestOverlapFlag:
     def test_all_narrower_than_spacing(self):
         group = [plant_of(50.0, 30.0) for _ in range(5)]
-        assert overlap_flag(group, 40.0, 100.0) is False
+        assert overlap_flag(group, 40.0) is False
 
     def test_one_wide_plant_trips(self):
         group = [plant_of(50.0, 30.0), plant_of(50.0, 45.0)]
-        assert overlap_flag(group, 40.0, 100.0) is True
+        assert overlap_flag(group, 40.0) is True
 
     def test_bad_spacing_rejected(self):
         with pytest.raises(ValueError):
-            overlap_flag([plant_of(50.0, 30.0)], 0.0, 100.0)
+            overlap_flag([plant_of(50.0, 30.0)], 0.0)
 
     def test_default_calibration_first_trips_between_day_40_and_50(self, growth_params):
         no_demand = DemandProfile()
@@ -133,7 +133,7 @@ class TestOverlapFlag:
             plants = [advance(p, t_cap - t, no_demand, t % 1440.0, growth_params)
                       for p in plants]
             t = t_cap
-            if overlap_flag(plants, 40.0, capture_distance(day), growth_params):
+            if overlap_flag(plants, 40.0, growth_params):
                 first = day
                 break
         assert first is not None and 40 < first < 50, f"overlap first tripped at day {first}"

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fertisim.growth import EcBand, PlantState
-from fertisim.render import CameraConfig, Frame, render
+from fertisim.render import CameraConfig, Frame, FrameFitError, render
 from fertisim.vision import (
     Morphometry,
     NoPlantDetected,
@@ -49,6 +50,42 @@ class TestSegment:
         mask = segment(red_frame(camera))
         assert mask.shape == (480, 640)
         assert mask.dtype == bool
+
+
+_RGB = st.tuples(*[st.integers(0, 255)] * 3)
+# Projected extents in pixels: sub-pixel, anything that fits, and exactly
+# touching the frame top (480) or sides (640).
+_HEIGHT_PX = st.one_of(st.floats(0.01, 1.0), st.floats(1.0, 480.0), st.sampled_from([479.5, 480.0]))
+_WIDTH_PX = st.one_of(st.floats(0.01, 1.0), st.floats(1.0, 640.0), st.sampled_from([639.5, 640.0]))
+
+
+@settings(deadline=None, max_examples=150)
+@given(height_px=_HEIGHT_PX, width_px=_WIDTH_PX, distance=st.floats(30.0, 170.0),
+       background=st.one_of(st.just((255, 0, 0)), _RGB),
+       plant_color=st.one_of(st.just((0, 160, 0)), _RGB),
+       margin=st.integers(0, 255), cleanup=st.booleans())
+def test_patch_frame_matches_whole_frame(height_px, width_px, distance, background,
+                                         plant_color, margin, cleanup):
+    cam = CameraConfig(background=background, plant_color=plant_color)
+    scale = cam.focal_px / distance
+    try:
+        frame, _ = render(plant_of(height_px / scale, width_px / scale), cam, distance)
+    except FrameFitError:  # float rounding put the plant a hair past the edge
+        assume(False)
+    whole = Frame(pixels=frame.pixels, distance_cm=distance, timestamp_min=0.0)
+
+    mask = segment(frame, margin, cleanup)
+    whole_mask = segment(whole, margin, cleanup)
+    assert mask.shape == whole_mask.shape == (480, 640)
+    assert (mask == whole_mask).all()
+
+    def measured(m):
+        try:
+            return measure(m, distance, cam)
+        except NoPlantDetected:
+            return None
+
+    assert measured(mask) == measured(whole_mask)
 
 
 class TestMeasure:
