@@ -116,6 +116,9 @@ _SECTION_ORDER = ["sim", "growth", "demand", "monitor", "camera", "vision",
 class Config:
     values: dict[str, Any]
 
+    def __post_init__(self):
+        _cross_check(self.values)
+
     def __getitem__(self, key: str) -> Any:
         return self.values[key]
 
@@ -201,7 +204,6 @@ def parse_config(text: str) -> Config:
 
     for key, entry in _KEYS.items():
         values.setdefault(key, entry.default)
-    _cross_check(values)
     return Config(values=values)
 
 

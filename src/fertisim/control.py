@@ -74,11 +74,17 @@ class Schedule:
         m = now_min % MINUTES_PER_DAY
         return self.window_start_min <= m < self.window_end_min
 
-    def sample_times(self, day: int) -> list[int]:
-        """In-window sample instants (absolute minutes) for one simulation day."""
+    def sample_times(self, day: int) -> range:
+        """In-window camera sample instants (absolute minutes) for one simulation day."""
+        return self._instants(day, self.sample_interval_min)
+
+    def timer_times(self, day: int) -> range:
+        """In-window timer instants (absolute minutes) for one simulation day."""
+        return self._instants(day, self.timer_period_min)
+
+    def _instants(self, day: int, step_min: int) -> range:
         base = int(day * MINUTES_PER_DAY)
-        return [base + m for m in range(self.window_start_min, self.window_end_min,
-                                        self.sample_interval_min)]
+        return range(base + self.window_start_min, base + self.window_end_min, step_min)
 
 
 @dataclass(frozen=True)
@@ -115,8 +121,8 @@ def spa_tick(state: ControllerState, width_cm: float, now_min: float,
     if pump_running:
         command = PumpCommand.hold()
     else:
-        wilt_degree = (state.reference_width_cm - width_cm) / state.reference_width_cm
-        if wilt_degree > wilt_threshold and state.previous_width_cm > width_cm:
+        degree = wilt_degree(state.reference_width_cm, width_cm)
+        if degree > wilt_threshold and state.previous_width_cm > width_cm:
             command = PumpCommand.on(schedule.timer_on_min)
             deadline = now_min + schedule.timer_on_min
         else:
@@ -135,14 +141,6 @@ def timer_tick(schedule: Schedule, now_min: float) -> PumpCommand:
     if (m - schedule.window_start_min) % schedule.timer_period_min == 0:
         return PumpCommand.on(schedule.timer_on_min)
     return PumpCommand.off()
-
-
-def reset_daily(state: ControllerState, now_min: float) -> ControllerState:
-    """Clear the width anchors at a day rollover so the next tick re-anchors."""
-    day = int(now_min // MINUTES_PER_DAY)
-    if state.last_sample_day is not None and state.last_sample_day == day:
-        return state
-    return ControllerState(pump_off_deadline_min=state.pump_off_deadline_min)
 
 
 def wilt_degree(reference_width_cm: float, width_cm: float) -> float:

@@ -11,6 +11,11 @@ vision pipeline later picks up as wilt.
 All transitions are closed-form within a step, so advancing a plant by
 one long step or by many short ones gives the same trajectory; scenarios
 exploit this to jump between sampling instants without per-minute loops.
+
+One ``PlantState`` also holds a whole population. Every plant in a run
+shares the demand, the irrigation instants and the uptake lag, so turgor
+never depends on the plant: the population shares one turgor, and its
+heights, turgid widths and rate multipliers are arrays stepped together.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+
+import numpy as np
 
 from .seeding import unit_hash
 
@@ -142,39 +149,52 @@ class DemandProfile:
 
 @dataclass(frozen=True)
 class PlantState:
-    """Physiological state of one plant.
+    """Physiological state of one plant, or of a population that shares its turgor.
 
-    ``age_min`` doubles as absolute simulation time: scenarios transplant at
-    t = 0 (midnight), so clock-of-day is age modulo 1440 unless a caller
-    supplies its own clock. ``rate_scale`` carries the per-plant growth
-    jitter. ``recovery_deadline_min`` is the absolute time at which
-    post-irrigation turgor recovery begins (irrigation time plus lag).
+    ``height_cm``, ``turgid_width_cm`` and ``rate_scale`` are floats for one
+    plant or arrays of shape (n,) for a population of n plants; the other
+    fields are shared by every plant. ``age_min`` doubles as absolute
+    simulation time: scenarios transplant at t = 0 (midnight), so
+    clock-of-day is age modulo 1440 unless a caller supplies its own clock.
+    ``rate_scale`` carries the per-plant growth jitter.
+    ``recovery_deadline_min`` is the absolute time at which post-irrigation
+    turgor recovery begins (irrigation time plus lag).
     """
 
     age_min: float
-    height_cm: float
-    turgid_width_cm: float
+    height_cm: float | np.ndarray
+    turgid_width_cm: float | np.ndarray
     turgor: float
     band: EcBand
-    rate_scale: float = 1.0
+    rate_scale: float | np.ndarray = 1.0
     recovery_deadline_min: float | None = None
 
     def __post_init__(self):
-        if self.height_cm <= 0.0:
+        if not np.all(np.greater(self.height_cm, 0.0)):
             raise ValueError("height_cm must be > 0")
-        if self.turgid_width_cm <= 0.0:
+        if not np.all(np.greater(self.turgid_width_cm, 0.0)):
             raise ValueError("turgid_width_cm must be > 0")
         if not 0.0 <= self.turgor <= 1.0:
             raise ValueError("turgor must be in [0, 1]")
 
+    def plant(self, i: int) -> PlantState:
+        """Plant ``i`` of a population as a one-plant state."""
+        return replace(self, height_cm=self.height_cm[i],
+                       turgid_width_cm=self.turgid_width_cm[i],
+                       rate_scale=np.broadcast_to(self.rate_scale, np.shape(self.height_cm))[i])
+
 
 def make_seedling(params: GrowthParams = DEFAULT_GROWTH, band: EcBand = EcBand.NORMAL,
-                  rate_scale: float = 1.0) -> PlantState:
-    """Fresh fully-turgid seedling at transplant time."""
+                  rate_scale: float | np.ndarray = 1.0) -> PlantState:
+    """Fresh fully-turgid seedling at transplant time.
+
+    An array ``rate_scale`` makes a population of ``len(rate_scale)`` seedlings.
+    """
+    shape = np.shape(rate_scale)  # () for one plant: [()] below unwraps the 0-d array
     return PlantState(
         age_min=0.0,
-        height_cm=params.initial_height_cm,
-        turgid_width_cm=params.initial_width_cm,
+        height_cm=np.full(shape, params.initial_height_cm)[()],
+        turgid_width_cm=np.full(shape, params.initial_width_cm)[()],
         turgor=1.0,
         band=band,
         rate_scale=rate_scale,
@@ -198,8 +218,9 @@ def irrigation_lag(seed: int, now_min: float, params: GrowthParams = DEFAULT_GRO
     return params.lag_low_min + (params.lag_high_min - params.lag_low_min) * u
 
 
-def effective_width(state: PlantState, params: GrowthParams = DEFAULT_GROWTH) -> float:
-    """Visible canopy width: full turgid width scaled down by turgor deficit."""
+def effective_width(state: PlantState,
+                    params: GrowthParams = DEFAULT_GROWTH) -> float | np.ndarray:
+    """Visible canopy width: full turgid width scaled down by turgor deficit, per plant."""
     return state.turgid_width_cm * (1.0 - params.s_max * (1.0 - state.turgor))
 
 
@@ -214,13 +235,13 @@ def apply_irrigation(state: PlantState, now_min: float, lag_min: float) -> Plant
 
 def advance(state: PlantState, dt_min: float, demand: DemandProfile,
             clock_min: float | None = None, params: GrowthParams = DEFAULT_GROWTH) -> PlantState:
-    """Advance one plant by ``dt_min`` minutes of simulated time.
+    """Advance a plant or a population by ``dt_min`` minutes of simulated time.
 
     ``clock_min`` is the time of day at the start of the step; by default it
     is derived from the plant age (midnight transplant convention). Height
-    and turgid width grow exponentially; turgor integrates the demand loss
-    exactly, except inside the post-irrigation recovery window where it
-    relaxes toward 1 instead.
+    and turgid width grow exponentially, each plant at its own rate; the
+    shared turgor integrates the demand loss exactly, except inside the
+    post-irrigation recovery window where it relaxes toward 1 instead.
     """
     if dt_min <= 0.0:
         raise ValueError("dt_min must be > 0")
@@ -229,8 +250,8 @@ def advance(state: PlantState, dt_min: float, demand: DemandProfile,
 
     rh = params.height_rate_per_min(state.band, state.rate_scale)
     rw = params.width_rate_per_min(state.band, state.rate_scale)
-    height = state.height_cm * math.exp(rh * dt_min)
-    width = state.turgid_width_cm * math.exp(rw * dt_min)
+    height = state.height_cm * np.exp(rh * dt_min)
+    width = state.turgid_width_cm * np.exp(rw * dt_min)
     turgor = _integrate_turgor(state, dt_min, demand, clock_min, params)
 
     return replace(

@@ -156,12 +156,17 @@ def render(plant: PlantState, cam: CameraConfig, distance_cm: float,
     frame = Frame(patch=patch, origin=(r_lo, c_lo), background=cam.background,
                   distance_cm=distance_cm, timestamp_min=timestamp_min)
     if cam.noise_amplitude > 0:
-        # Noise covers every pixel, so a noisy frame is built whole.
+        # Noise covers every pixel, so a noisy frame is built whole. The sum is
+        # formed in the noise buffer and written back into the frame buffer:
+        # each further frame-sized temporary pushed the per-frame peak past
+        # glibc's trim threshold, so the heap was trimmed and re-faulted per frame.
         rng = np.random.default_rng(cam.noise_seed)
-        jitter = rng.integers(-cam.noise_amplitude, cam.noise_amplitude + 1,
-                              size=(cam.frame_h, cam.frame_w, 3), dtype=np.int16)
-        noisy = np.clip(frame.pixels.astype(np.int16) + jitter, 0, 255).astype(np.uint8)
-        frame = Frame(pixels=noisy, distance_cm=distance_cm, timestamp_min=timestamp_min)
+        noisy = rng.integers(-cam.noise_amplitude, cam.noise_amplitude + 1,
+                             size=(cam.frame_h, cam.frame_w, 3), dtype=np.int16)
+        pixels = frame.pixels
+        noisy += pixels
+        np.copyto(pixels, np.clip(noisy, 0, 255, out=noisy), casting="unsafe")
+        frame = Frame(pixels=pixels, distance_cm=distance_cm, timestamp_min=timestamp_min)
 
     return frame, truth
 
@@ -198,9 +203,9 @@ def _rasterize(cam: CameraConfig, height_px: float, width_px: float) -> tuple[np
     return np.ones((1, 1), dtype=bool), cam.frame_h - 1, min(cam.frame_w - 1, int(cx))
 
 
-def overlap_flag(group: list[PlantState], spacing_cm: float,
+def overlap_flag(population: PlantState, spacing_cm: float,
                  growth_params: GrowthParams = DEFAULT_GROWTH) -> bool:
     """True when any plant's canopy is wider than the row spacing, so neighbors would overlap in frame."""
     if spacing_cm <= 0.0:
         raise ValueError("spacing_cm must be > 0")
-    return any(effective_width(p, growth_params) > spacing_cm for p in group)
+    return bool(np.any(effective_width(population, growth_params) > spacing_cm))

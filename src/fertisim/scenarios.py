@@ -12,7 +12,11 @@
   yields daily liters per regime and the savings fraction, and a parallel
   all-timer control run shows growth is maintained.
 
-Captures are logged at the end of each capture day. All randomness is
+Each group, and each comparison run, is one population ``PlantState``: one
+pump waters the whole population, so its plants share turgor and differ only
+in height, width and growth rate. The timer regime runs on its own clock
+(one tick per timer period); the camera samples only on wilt-controlled
+days. Captures are logged at the end of each capture day. All randomness is
 hash-derived from the seed, so identical config plus seed reproduces
 byte-identical output files.
 """
@@ -21,11 +25,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from .config import Config, ConfigError
-from .control import Action, ControllerState, Schedule, spa_tick, timer_tick
+import numpy as np
+
+from .config import Config
+from .control import Action, ControllerState, Schedule, spa_tick, timer_tick, wilt_degree
 from .growth import (
     MINUTES_PER_DAY,
     DemandProfile,
@@ -40,7 +46,7 @@ from .growth import (
 )
 from .ledger import PumpModel, WaterLedger, savings
 from .ppm import write_ppm
-from .render import CameraConfig, capture_distance, overlap_flag, render
+from .render import capture_distance, overlap_flag, render
 from .vision import Morphometry, NoPlantDetected, measure, segment
 
 log = logging.getLogger(__name__)
@@ -115,18 +121,111 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _measure_plant(plant: PlantState, cam: CameraConfig, distance_cm: float,
-                   timestamp_min: float, cfg: Config,
-                   growth_params: GrowthParams) -> Morphometry:
-    frame, _ = render(plant, cam, distance_cm, timestamp_min, growth_params)
-    mask = segment(frame, cfg["vision.red_margin"], cleanup=cam.noise_amplitude > 0)
-    return measure(mask, distance_cm, cam, cfg["vision.min_plant_pixels"])
-
-
 def _gradient_sign(previous: float | None, width: float) -> int:
     if previous is None or previous == width:
         return 0
     return 1 if previous > width else -1
+
+
+def _population(gp: GrowthParams, band: EcBand, seed: int, group_index: int,
+                n_plants: int) -> PlantState:
+    """Seedling population of one treatment group, with each plant's seeded rate jitter."""
+    scales = np.array([plant_rate_scale(seed, group_index, i, gp) for i in range(n_plants)])
+    return make_seedling(gp, band, scales)
+
+
+@dataclass
+class _Run:
+    """One scenario run: its settings plus the controller state, ledger and trace it builds.
+
+    Every scenario is made of three steps on a population: ``step_to`` a
+    later instant, ``wilt_sample`` (one camera sample under the wilt rule)
+    and ``capture`` (measure every plant at the end of a day).
+    """
+
+    cfg: Config
+    seed: int
+    demand: DemandProfile
+    schedule: Schedule
+    state: ControllerState = field(default_factory=ControllerState)
+    ledger: WaterLedger = field(default_factory=WaterLedger)
+    rows: list[TraceRow] = field(default_factory=list)
+    events: list[PumpEvent] = field(default_factory=list)
+    skipped: int = 0
+
+    def __post_init__(self):
+        self.gp = self.cfg.growth_params()
+        self.cam = self.cfg.camera()
+        self.pump = PumpModel(self.cfg["pump.flow_l_per_min"])
+
+    def step_to(self, pop: PlantState, to_min: float) -> PlantState:
+        """``pop`` advanced to absolute minute ``to_min``; unchanged if it is already there."""
+        if to_min <= pop.age_min:
+            return pop
+        return advance(pop, to_min - pop.age_min, self.demand, params=self.gp)
+
+    def irrigate(self, pop: PlantState, now: float) -> PlantState:
+        return apply_irrigation(pop, now, irrigation_lag(self.seed, now, self.gp))
+
+    def measure_plant(self, plant: PlantState, day: int, now: float,
+                      ppm_path: Path | None = None) -> Morphometry:
+        """Render one plant at the day's camera distance, save the frame if asked, measure it."""
+        distance = capture_distance(day)
+        frame, _ = render(plant, self.cam, distance, now, self.gp)
+        if ppm_path is not None:
+            write_ppm(frame, str(ppm_path))
+        mask = segment(frame, self.cfg["vision.red_margin"], cleanup=self.cam.noise_amplitude > 0)
+        return measure(mask, distance, self.cam, self.cfg["vision.min_plant_pixels"])
+
+    def wilt_sample(self, pop: PlantState, now: float, sample_index: int, start_min: float,
+                    ppm_path: Path | None = None) -> PlantState:
+        """Measure plant 0, tick the wilt rule, account the water and log a trace row.
+
+        On ON the whole population is irrigated and a pump event is logged at
+        ``now - start_min`` minutes into the session. Returns the population.
+        """
+        day = int(now // MINUTES_PER_DAY)
+        try:
+            morpho = self.measure_plant(pop.plant(0), day, now, ppm_path)
+        except NoPlantDetected as exc:
+            self.skipped += 1
+            log.warning("day %d minute %d: representative sample skipped (%s)",
+                        day, int(now), exc)
+            return pop
+        previous = self.state.previous_width_cm if self.state.last_sample_day == day else None
+        self.state, cmd = spa_tick(self.state, morpho.width_cm, now, self.schedule,
+                                   self.cfg["control.wilt_threshold"])
+        self.ledger.accrue(cmd, now, self.pump, regime="auto")
+        if cmd.action is Action.ON:
+            self.events.append(PumpEvent(sample_index, now, now - start_min))
+            pop = self.irrigate(pop, now)
+        self.rows.append(TraceRow(
+            timestamp_min=now,
+            plant_id=0,
+            height_cm=morpho.height_cm,
+            width_cm=morpho.width_cm,
+            wilt_degree=wilt_degree(self.state.reference_width_cm, morpho.width_cm),
+            gradient_sign=_gradient_sign(previous, morpho.width_cm),
+            command=cmd.action.value,
+            liters_to_date=self.ledger.total_liters(),
+        ))
+        return pop
+
+    def capture(self, pop: PlantState, day: int) -> tuple[float, float]:
+        """Mean measured height and width over every plant of ``pop``; NaN if none was measured."""
+        hs, ws = [], []
+        for i in range(np.size(pop.height_cm)):
+            try:
+                m = self.measure_plant(pop.plant(i), day, pop.age_min)
+            except NoPlantDetected as exc:
+                self.skipped += 1
+                log.warning("capture day %d: sample skipped (%s)", day, exc)
+                continue
+            hs.append(m.height_cm)
+            ws.append(m.width_cm)
+        if not hs:
+            return math.nan, math.nan
+        return sum(hs) / len(hs), sum(ws) / len(ws)
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +239,6 @@ def run_growth_experiment(cfg: Config, out_dir: str | Path, seed: int | None = N
     out.mkdir(parents=True, exist_ok=True)
     if seed is None:
         seed = cfg["sim.seed"]
-    gp = cfg.growth_params()
-    cam = cfg.camera()
-    demand = cfg.demand("growth_exp.peak_loss_rate")
     group_size = cfg["growth_exp.group_size"]
     every = cfg["growth_exp.capture_every_days"]
     total_days = cfg["growth_exp.days"]
@@ -151,46 +247,25 @@ def run_growth_experiment(cfg: Config, out_dir: str | Path, seed: int | None = N
         groups = _GROWTH_GROUPS
     canonical = [band for _, band in groups] == [b for _, b in _GROWTH_GROUPS]
 
-    plants: list[list[PlantState]] = [
-        [make_seedling(gp, band, plant_rate_scale(seed, gi, i, gp)) for i in range(group_size)]
-        for gi, (_, band) in enumerate(groups)
-    ]
+    run = _Run(cfg, seed, cfg.demand("growth_exp.peak_loss_rate"), cfg.schedule())
+    pops = [_population(run.gp, band, seed, gi, group_size) for gi, (_, band) in enumerate(groups)]
 
     labels = [label for label, _ in groups]
     means: dict[str, list[float]] = {label: [] for label in labels}
     capture_days: list[int] = []
     ordering_ok = True
     overlap_stop_day = None
-    skipped = 0
     rows: list[list[str]] = []
 
-    t = 0.0
     for day in range(0, total_days, every):
-        t_cap = (day + 1) * MINUTES_PER_DAY
-        clock = t % MINUTES_PER_DAY
-        plants = [[advance(p, t_cap - t, demand, clock, gp) for p in grp] for grp in plants]
-        t = t_cap
-        distance = capture_distance(day)
-
-        everyone = [p for grp in plants for p in grp]
-        if overlap_flag(everyone, spacing, gp):
+        pops = [run.step_to(pop, (day + 1) * MINUTES_PER_DAY) for pop in pops]
+        if any(overlap_flag(pop, spacing, run.gp) for pop in pops):
             overlap_stop_day = day
             log.info("individual capture stopped at day %d: canopies wider than %.0f cm spacing",
                      day, spacing)
             break
 
-        day_means: list[float] = []
-        for grp in plants:
-            heights = []
-            for p in grp:
-                try:
-                    m = _measure_plant(p, cam, distance, t_cap, cfg, gp)
-                    heights.append(m.height_cm)
-                except NoPlantDetected as exc:
-                    skipped += 1
-                    log.warning("day %d: sample skipped (%s)", day, exc)
-            day_means.append(sum(heights) / len(heights) if heights else math.nan)
-
+        day_means = [run.capture(pop, day)[0] for pop in pops]
         capture_days.append(day)
         for label, value in zip(labels, day_means):
             means[label].append(value)
@@ -198,7 +273,7 @@ def run_growth_experiment(cfg: Config, out_dir: str | Path, seed: int | None = N
             under, normal, over = day_means
             if not (over > normal > under):
                 ordering_ok = False
-        rows.append([str(day), _fmt(distance)] + [_fmt(v) for v in day_means])
+        rows.append([str(day), _fmt(capture_distance(day))] + [_fmt(v) for v in day_means])
 
     _write_csv(out / "growth_means.csv",
                ["capture_day", "distance_cm"] + [f"{label}_mean_cm" for label in labels],
@@ -206,7 +281,7 @@ def run_growth_experiment(cfg: Config, out_dir: str | Path, seed: int | None = N
     summary = [
         f"capture_days = {len(capture_days)}",
         f"overlap_stop_day = {overlap_stop_day if overlap_stop_day is not None else 'none'}",
-        f"skipped_samples = {skipped}",
+        f"skipped_samples = {run.skipped}",
         f"ordering_ok = {str(ordering_ok).lower() if canonical else 'not_checked'}",
     ]
     (out / "summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
@@ -218,7 +293,7 @@ def run_growth_experiment(cfg: Config, out_dir: str | Path, seed: int | None = N
         ordering_checked=canonical,
         ordering_ok=ordering_ok,
         overlap_stop_day=overlap_stop_day,
-        skipped_samples=skipped,
+        skipped_samples=run.skipped,
     )
 
 
@@ -232,78 +307,38 @@ def run_monitoring_trace(cfg: Config, out_dir: str | Path, seed: int | None = No
     out.mkdir(parents=True, exist_ok=True)
     if seed is None:
         seed = cfg["sim.seed"]
-    gp = cfg.growth_params()
-    cam = cfg.camera()
-    demand = cfg.demand("monitor.peak_loss_rate")
     interval = cfg["monitor.sample_interval_min"]
     count = cfg["monitor.sample_count"]
     start_day = cfg["monitor.start_day"]
-    schedule = cfg.schedule(interval)
-    pump = PumpModel(cfg["pump.flow_l_per_min"])
-    threshold = cfg["control.wilt_threshold"]
     dump_frames = cfg["output.dump_frames"]
+    run = _Run(cfg, seed, cfg.demand("monitor.peak_loss_rate"), cfg.schedule(interval))
 
-    # Grow the representative plant to session age under no demand.
-    plant = make_seedling(gp, EcBand.NORMAL)
+    # Grow the representative plant (a population of one) to session age under no demand.
+    plant = make_seedling(run.gp, EcBand.NORMAL, np.ones(1))
     if start_day > 0:
-        plant = advance(plant, start_day * MINUTES_PER_DAY, DemandProfile(), 0.0, gp)
-    distance = capture_distance(start_day)
+        plant = advance(plant, start_day * MINUTES_PER_DAY, DemandProfile(), 0.0, run.gp)
 
-    state = ControllerState()
-    ledger = WaterLedger()
-    rows: list[TraceRow] = []
-    events: list[PumpEvent] = []
-    skipped = 0
     frames_dir = out / "frames"
     if dump_frames:
         frames_dir.mkdir(exist_ok=True)
 
-    start_min = start_day * MINUTES_PER_DAY + schedule.window_start_min
-    t = plant.age_min
+    start_min = start_day * MINUTES_PER_DAY + run.schedule.window_start_min
     for k in range(count):
         now = start_min + k * interval
-        if now > t:
-            plant = advance(plant, now - t, demand, t % MINUTES_PER_DAY, gp)
-            t = now
-        try:
-            frame, _ = render(plant, cam, distance, now, gp)
-            if dump_frames:
-                write_ppm(frame, str(frames_dir / f"sample_{k:03d}.ppm"))
-            mask = segment(frame, cfg["vision.red_margin"], cleanup=cam.noise_amplitude > 0)
-            morpho = measure(mask, distance, cam, cfg["vision.min_plant_pixels"])
-        except NoPlantDetected as exc:
-            skipped += 1
-            log.warning("sample %d skipped (%s)", k, exc)
-            continue
+        ppm_path = frames_dir / f"sample_{k:03d}.ppm" if dump_frames else None
+        plant = run.wilt_sample(run.step_to(plant, now), now, k, start_min, ppm_path)
 
-        previous = state.previous_width_cm if state.last_sample_day == int(now // MINUTES_PER_DAY) else None
-        state, cmd = spa_tick(state, morpho.width_cm, now, schedule, threshold)
-        ledger.accrue(cmd, now, pump, regime="auto")
-        if cmd.action is Action.ON:
-            events.append(PumpEvent(k, now, float(k * interval)))
-            plant = apply_irrigation(plant, now, irrigation_lag(seed, now, gp))
-        rows.append(TraceRow(
-            timestamp_min=now,
-            plant_id=0,
-            height_cm=morpho.height_cm,
-            width_cm=morpho.width_cm,
-            wilt_degree=(state.reference_width_cm - morpho.width_cm) / state.reference_width_cm,
-            gradient_sign=_gradient_sign(previous, morpho.width_cm),
-            command=cmd.action.value,
-            liters_to_date=ledger.total_liters(),
-        ))
-
-    _write_trace_csv(out / "trace.csv", rows)
-    _write_events_csv(out / "pump_events.csv", events)
+    _write_trace_csv(out / "trace.csv", run.rows)
+    _write_events_csv(out / "pump_events.csv", run.events)
     summary = [
-        f"samples = {len(rows)}",
-        f"pump_events = {len(events)}",
-        "event_offsets_min = " + (";".join(str(int(e.offset_min)) for e in events) or "none"),
-        f"liters_total = {_fmt(ledger.total_liters())}",
+        f"samples = {len(run.rows)}",
+        f"pump_events = {len(run.events)}",
+        "event_offsets_min = " + (";".join(str(int(e.offset_min)) for e in run.events) or "none"),
+        f"liters_total = {_fmt(run.ledger.total_liters())}",
     ]
     (out / "summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
-    return MonitorResult(rows=rows, events=events, sample_interval_min=interval,
-                         skipped_samples=skipped)
+    return MonitorResult(rows=run.rows, events=run.events, sample_interval_min=interval,
+                         skipped_samples=run.skipped)
 
 
 def _write_trace_csv(path: Path, rows: list[TraceRow]) -> None:
@@ -333,32 +368,31 @@ def run_fertigation_comparison(cfg: Config, out_dir: str | Path,
     out.mkdir(parents=True, exist_ok=True)
     if seed is None:
         seed = cfg["sim.seed"]
-    _check_timeline(cfg)
 
-    main = _simulate_population(cfg, seed, all_timer=False)
-    control = _simulate_population(cfg, seed, all_timer=True)
+    main, heights = _simulate_population(cfg, seed, all_timer=False)
+    _, control_heights = _simulate_population(cfg, seed, all_timer=True)
 
-    ledger: WaterLedger = main["ledger"]
+    ledger = main.ledger
     timer_mean = ledger.mean_liters_per_day("timer")
     auto_mean = ledger.mean_liters_per_day("auto")
     saved = savings(timer_mean, auto_mean)
 
-    auto_inc, ctrl_inc = _auto_period_increments(cfg, main["heights"], control["heights"])
+    auto_inc, ctrl_inc = _auto_period_increments(cfg, heights, control_heights)
     growth_ok = abs(auto_inc - ctrl_inc) <= 0.10 * abs(ctrl_inc) if ctrl_inc else auto_inc == 0.0
     savings_ok = saved > 0.80
 
     _write_csv(out / "heights.csv",
                ["capture_day", "mean_height_cm", "mean_width_cm"],
-               [[str(d), _fmt(h), _fmt(w)] for d, h, w in main["heights"]])
+               [[str(d), _fmt(h), _fmt(w)] for d, h, w in heights])
     _write_csv(out / "control_heights.csv",
                ["capture_day", "mean_height_cm", "mean_width_cm"],
-               [[str(d), _fmt(h), _fmt(w)] for d, h, w in control["heights"]])
+               [[str(d), _fmt(h), _fmt(w)] for d, h, w in control_heights])
     _write_csv(out / "daily_usage.csv",
                ["day", "regime", "activations", "liters"],
                [[str(r.day), r.regime, str(r.activations), _fmt(r.liters)]
                 for r in ledger.rows()])
-    _write_trace_csv(out / "trace.csv", main["rows"])
-    _write_events_csv(out / "pump_events.csv", main["events"])
+    _write_trace_csv(out / "trace.csv", main.rows)
+    _write_events_csv(out / "pump_events.csv", main.events)
 
     auto_activations = sum(r.activations for r in ledger.rows() if r.regime == "auto")
     summary = [
@@ -378,124 +412,61 @@ def run_fertigation_comparison(cfg: Config, out_dir: str | Path,
         savings_fraction=saved,
         timer_mean_l_per_day=timer_mean,
         auto_mean_l_per_day=auto_mean,
-        heights=main["heights"],
-        control_heights=control["heights"],
+        heights=heights,
+        control_heights=control_heights,
         auto_increment_cm=auto_inc,
         control_increment_cm=ctrl_inc,
-        events=main["events"],
-        rows=main["rows"],
+        events=main.events,
+        rows=main.rows,
         savings_ok=savings_ok,
         growth_ok=growth_ok,
         auto_activations=auto_activations,
-        skipped_samples=main["skipped"],
+        skipped_samples=main.skipped,
     )
 
 
-def _check_timeline(cfg: Config) -> None:
-    # Contiguity of the regime timeline; parse_config already bounds the keys,
-    # but a config assembled by hand must fail before simulation starts.
-    if not (1 <= cfg["compare.auto_start_day"] <= cfg["compare.auto_end_day"]
-            <= cfg["compare.total_days"]):
-        raise ConfigError("comparison regime timeline has gaps or overlaps")
+def _simulate_population(cfg: Config, seed: int,
+                         all_timer: bool) -> tuple[_Run, list[tuple[int, float, float]]]:
+    """One compare population through the regime timeline; returns the run and its captures.
 
-
-def _simulate_population(cfg: Config, seed: int, all_timer: bool) -> dict:
-    gp = cfg.growth_params()
-    cam = cfg.camera()
-    demand = cfg.demand("demand.peak_loss_rate")
-    n_plants = cfg["compare.plants"]
+    Timer days step the population from timer instant to timer instant;
+    wilt-controlled days step it from camera sample to camera sample.
+    """
     total_days = cfg["compare.total_days"]
     auto_start = cfg["compare.auto_start_day"]
     auto_end = cfg["compare.auto_end_day"]
     capture_every = cfg["compare.capture_every_days"]
-    schedule = cfg.schedule(cfg["compare.sample_interval_min"])
-    pump = PumpModel(cfg["pump.flow_l_per_min"])
-    threshold = cfg["control.wilt_threshold"]
-
-    plants = [make_seedling(gp, EcBand.NORMAL, plant_rate_scale(seed, _COMPARE_GROUP_INDEX, i, gp))
-              for i in range(n_plants)]
-    state = ControllerState()
-    ledger = WaterLedger()
-    rows: list[TraceRow] = []
-    events: list[PumpEvent] = []
+    run = _Run(cfg, seed, cfg.demand("demand.peak_loss_rate"),
+               cfg.schedule(cfg["compare.sample_interval_min"]))
+    schedule = run.schedule
+    pop = _population(run.gp, EcBand.NORMAL, seed, _COMPARE_GROUP_INDEX, cfg["compare.plants"])
     heights: list[tuple[int, float, float]] = []
-    skipped = 0
     auto_start_min = (auto_start - 1) * MINUTES_PER_DAY
-
-    t = 0.0
-
-    def advance_all(to_min: float) -> None:
-        nonlocal plants, t
-        if to_min > t:
-            clock = t % MINUTES_PER_DAY
-            dt = to_min - t
-            plants = [advance(p, dt, demand, clock, gp) for p in plants]
-            t = to_min
-
-    def irrigate_all(now: float) -> None:
-        nonlocal plants
-        lag = irrigation_lag(seed, now, gp)
-        plants = [apply_irrigation(p, now, lag) for p in plants]
 
     for day in range(total_days):
         auto = (not all_timer) and auto_start <= day + 1 <= auto_end
         regime = "auto" if auto else "timer"
-        ledger.register_day(day, regime)
+        run.ledger.register_day(day, regime)
 
-        for now in schedule.sample_times(day):
-            advance_all(now)
-            if not auto:
+        if auto:
+            for now in schedule.sample_times(day):
+                pop = run.wilt_sample(run.step_to(pop, now), now, len(run.rows), auto_start_min)
+        else:
+            for now in schedule.timer_times(day):
+                pop = run.step_to(pop, now)
                 cmd = timer_tick(schedule, now)
-                ledger.accrue(cmd, now, pump, regime)
+                run.ledger.accrue(cmd, now, run.pump, regime)
                 if cmd.action is Action.ON:
-                    irrigate_all(now)
-                continue
-
-            distance = capture_distance(day)
-            try:
-                morpho = _measure_plant(plants[0], cam, distance, now, cfg, gp)
-            except NoPlantDetected as exc:
-                skipped += 1
-                log.warning("day %d minute %d: representative sample skipped (%s)",
-                            day, int(now), exc)
-                continue
-            previous = (state.previous_width_cm
-                        if state.last_sample_day == int(now // MINUTES_PER_DAY) else None)
-            state, cmd = spa_tick(state, morpho.width_cm, now, schedule, threshold)
-            ledger.accrue(cmd, now, pump, regime)
-            if cmd.action is Action.ON:
-                events.append(PumpEvent(len(rows), now, now - auto_start_min))
-                irrigate_all(now)
-            rows.append(TraceRow(
-                timestamp_min=now,
-                plant_id=0,
-                height_cm=morpho.height_cm,
-                width_cm=morpho.width_cm,
-                wilt_degree=(state.reference_width_cm - morpho.width_cm) / state.reference_width_cm,
-                gradient_sign=_gradient_sign(previous, morpho.width_cm),
-                command=cmd.action.value,
-                liters_to_date=ledger.total_liters(),
-            ))
+                    pop = run.irrigate(pop, now)
 
         if day % capture_every == 0:
-            t_cap = (day + 1) * MINUTES_PER_DAY
-            advance_all(t_cap)
-            distance = capture_distance(day)
-            hs, ws = [], []
-            for p in plants:
-                try:
-                    m = _measure_plant(p, cam, distance, t_cap, cfg, gp)
-                    hs.append(m.height_cm)
-                    ws.append(m.width_cm)
-                except NoPlantDetected as exc:
-                    skipped += 1
-                    log.warning("capture day %d: sample skipped (%s)", day, exc)
-            if hs:
-                heights.append((day, sum(hs) / len(hs), sum(ws) / len(ws)))
+            pop = run.step_to(pop, (day + 1) * MINUTES_PER_DAY)
+            mean_h, mean_w = run.capture(pop, day)
+            if not math.isnan(mean_h):
+                heights.append((day, mean_h, mean_w))
 
-    ledger.mark_complete_through(total_days * MINUTES_PER_DAY)
-    return {"ledger": ledger, "rows": rows, "events": events, "heights": heights,
-            "skipped": skipped}
+    run.ledger.mark_complete_through(total_days * MINUTES_PER_DAY)
+    return run, heights
 
 
 def _auto_period_increments(cfg: Config, heights: list[tuple[int, float, float]],

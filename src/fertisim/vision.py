@@ -97,12 +97,3 @@ def measure(mask: np.ndarray, distance_cm: float, cam: CameraConfig,
         distance_cm=distance_cm,
     )
 
-
-def width_overlap_difference(current: Morphometry, reference: Morphometry) -> float:
-    """Wilt degree: fractional canopy-width shrink of ``current`` against ``reference``.
-
-    Negative values mean the plant is wider (fresher) than the reference.
-    """
-    if reference.width_cm <= 0.0:
-        raise ValueError("reference width must be > 0")
-    return (reference.width_cm - current.width_cm) / reference.width_cm

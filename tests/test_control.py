@@ -8,7 +8,6 @@ from fertisim.control import (
     ControllerState,
     Schedule,
     SchedulingError,
-    reset_daily,
     spa_tick,
     timer_tick,
     wilt_degree,
@@ -74,8 +73,20 @@ class TestWiltRule:
         state = state_with(100.0, 95.0, now=DAY0_0800)
         next_day = 1440.0 + DAY0_0800
         state, cmd = spa_tick(state, 90.0, next_day, SCHEDULE)
-        assert cmd.action is Action.HOLD
-        assert state.reference_width_cm == 90.0
+        assert cmd.action is Action.HOLD  # 10% below yesterday's reference, but a new day
+        assert state.reference_width_cm == state.previous_width_cm == 90.0
+        assert state.last_sample_day == 1
+
+    def test_two_days_use_their_own_references(self):
+        state = ControllerState()
+        state, _ = spa_tick(state, 100.0, DAY0_0800, SCHEDULE)
+        state, cmd = spa_tick(state, 96.0, DAY0_0800 + 30, SCHEDULE)
+        assert cmd.action is Action.ON  # 4% against day-1 reference
+        day2 = 1440.0 + DAY0_0800
+        state, _ = spa_tick(state, 96.0, day2, SCHEDULE)  # day-2 anchor
+        state, cmd = spa_tick(state, 94.5, day2 + 30, SCHEDULE)
+        assert wilt_degree(96.0, 94.5) < 0.02
+        assert cmd.action is Action.OFF  # 1.6% against the day-2 reference
 
     def test_hold_while_pump_runs(self):
         fast = Schedule(sample_interval_min=1)
@@ -124,35 +135,12 @@ class TestTimer:
         ons = [c for c in commands if c.action is Action.ON]
         assert len(ons) == 18
         assert sum(c.duration_min for c in ons) == 54.0
+        on_minutes = [m for m, c in enumerate(commands) if c.action is Action.ON]
+        assert [m - 1440 for m in SCHEDULE.timer_times(1)] == on_minutes
 
     def test_outside_window_off(self):
         assert timer_tick(SCHEDULE, 100.0).action is Action.OFF
         assert timer_tick(SCHEDULE, 1020.0).action is Action.OFF
-
-
-class TestResetDaily:
-    def test_rollover_clears_anchors(self):
-        state = state_with(100.0, 95.0, now=DAY0_0800)
-        cleared = reset_daily(state, 1440.0 + DAY0_0800)
-        assert cleared.reference_width_cm is None
-        assert cleared.previous_width_cm is None
-        _, cmd = spa_tick(cleared, 88.0, 1440.0 + DAY0_0800, SCHEDULE)
-        assert cmd.action is Action.HOLD
-
-    def test_same_day_is_identity(self):
-        state = state_with(100.0, 95.0, now=DAY0_0800)
-        assert reset_daily(state, DAY0_0800 + 300) is state
-
-    def test_two_days_use_their_own_references(self):
-        state = ControllerState()
-        state, _ = spa_tick(state, 100.0, DAY0_0800, SCHEDULE)
-        state, cmd = spa_tick(state, 96.0, DAY0_0800 + 30, SCHEDULE)
-        assert cmd.action is Action.ON  # 4% against day-1 reference
-        day2 = 1440.0 + DAY0_0800
-        state, _ = spa_tick(state, 96.0, day2, SCHEDULE)  # day-2 anchor
-        state, cmd = spa_tick(state, 94.5, day2 + 30, SCHEDULE)
-        assert wilt_degree(96.0, 94.5) < 0.02
-        assert cmd.action is Action.OFF  # 1.6% against the day-2 reference
 
 
 class TestTraceInvariants:

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -208,6 +209,44 @@ class TestInvariants:
         assert simulate() == simulate()
 
 
+class TestPopulation:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        band=st.sampled_from(list(EcBand)),
+        seed=st.integers(0, 1000),
+        n=st.integers(1, 8),
+        peak=st.floats(0.0, 0.02),
+        # short steps land inside lags and recovery windows, long ones cross
+        # demand-window edges and whole days
+        steps=st.lists(st.tuples(st.one_of(st.floats(0.25, 40.0), st.floats(40.0, 2000.0)),
+                                 st.booleans()),
+                       min_size=1, max_size=16),
+    )
+    def test_population_matches_plants_advanced_alone(self, band, seed, n, peak, steps):
+        demand = DemandProfile(peak_loss_rate=peak)
+        scales = [plant_rate_scale(seed, 0, i) for i in range(n)]
+        pop = make_seedling(band=band, rate_scale=np.array(scales))
+        alone = [make_seedling(band=band, rate_scale=s) for s in scales]
+        for dt, irrigate in steps:
+            if irrigate:
+                now = pop.age_min
+                lag = irrigation_lag(seed, now)
+                pop = apply_irrigation(pop, now, lag)
+                alone = [apply_irrigation(p, now, lag) for p in alone]
+            pop = advance(pop, dt, demand)
+            alone = [advance(p, dt, demand) for p in alone]
+        for i, single in enumerate(alone):
+            got = pop.plant(i)
+            assert got.age_min == single.age_min
+            assert got.turgor == single.turgor
+            assert got.recovery_deadline_min == single.recovery_deadline_min
+            assert got.rate_scale == single.rate_scale
+            assert got.height_cm == pytest.approx(single.height_cm, rel=1e-12, abs=0.0)
+            assert got.turgid_width_cm == pytest.approx(single.turgid_width_cm, rel=1e-12, abs=0.0)
+            assert effective_width(got) == pytest.approx(effective_width(pop)[i],
+                                                         rel=1e-12, abs=0.0)
+
+
 class TestDemandProfile:
     def test_zero_outside_window_and_peak_at_midpoint(self):
         demand = DemandProfile(peak_loss_rate=0.01)
@@ -249,6 +288,9 @@ def test_invalid_plant_states_rejected():
         PlantState(age_min=0, height_cm=5, turgid_width_cm=-1, turgor=1, band=EcBand.NORMAL)
     with pytest.raises(ValueError):
         PlantState(age_min=0, height_cm=5, turgid_width_cm=5, turgor=1.2, band=EcBand.NORMAL)
+    with pytest.raises(ValueError):  # one bad plant rejects the population
+        PlantState(age_min=0, height_cm=np.array([5.0, 0.0]), turgid_width_cm=np.array([5.0, 5.0]),
+                   turgor=1, band=EcBand.NORMAL)
 
 
 def test_ec_bands_disjoint_and_ordered():

@@ -109,31 +109,35 @@ class TestRender:
         assert wilted.height_px == fresh.height_px
 
 
+def population_of(widths_cm, height_cm=50.0):
+    widths = np.array(widths_cm, dtype=float)
+    return PlantState(age_min=0.0, height_cm=np.full(widths.shape, height_cm),
+                      turgid_width_cm=widths, turgor=1.0, band=EcBand.NORMAL)
+
+
 class TestOverlapFlag:
     def test_all_narrower_than_spacing(self):
-        group = [plant_of(50.0, 30.0) for _ in range(5)]
-        assert overlap_flag(group, 40.0) is False
+        assert overlap_flag(population_of([30.0] * 5), 40.0) is False
 
     def test_one_wide_plant_trips(self):
-        group = [plant_of(50.0, 30.0), plant_of(50.0, 45.0)]
-        assert overlap_flag(group, 40.0) is True
+        assert overlap_flag(population_of([30.0, 45.0]), 40.0) is True
 
     def test_bad_spacing_rejected(self):
         with pytest.raises(ValueError):
-            overlap_flag([plant_of(50.0, 30.0)], 0.0)
+            overlap_flag(population_of([30.0]), 0.0)
 
     def test_default_calibration_first_trips_between_day_40_and_50(self, growth_params):
         no_demand = DemandProfile()
-        plants = [make_seedling(growth_params, band, plant_rate_scale(42, gi, i, growth_params))
-                  for gi, band in enumerate(EcBand) for i in range(20)]
-        t = 0.0
+        groups = [make_seedling(growth_params, band,
+                                np.array([plant_rate_scale(42, gi, i, growth_params)
+                                          for i in range(20)]))
+                  for gi, band in enumerate(EcBand)]
         first = None
         for day in range(56):
             t_cap = (day + 1) * 1440.0
-            plants = [advance(p, t_cap - t, no_demand, t % 1440.0, growth_params)
-                      for p in plants]
-            t = t_cap
-            if overlap_flag(plants, 40.0, growth_params):
+            groups = [advance(g, t_cap - g.age_min, no_demand, params=growth_params)
+                      for g in groups]
+            if any(overlap_flag(g, 40.0, growth_params) for g in groups):
                 first = day
                 break
         assert first is not None and 40 < first < 50, f"overlap first tripped at day {first}"

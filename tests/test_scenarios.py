@@ -1,10 +1,11 @@
 """End-to-end behavior of the three bundled experiments."""
 
-import filecmp
-from dataclasses import replace
+import importlib.util
+from pathlib import Path
 
 import pytest
 
+from fertisim import scenarios
 from fertisim.config import Config, ConfigError, default_config, parse_config
 from fertisim.growth import EcBand
 from fertisim.scenarios import (
@@ -148,7 +149,34 @@ class TestComparison:
         assert result.auto_mean_l_per_day == 0.0
         assert result.savings_fraction == 1.0
 
-    def test_timeline_misconfiguration_fails_before_simulation(self, tmp_path):
-        broken = Config(values={**default_config().values, "compare.auto_end_day": 60})
+    def test_timeline_misconfiguration_fails_before_simulation(self):
         with pytest.raises(ConfigError, match="timeline"):
-            run_fertigation_comparison(broken, tmp_path, seed=42)
+            Config(values={**default_config().values, "compare.auto_end_day": 60})
+
+    @pytest.mark.parametrize("interval", [15, 20, 45])
+    def test_timer_usage_does_not_depend_on_sample_interval(self, compare_default, tmp_path,
+                                                            interval):
+        cfg = parse_config(
+            f"compare.sample_interval_min = {interval}\n"
+            "compare.plants = 2\n"
+            "compare.total_days = 8\n"
+            "compare.auto_start_day = 3\n"
+            "compare.auto_end_day = 6\n"
+        )
+        result = run_fertigation_comparison(cfg, tmp_path, seed=42)
+        default, _ = compare_default
+        assert default.timer_mean_l_per_day == pytest.approx(101.6, abs=1e-9)
+        assert result.timer_mean_l_per_day == pytest.approx(default.timer_mean_l_per_day,
+                                                            abs=1e-9)
+
+
+def test_every_traced_name_is_bound_in_scenarios():
+    # perfbench wraps these names as bound in fertisim.scenarios; a renamed or
+    # dropped import would silently remove a layer from the traced pass.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.SCENARIO_FUNCTIONS
+    for name in spans.SCENARIO_FUNCTIONS:
+        assert callable(getattr(scenarios, name, None)), name

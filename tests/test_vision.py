@@ -4,15 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from fertisim.control import wilt_degree
 from fertisim.growth import EcBand, PlantState
 from fertisim.render import CameraConfig, Frame, FrameFitError, render
-from fertisim.vision import (
-    Morphometry,
-    NoPlantDetected,
-    measure,
-    segment,
-    width_overlap_difference,
-)
+from fertisim.vision import NoPlantDetected, measure, segment
 
 
 def plant_of(height_cm, width_cm, turgor=1.0):
@@ -147,21 +142,15 @@ class TestMeasure:
 
 
 class TestWiltDegree:
-    def _morpho(self, width_cm):
-        return Morphometry(height_px=0, width_px=0, height_cm=0.0, width_cm=width_cm,
-                           plant_pixel_count=0, distance_cm=100.0)
-
     def test_two_percent_shrink(self):
-        value = width_overlap_difference(self._morpho(39.2), self._morpho(40.0))
-        assert value == pytest.approx(0.02)
+        assert wilt_degree(40.0, 39.2) == pytest.approx(0.02)
 
     def test_identity(self):
-        assert width_overlap_difference(self._morpho(40.0), self._morpho(40.0)) == 0.0
+        assert wilt_degree(40.0, 40.0) == 0.0
 
     def test_fresher_than_reference_goes_negative(self):
-        value = width_overlap_difference(self._morpho(41.0), self._morpho(40.0))
-        assert value == pytest.approx(-0.025)
+        assert wilt_degree(40.0, 41.0) == pytest.approx(-0.025)
 
     def test_zero_reference_rejected(self):
         with pytest.raises(ValueError):
-            width_overlap_difference(self._morpho(40.0), self._morpho(0.0))
+            wilt_degree(0.0, 40.0)
