@@ -73,9 +73,8 @@ class TestWiltRule:
         state = state_with(100.0, 95.0, now=DAY0_0800)
         next_day = 1440.0 + DAY0_0800
         state, cmd = spa_tick(state, 90.0, next_day, SCHEDULE)
-        assert cmd.action is Action.HOLD  # 10% below yesterday's reference, but a new day
-        assert state.reference_width_cm == state.previous_width_cm == 90.0
-        assert state.last_sample_day == 1
+        assert cmd.action is Action.HOLD
+        assert state.reference_width_cm == 90.0
 
     def test_two_days_use_their_own_references(self):
         state = ControllerState()
@@ -141,6 +140,21 @@ class TestTimer:
     def test_outside_window_off(self):
         assert timer_tick(SCHEDULE, 100.0).action is Action.OFF
         assert timer_tick(SCHEDULE, 1020.0).action is Action.OFF
+
+
+class TestResetDaily:
+    """The daily rollover happens inside spa_tick: the first sample of a new
+    day drops yesterday's reference and previous width."""
+
+    def test_rollover_clears_anchors(self):
+        state = state_with(100.0, 95.0, now=DAY0_0800)
+        next_day = 1440.0 + DAY0_0800
+        state, cmd = spa_tick(state, 88.0, next_day, SCHEDULE)
+        assert cmd.action is Action.HOLD  # 12% below yesterday's reference, but a new day
+        assert state.reference_width_cm == state.previous_width_cm == 88.0
+        assert state.last_sample_day == 1
+        _, cmd = spa_tick(state, 87.0, next_day + 15, SCHEDULE)
+        assert cmd.action is Action.OFF  # 1.1% against today's anchor, not 13% against 100
 
 
 class TestTraceInvariants:
