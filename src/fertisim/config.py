@@ -9,7 +9,8 @@ Parsing is order-independent; duplicate keys are rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from types import MappingProxyType
+from typing import Any, Callable, Mapping
 
 from .control import Schedule
 from .growth import DemandProfile, GrowthParams
@@ -114,10 +115,29 @@ _SECTION_ORDER = ["sim", "growth", "demand", "monitor", "camera", "vision",
 
 @dataclass(frozen=True)
 class Config:
-    values: dict[str, Any]
+    """A complete, validated set of config values.
+
+    Construction checks that every key of the table is present, each value is
+    in its key's range, and the cross-field rules hold. ``values`` is stored
+    read-only, so no later write can get past those checks; build a changed
+    config with ``Config(values={**cfg.values, key: value})``.
+    """
+
+    values: Mapping[str, Any]
 
     def __post_init__(self):
-        _cross_check(self.values)
+        values = dict(self.values)
+        unknown = values.keys() - _KEYS.keys()
+        if unknown:
+            raise ConfigError(f"unknown key {min(unknown)!r}")
+        for key, entry in _KEYS.items():
+            if key not in values:
+                raise ConfigError(f"key {key!r}: missing")
+            if not entry.check(values[key]):
+                raise ConfigError(
+                    f"key {key!r}: value {values[key]!r} out of range (must be {entry.why})")
+        _cross_check(values)
+        object.__setattr__(self, "values", MappingProxyType(values))
 
     def __getitem__(self, key: str) -> Any:
         return self.values[key]
@@ -176,7 +196,11 @@ def default_config() -> Config:
 
 
 def parse_config(text: str) -> Config:
-    """Parse a config document, apply defaults, and validate every key."""
+    """Parse a config document, apply defaults, and validate every key.
+
+    Syntax, unknown and duplicate keys are reported with their line here;
+    range and cross-field checks run when the ``Config`` is built.
+    """
     values: dict[str, Any] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -198,8 +222,6 @@ def parse_config(text: str) -> Config:
             raise ConfigError(
                 f"line {lineno}: key {key!r}: cannot parse {raw_value!r}"
             ) from None
-        if not entry.check(value):
-            raise ConfigError(f"key {key!r}: value {value!r} out of range (must be {entry.why})")
         values[key] = value
 
     for key, entry in _KEYS.items():

@@ -15,7 +15,7 @@ def write_ppm(frame: Frame, path: str) -> None:
     header = f"P6\n{FRAME_W} {FRAME_H}\n255\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(frame.pixels.tobytes())
+        fh.write(np.ascontiguousarray(frame.pixels))  # the buffer itself when contiguous: no copy
 
 
 def read_ppm(path: str, distance_cm: float = 0.0, timestamp_min: float = 0.0) -> Frame:

@@ -58,35 +58,36 @@ class CameraConfig:
 class Frame:
     """One captured image plus its capture metadata.
 
-    The image is held as ``patch``, an (h, w, 3) uint8 RGB block whose top-left
-    pixel sits at ``origin`` (row, column), and ``background``, the one colour
-    of every pixel outside the patch. A noiseless render keeps only the
-    plant's bounding box. A whole frame (``Frame(pixels=...)``, a noisy render,
-    a PPM read) is the case where the patch is the full frame at (0, 0).
+    A whole frame (``Frame(pixels=...)``: a noisy render, a PPM read) holds
+    its (480, 640, 3) uint8 RGB buffer. A noiseless render holds only what
+    it drew: ``silhouette``, the boolean plant mask over the plant's bounding
+    box, whose top-left pixel sits at ``origin`` (row, column), and two
+    colours, ``plant_color`` where the silhouette is set and ``background``
+    everywhere else. ``silhouette`` is None for a whole frame.
 
-    ``pixels`` is the full (480, 640, 3) buffer; for a patch frame it is
+    ``pixels`` is the full (480, 640, 3) buffer; for a silhouette frame it is
     built on first access and cached.
     """
 
     def __init__(self, pixels: np.ndarray | None = None, distance_cm: float = 0.0,
-                 timestamp_min: float = 0.0, *, patch: np.ndarray | None = None,
+                 timestamp_min: float = 0.0, *, silhouette: np.ndarray | None = None,
                  origin: tuple[int, int] = (0, 0),
-                 background: tuple[int, int, int] = (0, 0, 0)):
-        if (pixels is None) == (patch is None):
-            raise ValueError("give exactly one of pixels and patch")
+                 background: tuple[int, int, int] = (0, 0, 0),
+                 plant_color: tuple[int, int, int] = (0, 0, 0)):
+        if (pixels is None) == (silhouette is None):
+            raise ValueError("give exactly one of pixels and silhouette")
         if pixels is not None:
             if pixels.shape != (FRAME_H, FRAME_W, 3) or pixels.dtype != np.uint8:
                 raise ValueError("frame buffer must be 480x640x3 uint8")
-            patch, origin = pixels, (0, 0)
         else:
             r, c = origin
-            if (patch.ndim != 3 or patch.shape[2] != 3 or patch.dtype != np.uint8
-                    or r < 0 or c < 0
-                    or r + patch.shape[0] > FRAME_H or c + patch.shape[1] > FRAME_W):
-                raise ValueError("patch must be h x w x 3 uint8 and lie inside the 480x640 frame")
-        self.patch = patch
+            if (silhouette.ndim != 2 or silhouette.dtype != bool or r < 0 or c < 0
+                    or r + silhouette.shape[0] > FRAME_H or c + silhouette.shape[1] > FRAME_W):
+                raise ValueError("silhouette must be an h x w bool mask inside the 480x640 frame")
+        self.silhouette = silhouette
         self.origin = origin
         self.background = background
+        self.plant_color = plant_color
         self.distance_cm = distance_cm
         self.timestamp_min = timestamp_min
         self._pixels = pixels
@@ -95,10 +96,13 @@ class Frame:
     def pixels(self) -> np.ndarray:
         if self._pixels is None:
             full = np.empty((FRAME_H, FRAME_W, 3), dtype=np.uint8)
-            for ch in range(3):  # one strided fill per channel: far faster than a broadcast
-                full[:, :, ch] = self.background[ch]
             r, c = self.origin
-            full[r:r + self.patch.shape[0], c:c + self.patch.shape[1]] = self.patch
+            h, w = self.silhouette.shape
+            # One strided fill and one masked copy per channel: several times
+            # faster than a broadcast fill or a boolean-indexed assignment.
+            for ch in range(3):
+                full[:, :, ch] = self.background[ch]
+                np.copyto(full[r:r + h, c:c + w, ch], self.plant_color[ch], where=self.silhouette)
             self._pixels = full
         return self._pixels
 
@@ -125,8 +129,8 @@ def render(plant: PlantState, cam: CameraConfig, distance_cm: float,
            growth_params: GrowthParams = DEFAULT_GROWTH) -> tuple[Frame, GroundTruth]:
     """Rasterize one plant seen from ``distance_cm``; returns the frame and ground truth.
 
-    Only the silhouette's bounding box is filled: the frame holds that patch
-    and the background colour, and builds the full buffer only when
+    Only the silhouette's bounding box is rasterized: the frame holds that
+    boolean mask and the two colours, and builds the full buffer only when
     ``Frame.pixels`` is read. With camera noise the frame is built whole.
     """
     if distance_cm <= 0.0:
@@ -148,13 +152,12 @@ def render(plant: PlantState, cam: CameraConfig, distance_cm: float,
     truth = GroundTruth(
         height_px=int(rows[-1] - rows[0] + 1),
         width_px=int(cols[-1] - cols[0] + 1),
-        plant_pixel_count=int(local.sum()),
+        plant_pixel_count=int(np.count_nonzero(local)),
     )
 
-    palette = np.array([cam.background, cam.plant_color], dtype=np.uint8)
-    patch = palette.take(local.view(np.uint8), axis=0)
-    frame = Frame(patch=patch, origin=(r_lo, c_lo), background=cam.background,
-                  distance_cm=distance_cm, timestamp_min=timestamp_min)
+    frame = Frame(silhouette=local, origin=(r_lo, c_lo), background=cam.background,
+                  plant_color=cam.plant_color, distance_cm=distance_cm,
+                  timestamp_min=timestamp_min)
     if cam.noise_amplitude > 0:
         # Noise covers every pixel, so a noisy frame is built whole. The sum is
         # formed in the noise buffer and written back into the frame buffer:

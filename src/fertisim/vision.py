@@ -1,11 +1,12 @@
 """Vision pipeline: red-background segmentation and plant morphometry.
 
-Segmentation is a red-dominance test per pixel (background iff red exceeds
-both green and blue by a configurable margin), run on the frame's patch and
-once on its uniform background colour. Measurement takes the
-bounding box of the plant mask and converts pixel extents to centimeters
-through the known camera distance, so measurements taken at different
-distances stay comparable.
+Segmentation is a red-dominance test (background iff red exceeds both green
+and blue by a configurable margin). A noiseless frame is a silhouette and two
+colours, so the test runs on those two colours and the silhouette places
+their classes; a whole frame is tested pixel by pixel. Measurement takes the
+bounding box of the plant mask, scanning columns only within the plant's
+rows, and converts pixel extents to centimeters through the known camera
+distance, so measurements taken at different distances stay comparable.
 """
 
 from __future__ import annotations
@@ -38,19 +39,24 @@ def segment(frame: Frame, red_dominance_margin: int = DEFAULT_RED_MARGIN,
             cleanup: bool = False) -> np.ndarray:
     """Boolean plant mask, full frame size (480, 640).
 
-    The red-dominance test runs once on the frame's background colour and
-    then on its patch pixels only; the patch result is written into a mask
+    On a silhouette frame the red-dominance test runs once on each of its two
+    colours; the silhouette then places the plant colour's class into a mask
     filled with the background's class, so every pixel is classified exactly
-    as if the whole buffer had been tested.
+    as if the whole buffer had been tested. A whole frame is tested pixel by
+    pixel.
 
     ``cleanup`` applies a 3x3 majority filter; leave it off for noiseless
     frames so the mask matches the rasterized silhouette exactly.
     """
-    background = np.asarray(frame.background, dtype=np.uint8).reshape(1, 1, 3)
-    mask = np.full((FRAME_H, FRAME_W), _plant_pixels(background, red_dominance_margin)[0, 0])
-    r, c = frame.origin
-    h, w = frame.patch.shape[:2]
-    mask[r:r + h, c:c + w] = _plant_pixels(frame.patch, red_dominance_margin)
+    if frame.silhouette is None:
+        mask = _plant_pixels(frame.pixels, red_dominance_margin)
+    else:
+        colours = np.array([[frame.background, frame.plant_color]], dtype=np.uint8)
+        background_class, plant_class = _plant_pixels(colours, red_dominance_margin)[0]
+        mask = np.full((FRAME_H, FRAME_W), background_class)
+        r, c = frame.origin
+        h, w = frame.silhouette.shape
+        mask[r:r + h, c:c + w] = np.where(frame.silhouette, plant_class, background_class)
     if cleanup:
         mask = _majority_filter(mask)
     return mask
@@ -79,12 +85,16 @@ def _majority_filter(mask: np.ndarray) -> np.ndarray:
 
 def measure(mask: np.ndarray, distance_cm: float, cam: CameraConfig,
             min_plant_pixels: int = DEFAULT_MIN_PLANT_PIXELS) -> Morphometry:
-    """Bounding-box extents of the mask in pixels and centimeters."""
-    count = int(mask.sum())
+    """Bounding-box extents of the mask in pixels and centimeters.
+
+    Columns are scanned only within the rows that hold plant pixels, so the
+    cost of that scan follows the plant's height, not the frame's.
+    """
+    count = int(np.count_nonzero(mask))
     if count < min_plant_pixels:
         raise NoPlantDetected(f"{count} plant pixels, need at least {min_plant_pixels}")
     rows = np.flatnonzero(mask.any(axis=1))
-    cols = np.flatnonzero(mask.any(axis=0))
+    cols = np.flatnonzero(mask[rows[0]:rows[-1] + 1].any(axis=0))
     height_px = int(rows[-1] - rows[0] + 1)
     width_px = int(cols[-1] - cols[0] + 1)
     px_to_cm = distance_cm / cam.focal_px

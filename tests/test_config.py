@@ -2,7 +2,7 @@
 
 import pytest
 
-from fertisim.config import ConfigError, default_config, dump_defaults, parse_config
+from fertisim.config import Config, ConfigError, default_config, dump_defaults, parse_config
 
 
 def test_empty_document_gives_defaults():
@@ -34,6 +34,25 @@ def test_threshold_override():
 def test_range_error_names_the_key():
     with pytest.raises(ConfigError, match="pump.flow_l_per_min"):
         parse_config("pump.flow_l_per_min = -1\n")
+
+
+def test_hand_built_config_is_validated_and_read_only():
+    with pytest.raises(ConfigError, match=r"compare\.plants.*out of range"):
+        Config(values={**default_config().values, "compare.plants": 0})
+    with pytest.raises(ConfigError, match="no.such_key"):
+        Config(values={**default_config().values, "no.such_key": 1})
+    partial = dict(default_config().values)
+    del partial["sim.seed"]
+    with pytest.raises(ConfigError, match="sim.seed"):
+        Config(values=partial)
+
+    source = {**default_config().values, "compare.plants": 7}
+    cfg = Config(values=source)
+    source["compare.plants"] = 0  # the caller's dict is not the config's
+    assert cfg["compare.plants"] == 7
+    with pytest.raises(TypeError):
+        cfg.values["compare.plants"] = 0
+    assert Config(values={**cfg.values, "compare.plants": 8})["compare.plants"] == 8
 
 
 def test_unknown_key_rejected():

@@ -3,10 +3,19 @@
 import numpy as np
 import pytest
 
-from fertisim.growth import DemandProfile, EcBand, PlantState, advance, make_seedling, plant_rate_scale
+from fertisim.growth import (
+    DemandProfile,
+    EcBand,
+    PlantState,
+    advance,
+    effective_width,
+    make_seedling,
+    plant_rate_scale,
+)
 from fertisim.render import (
     CameraConfig,
     FrameFitError,
+    _rasterize,
     capture_distance,
     overlap_flag,
     render,
@@ -65,6 +74,24 @@ class TestRender:
         assert colors <= {camera.background, camera.plant_color}
         plant_pixels = (frame.pixels == np.array(camera.plant_color, np.uint8)).all(axis=2)
         assert int(plant_pixels.sum()) == truth.plant_pixel_count
+
+    def test_pixels_are_the_silhouette_in_two_colours(self):
+        cam = CameraConfig(background=(200, 10, 30), plant_color=(40, 90, 250))
+        plant = plant_of(37.0, 21.0, turgor=0.8)
+        frame, truth = render(plant, cam, 90.0)
+        scale = cam.focal_px / 90.0
+        silhouette, r, c = _rasterize(cam, plant.height_cm * scale,
+                                      effective_width(plant) * scale)
+        assert frame.origin == (r, c)
+        assert (frame.silhouette == silhouette).all()
+
+        expected = np.zeros((480, 640), bool)
+        expected[r:r + silhouette.shape[0], c:c + silhouette.shape[1]] = silhouette
+        is_plant = (frame.pixels == np.array(cam.plant_color, np.uint8)).all(axis=2)
+        is_background = (frame.pixels == np.array(cam.background, np.uint8)).all(axis=2)
+        assert (is_plant == expected).all()
+        assert (is_background == ~expected).all()
+        assert int(is_plant.sum()) == truth.plant_pixel_count
 
     def test_buffer_shape_and_size(self, camera):
         frame, _ = render(plant_of(40.0, 20.0), camera, 100.0)

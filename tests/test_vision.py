@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fertisim.control import wilt_degree
 from fertisim.growth import EcBand, PlantState
 from fertisim.render import CameraConfig, Frame, FrameFitError, render
-from fertisim.vision import NoPlantDetected, measure, segment
+from fertisim.vision import Morphometry, NoPlantDetected, measure, segment
 
 
 def plant_of(height_cm, width_cm, turgor=1.0):
@@ -59,6 +59,16 @@ _WIDTH_PX = st.one_of(st.floats(0.01, 1.0), st.floats(1.0, 640.0), st.sampled_fr
        background=st.one_of(st.just((255, 0, 0)), _RGB),
        plant_color=st.one_of(st.just((0, 160, 0)), _RGB),
        margin=st.integers(0, 255), cleanup=st.booleans())
+# One colour for plant and background: the frame is uniform.
+@example(height_px=300.0, width_px=200.0, distance=100.0, background=(255, 0, 0),
+         plant_color=(255, 0, 0), margin=60, cleanup=False)
+@example(height_px=300.0, width_px=200.0, distance=100.0, background=(255, 0, 0),
+         plant_color=(255, 0, 0), margin=60, cleanup=True)
+# A plant colour the margin classes as background: the plant is invisible.
+@example(height_px=300.0, width_px=200.0, distance=100.0, background=(255, 0, 0),
+         plant_color=(200, 50, 50), margin=60, cleanup=False)
+@example(height_px=300.0, width_px=200.0, distance=100.0, background=(255, 0, 0),
+         plant_color=(200, 50, 50), margin=60, cleanup=True)
 def test_patch_frame_matches_whole_frame(height_px, width_px, distance, background,
                                          plant_color, margin, cleanup):
     cam = CameraConfig(background=background, plant_color=plant_color)
@@ -81,6 +91,51 @@ def test_patch_frame_matches_whole_frame(height_px, width_px, distance, backgrou
             return None
 
     assert measured(mask) == measured(whole_mask)
+
+
+def _full_scan(mask, distance, cam, min_plant_pixels):
+    """Reference measurement: the whole mask scanned on both axes; None if too small."""
+    count = int(mask.sum())
+    if count < min_plant_pixels:
+        return None
+    rows = np.flatnonzero(mask.any(axis=1))
+    cols = np.flatnonzero(mask.any(axis=0))
+    height_px = int(rows[-1] - rows[0] + 1)
+    width_px = int(cols[-1] - cols[0] + 1)
+    px_to_cm = distance / cam.focal_px
+    return Morphometry(height_px=height_px, width_px=width_px,
+                       height_cm=height_px * px_to_cm, width_cm=width_px * px_to_cm,
+                       plant_pixel_count=count, distance_cm=distance)
+
+
+_ROW = st.one_of(st.sampled_from([0, 479]), st.integers(0, 479))
+_COL = st.one_of(st.sampled_from([0, 639]), st.integers(0, 639))
+# (first row, last row, first column, last column), inclusive; a single
+# pixel is a rectangle with equal bounds.
+_RECT = st.one_of(
+    st.tuples(_ROW, _ROW, _COL, _COL).map(lambda t: (*sorted(t[:2]), *sorted(t[2:]))),
+    st.tuples(_ROW, _COL).map(lambda t: (t[0], t[0], t[1], t[1])),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(rects=st.lists(_RECT, min_size=1, max_size=4),
+       min_plant_pixels=st.sampled_from([1, 25, 1000]))
+@example(rects=[(0, 479, 0, 639)], min_plant_pixels=25)  # the all-True mask
+@example(rects=[(0, 0, 0, 0), (479, 479, 639, 639)], min_plant_pixels=1)  # opposite corners
+@example(rects=[(0, 0, 0, 0), (479, 479, 639, 639)], min_plant_pixels=25)  # under the minimum
+# Blobs with empty rows between them; the widest one is not in the first plant row.
+@example(rects=[(10, 12, 300, 310), (200, 250, 0, 639)], min_plant_pixels=25)
+@example(rects=[(5, 5, 320, 320), (100, 140, 40, 60), (300, 479, 600, 639)], min_plant_pixels=1)
+def test_measure_equals_a_full_scan(rects, min_plant_pixels, camera):
+    mask = np.zeros((480, 640), bool)
+    for r0, r1, c0, c1 in rects:
+        mask[r0:r1 + 1, c0:c1 + 1] = True
+    try:
+        got = measure(mask, 100.0, camera, min_plant_pixels)
+    except NoPlantDetected:
+        got = None
+    assert got == _full_scan(mask, 100.0, camera, min_plant_pixels)
 
 
 class TestMeasure:
