@@ -144,32 +144,18 @@ class Config:
 
     # Builders for the module parameter objects.
 
+    def _section(self, section: str) -> dict[str, Any]:
+        """The keys of one section, by their names within it."""
+        prefix = section + "."
+        return {k[len(prefix):]: v for k, v in self.values.items() if k.startswith(prefix)}
+
     def growth_params(self) -> GrowthParams:
-        v = self.values
-        return GrowthParams(
-            initial_height_cm=v["growth.initial_height_cm"],
-            initial_width_cm=v["growth.initial_width_cm"],
-            normal_rate_per_day=v["growth.normal_rate_per_day"],
-            under_multiplier=v["growth.under_multiplier"],
-            over_multiplier=v["growth.over_multiplier"],
-            width_exponent=v["growth.width_exponent"],
-            jitter=v["growth.jitter"],
-            s_max=v["growth.s_max"],
-            recovery_tau_min=v["growth.recovery_tau_min"],
-            recovery_duration_min=v["growth.recovery_duration_min"],
-            lag_low_min=v["growth.lag_low_min"],
-            lag_high_min=v["growth.lag_high_min"],
-        )
+        """Every ``growth.*`` key is the ``GrowthParams`` field of the same name."""
+        return GrowthParams(**self._section("growth"))
 
     def camera(self) -> CameraConfig:
-        v = self.values
-        return CameraConfig(
-            focal_px=v["camera.focal_px"],
-            noise_amplitude=v["camera.noise_amplitude"],
-            noise_seed=v["camera.noise_seed"],
-            canopy_fraction=v["camera.canopy_fraction"],
-            stem_fraction=v["camera.stem_fraction"],
-        )
+        """Every ``camera.*`` key is the ``CameraConfig`` field of the same name."""
+        return CameraConfig(**self._section("camera"))
 
     def demand(self, peak_key: str = "demand.peak_loss_rate") -> DemandProfile:
         v = self.values

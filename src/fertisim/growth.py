@@ -35,23 +35,15 @@ _JITTER_STREAM = 0x317
 
 
 class EcBand(Enum):
-    """Nutrient concentration treatment, by solution electrical conductivity."""
+    """Nutrient concentration treatment, by solution electrical conductivity.
+
+    The bands are disjoint and ordered: under 1.0-1.5 mS/cm, normal
+    2.5-5.0 mS/cm and over 10.0-12.5 mS/cm.
+    """
 
     UNDER = "under"
     NORMAL = "normal"
     OVER = "over"
-
-    @property
-    def ec_range_ms_cm(self) -> tuple[float, float]:
-        return _EC_RANGES_MS_CM[self]
-
-
-# Treatment bands in mS/cm; pairwise disjoint and ordered.
-_EC_RANGES_MS_CM = {
-    EcBand.UNDER: (1.0, 1.5),
-    EcBand.NORMAL: (2.5, 5.0),
-    EcBand.OVER: (10.0, 12.5),
-}
 
 
 @dataclass(frozen=True)
@@ -154,8 +146,8 @@ class PlantState:
     ``height_cm``, ``turgid_width_cm`` and ``rate_scale`` are floats for one
     plant or arrays of shape (n,) for a population of n plants; the other
     fields are shared by every plant. ``age_min`` doubles as absolute
-    simulation time: scenarios transplant at t = 0 (midnight), so
-    clock-of-day is age modulo 1440 unless a caller supplies its own clock.
+    simulation time: plants are transplanted at t = 0 (midnight), so
+    clock-of-day is age modulo 1440.
     ``rate_scale`` carries the per-plant growth jitter.
     ``recovery_deadline_min`` is the absolute time at which post-irrigation
     turgor recovery begins (irrigation time plus lag).
@@ -234,25 +226,23 @@ def apply_irrigation(state: PlantState, now_min: float, lag_min: float) -> Plant
 
 
 def advance(state: PlantState, dt_min: float, demand: DemandProfile,
-            clock_min: float | None = None, params: GrowthParams = DEFAULT_GROWTH) -> PlantState:
+            params: GrowthParams = DEFAULT_GROWTH) -> PlantState:
     """Advance a plant or a population by ``dt_min`` minutes of simulated time.
 
-    ``clock_min`` is the time of day at the start of the step; by default it
-    is derived from the plant age (midnight transplant convention). Height
-    and turgid width grow exponentially, each plant at its own rate; the
-    shared turgor integrates the demand loss exactly, except inside the
-    post-irrigation recovery window where it relaxes toward 1 instead.
+    The time of day at the start of the step is the plant age modulo 1440
+    (midnight transplant). Height and turgid width grow exponentially, each
+    plant at its own rate; the shared turgor integrates the demand loss
+    exactly, except inside the post-irrigation recovery window where it
+    relaxes toward 1 instead.
     """
     if dt_min <= 0.0:
         raise ValueError("dt_min must be > 0")
-    if clock_min is None:
-        clock_min = state.age_min % MINUTES_PER_DAY
 
     rh = params.height_rate_per_min(state.band, state.rate_scale)
     rw = params.width_rate_per_min(state.band, state.rate_scale)
     height = state.height_cm * np.exp(rh * dt_min)
     width = state.turgid_width_cm * np.exp(rw * dt_min)
-    turgor = _integrate_turgor(state, dt_min, demand, clock_min, params)
+    turgor = _integrate_turgor(state, dt_min, demand, state.age_min % MINUTES_PER_DAY, params)
 
     return replace(
         state,
@@ -267,6 +257,8 @@ def _integrate_turgor(state: PlantState, dt: float, demand: DemandProfile,
                       clock0: float, params: GrowthParams) -> float:
     # Split [0, dt] (offsets from the step start) at recovery-window edges and
     # at every demand-window edge, then integrate each piece in closed form.
+    # Without demand nothing drains, so a step of any length needs no demand
+    # cuts: the monitor grows its plant for weeks in one zero-demand step.
     cuts = {0.0, dt}
     rec_lo = rec_hi = None
     if state.recovery_deadline_min is not None:
@@ -275,13 +267,14 @@ def _integrate_turgor(state: PlantState, dt: float, demand: DemandProfile,
         for x in (rec_lo, rec_hi):
             if 0.0 < x < dt:
                 cuts.add(x)
-    first_day = math.floor(clock0 / MINUTES_PER_DAY)
-    last_day = math.floor((clock0 + dt) / MINUTES_PER_DAY)
-    for day in range(int(first_day), int(last_day) + 1):
-        for edge in (demand.window_start_min, demand.window_end_min):
-            x = day * MINUTES_PER_DAY + edge - clock0
-            if 0.0 < x < dt:
-                cuts.add(x)
+    if demand.peak_loss_rate > 0.0:
+        first_day = math.floor(clock0 / MINUTES_PER_DAY)
+        last_day = math.floor((clock0 + dt) / MINUTES_PER_DAY)
+        for day in range(int(first_day), int(last_day) + 1):
+            for edge in (demand.window_start_min, demand.window_end_min):
+                x = day * MINUTES_PER_DAY + edge - clock0
+                if 0.0 < x < dt:
+                    cuts.add(x)
 
     xs = sorted(cuts)
     turgor = state.turgor

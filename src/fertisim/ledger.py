@@ -23,23 +23,12 @@ class PumpModel:
             raise ValueError("flow_l_per_min must be > 0")
 
 
-def calibrate_flow(target_l_per_day: float, activations_per_day: int,
-                   on_minutes: float = 3.0) -> PumpModel:
-    """Flow rate that makes ``activations_per_day`` activations consume ``target_l_per_day``."""
-    if target_l_per_day <= 0.0:
-        raise ValueError("target_l_per_day must be > 0")
-    if activations_per_day <= 0:
-        raise ValueError("activations_per_day must be > 0")
-    return PumpModel(flow_l_per_min=target_l_per_day / (activations_per_day * on_minutes))
-
-
 @dataclass
 class DailyUsage:
     day: int
     regime: str
     liters: float = 0.0
     activations: int = 0
-    complete: bool = False
 
 
 @dataclass
@@ -47,12 +36,10 @@ class WaterLedger:
     """Per-day irrigation volume accumulator.
 
     Days must be registered (with their regime) before commands arrive, so
-    zero-activation days still count toward the regime mean. A day only
-    enters a mean once marked complete; a partial final day is excluded.
+    zero-activation days still count toward the regime mean.
     """
 
     days: dict[int, DailyUsage] = field(default_factory=dict)
-    events: list[tuple[float, float]] = field(default_factory=list)  # (time, liters)
     _last_time: float | None = field(default=None, repr=False)
 
     def register_day(self, day: int, regime: str) -> None:
@@ -67,25 +54,17 @@ class WaterLedger:
         day = int(now_min // MINUTES_PER_DAY)
         self.register_day(day, regime)
         if command.action is Action.ON:
-            liters = command.duration_min * pump.flow_l_per_min
             row = self.days[day]
-            row.liters += liters
+            row.liters += command.duration_min * pump.flow_l_per_min
             row.activations += 1
-            self.events.append((now_min, liters))
-
-    def mark_complete_through(self, end_min: float) -> None:
-        """Mark every registered day that ends at or before ``end_min`` complete."""
-        for day, row in self.days.items():
-            if (day + 1) * MINUTES_PER_DAY <= end_min:
-                row.complete = True
 
     def total_liters(self) -> float:
         return sum(row.liters for row in self.days.values())
 
     def mean_liters_per_day(self, regime: str) -> float:
-        rows = [r for r in self.days.values() if r.regime == regime and r.complete]
+        rows = [r for r in self.days.values() if r.regime == regime]
         if not rows:
-            raise ValueError(f"no complete days for regime {regime!r}")
+            raise ValueError(f"no days for regime {regime!r}")
         return sum(r.liters for r in rows) / len(rows)
 
     def rows(self) -> list[DailyUsage]:

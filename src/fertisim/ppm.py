@@ -18,7 +18,7 @@ def write_ppm(frame: Frame, path: str) -> None:
         fh.write(np.ascontiguousarray(frame.pixels))  # the buffer itself when contiguous: no copy
 
 
-def read_ppm(path: str, distance_cm: float = 0.0, timestamp_min: float = 0.0) -> Frame:
+def read_ppm(path: str, distance_cm: float = 0.0) -> Frame:
     """Read a strict P6 file; dimensions must be 640x480 with maxval 255."""
     with open(path, "rb") as fh:
         data = fh.read()
@@ -43,7 +43,7 @@ def read_ppm(path: str, distance_cm: float = 0.0, timestamp_min: float = 0.0) ->
     if len(payload) != expected:
         raise PpmFormatError(f"expected {expected} pixel bytes, got {len(payload)}")
     pixels = np.frombuffer(payload, dtype=np.uint8).reshape(FRAME_H, FRAME_W, 3).copy()
-    return Frame(pixels=pixels, distance_cm=distance_cm, timestamp_min=timestamp_min)
+    return Frame(pixels=pixels, distance_cm=distance_cm)
 
 
 def _token(data: bytes, offset: int) -> tuple[bytes, int]:

@@ -33,8 +33,6 @@ class FrameFitError(ValueError):
 @dataclass(frozen=True)
 class CameraConfig:
     focal_px: float = 480.0
-    frame_w: int = FRAME_W
-    frame_h: int = FRAME_H
     background: tuple[int, int, int] = (255, 0, 0)
     plant_color: tuple[int, int, int] = (0, 160, 0)
     canopy_fraction: float = 0.7  # share of total height taken by the ellipse
@@ -43,8 +41,6 @@ class CameraConfig:
     noise_seed: int = 0
 
     def __post_init__(self):
-        if self.frame_w != FRAME_W or self.frame_h != FRAME_H:
-            raise ValueError(f"frame must be exactly {FRAME_W}x{FRAME_H}")
         if self.focal_px <= 0.0:
             raise ValueError("focal_px must be > 0")
         if not 0 <= self.noise_amplitude <= 255:
@@ -56,7 +52,7 @@ class CameraConfig:
 
 
 class Frame:
-    """One captured image plus its capture metadata.
+    """One captured image plus its capture distance.
 
     A whole frame (``Frame(pixels=...)``: a noisy render, a PPM read) holds
     its (480, 640, 3) uint8 RGB buffer. A noiseless render holds only what
@@ -70,7 +66,7 @@ class Frame:
     """
 
     def __init__(self, pixels: np.ndarray | None = None, distance_cm: float = 0.0,
-                 timestamp_min: float = 0.0, *, silhouette: np.ndarray | None = None,
+                 *, silhouette: np.ndarray | None = None,
                  origin: tuple[int, int] = (0, 0),
                  background: tuple[int, int, int] = (0, 0, 0),
                  plant_color: tuple[int, int, int] = (0, 0, 0)):
@@ -89,7 +85,6 @@ class Frame:
         self.background = background
         self.plant_color = plant_color
         self.distance_cm = distance_cm
-        self.timestamp_min = timestamp_min
         self._pixels = pixels
 
     @property
@@ -125,7 +120,6 @@ def capture_distance(age_days: float) -> float:
 
 
 def render(plant: PlantState, cam: CameraConfig, distance_cm: float,
-           timestamp_min: float = 0.0,
            growth_params: GrowthParams = DEFAULT_GROWTH) -> tuple[Frame, GroundTruth]:
     """Rasterize one plant seen from ``distance_cm``; returns the frame and ground truth.
 
@@ -139,10 +133,10 @@ def render(plant: PlantState, cam: CameraConfig, distance_cm: float,
     scale = cam.focal_px / distance_cm
     height_px = plant.height_cm * scale
     width_px = effective_width(plant, growth_params) * scale
-    if height_px > cam.frame_h or width_px > cam.frame_w:
+    if height_px > FRAME_H or width_px > FRAME_W:
         raise FrameFitError(
             f"plant projects to {height_px:.1f}x{width_px:.1f} px at {distance_cm:.0f} cm; "
-            f"frame is {cam.frame_h}x{cam.frame_w}"
+            f"frame is {FRAME_H}x{FRAME_W}"
         )
 
     local, r_lo, c_lo = _rasterize(cam, height_px, width_px)
@@ -156,8 +150,7 @@ def render(plant: PlantState, cam: CameraConfig, distance_cm: float,
     )
 
     frame = Frame(silhouette=local, origin=(r_lo, c_lo), background=cam.background,
-                  plant_color=cam.plant_color, distance_cm=distance_cm,
-                  timestamp_min=timestamp_min)
+                  plant_color=cam.plant_color, distance_cm=distance_cm)
     if cam.noise_amplitude > 0:
         # Noise covers every pixel, so a noisy frame is built whole. The sum is
         # formed in the noise buffer and written back into the frame buffer:
@@ -165,11 +158,11 @@ def render(plant: PlantState, cam: CameraConfig, distance_cm: float,
         # glibc's trim threshold, so the heap was trimmed and re-faulted per frame.
         rng = np.random.default_rng(cam.noise_seed)
         noisy = rng.integers(-cam.noise_amplitude, cam.noise_amplitude + 1,
-                             size=(cam.frame_h, cam.frame_w, 3), dtype=np.int16)
+                             size=(FRAME_H, FRAME_W, 3), dtype=np.int16)
         pixels = frame.pixels
         noisy += pixels
         np.copyto(pixels, np.clip(noisy, 0, 255, out=noisy), casting="unsafe")
-        frame = Frame(pixels=pixels, distance_cm=distance_cm, timestamp_min=timestamp_min)
+        frame = Frame(pixels=pixels, distance_cm=distance_cm)
 
     return frame, truth
 
@@ -177,8 +170,8 @@ def render(plant: PlantState, cam: CameraConfig, distance_cm: float,
 def _rasterize(cam: CameraConfig, height_px: float, width_px: float) -> tuple[np.ndarray, int, int]:
     """Silhouette mask over its bounding box; returns (mask, top row, left column)."""
     # Base line sits on the bottom frame edge, plant centered horizontally.
-    y_base = float(cam.frame_h)
-    cx = cam.frame_w / 2.0
+    y_base = float(FRAME_H)
+    cx = FRAME_W / 2.0
     canopy_h = cam.canopy_fraction * height_px
     stem_h = height_px - canopy_h
     stem_halfw = 0.5 * cam.stem_fraction * width_px
@@ -189,9 +182,9 @@ def _rasterize(cam: CameraConfig, height_px: float, width_px: float) -> tuple[np
     top = y_base - height_px
     r_lo = max(0, math.ceil(top - 0.5))
     c_lo = max(0, math.ceil(cx - a - 0.5))
-    c_hi = min(cam.frame_w - 1, math.floor(cx + a - 0.5))
-    if r_lo < cam.frame_h and c_lo <= c_hi:
-        ys = np.arange(r_lo, cam.frame_h, dtype=float)[:, None] + 0.5
+    c_hi = min(FRAME_W - 1, math.floor(cx + a - 0.5))
+    if r_lo < FRAME_H and c_lo <= c_hi:
+        ys = np.arange(r_lo, FRAME_H, dtype=float)[:, None] + 0.5
         xs = np.arange(c_lo, c_hi + 1, dtype=float)[None, :] + 0.5
         stem = (np.abs(xs - cx) <= stem_halfw) & (ys >= y_base - stem_h - 1e-12)
         in_span = np.abs(xs - cx) <= a
@@ -203,7 +196,7 @@ def _rasterize(cam: CameraConfig, height_px: float, width_px: float) -> tuple[np
         if mask.any():
             return mask, r_lo, c_lo
     # Sub-pixel plant: leave a minimum one-pixel mark at the base.
-    return np.ones((1, 1), dtype=bool), cam.frame_h - 1, min(cam.frame_w - 1, int(cx))
+    return np.ones((1, 1), dtype=bool), FRAME_H - 1, min(FRAME_W - 1, int(cx))
 
 
 def overlap_flag(population: PlantState, spacing_cm: float,

@@ -80,7 +80,6 @@ class GrowthResult:
     capture_days: list[int]
     group_labels: list[str]
     means: dict[str, list[float]]
-    ordering_checked: bool
     ordering_ok: bool
     overlap_stop_day: int | None
     skipped_samples: int
@@ -167,11 +166,11 @@ class _Run:
     def irrigate(self, pop: PlantState, now: float) -> PlantState:
         return apply_irrigation(pop, now, irrigation_lag(self.seed, now, self.gp))
 
-    def measure_plant(self, plant: PlantState, day: int, now: float,
+    def measure_plant(self, plant: PlantState, day: int,
                       ppm_path: Path | None = None) -> Morphometry:
         """Render one plant at the day's camera distance, save the frame if asked, measure it."""
         distance = capture_distance(day)
-        frame, _ = render(plant, self.cam, distance, now, self.gp)
+        frame, _ = render(plant, self.cam, distance, self.gp)
         if ppm_path is not None:
             write_ppm(frame, str(ppm_path))
         mask = segment(frame, self.cfg["vision.red_margin"], cleanup=self.cam.noise_amplitude > 0)
@@ -186,7 +185,7 @@ class _Run:
         """
         day = int(now // MINUTES_PER_DAY)
         try:
-            morpho = self.measure_plant(pop.plant(0), day, now, ppm_path)
+            morpho = self.measure_plant(pop.plant(0), day, ppm_path)
         except NoPlantDetected as exc:
             self.skipped += 1
             log.warning("day %d minute %d: representative sample skipped (%s)",
@@ -216,7 +215,7 @@ class _Run:
         hs, ws = [], []
         for i in range(np.size(pop.height_cm)):
             try:
-                m = self.measure_plant(pop.plant(i), day, pop.age_min)
+                m = self.measure_plant(pop.plant(i), day)
             except NoPlantDetected as exc:
                 self.skipped += 1
                 log.warning("capture day %d: sample skipped (%s)", day, exc)
@@ -232,8 +231,8 @@ class _Run:
 # Growth experiment
 # ---------------------------------------------------------------------------
 
-def run_growth_experiment(cfg: Config, out_dir: str | Path, seed: int | None = None,
-                          groups: list[tuple[str, EcBand]] | None = None) -> GrowthResult:
+def run_growth_experiment(cfg: Config, out_dir: str | Path,
+                          seed: int | None = None) -> GrowthResult:
     """Grow three treatment groups and record per-group mean measured heights."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -243,14 +242,12 @@ def run_growth_experiment(cfg: Config, out_dir: str | Path, seed: int | None = N
     every = cfg["growth_exp.capture_every_days"]
     total_days = cfg["growth_exp.days"]
     spacing = cfg["growth_exp.spacing_cm"]
-    if groups is None:
-        groups = _GROWTH_GROUPS
-    canonical = [band for _, band in groups] == [b for _, b in _GROWTH_GROUPS]
 
     run = _Run(cfg, seed, cfg.demand("growth_exp.peak_loss_rate"), cfg.schedule())
-    pops = [_population(run.gp, band, seed, gi, group_size) for gi, (_, band) in enumerate(groups)]
+    pops = [_population(run.gp, band, seed, gi, group_size)
+            for gi, (_, band) in enumerate(_GROWTH_GROUPS)]
 
-    labels = [label for label, _ in groups]
+    labels = [label for label, _ in _GROWTH_GROUPS]
     means: dict[str, list[float]] = {label: [] for label in labels}
     capture_days: list[int] = []
     ordering_ok = True
@@ -269,10 +266,9 @@ def run_growth_experiment(cfg: Config, out_dir: str | Path, seed: int | None = N
         capture_days.append(day)
         for label, value in zip(labels, day_means):
             means[label].append(value)
-        if canonical:
-            under, normal, over = day_means
-            if not (over > normal > under):
-                ordering_ok = False
+        under, normal, over = day_means
+        if not (over > normal > under):
+            ordering_ok = False
         rows.append([str(day), _fmt(capture_distance(day))] + [_fmt(v) for v in day_means])
 
     _write_csv(out / "growth_means.csv",
@@ -282,7 +278,7 @@ def run_growth_experiment(cfg: Config, out_dir: str | Path, seed: int | None = N
         f"capture_days = {len(capture_days)}",
         f"overlap_stop_day = {overlap_stop_day if overlap_stop_day is not None else 'none'}",
         f"skipped_samples = {run.skipped}",
-        f"ordering_ok = {str(ordering_ok).lower() if canonical else 'not_checked'}",
+        f"ordering_ok = {str(ordering_ok).lower()}",
     ]
     (out / "summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
 
@@ -290,7 +286,6 @@ def run_growth_experiment(cfg: Config, out_dir: str | Path, seed: int | None = N
         capture_days=capture_days,
         group_labels=labels,
         means=means,
-        ordering_checked=canonical,
         ordering_ok=ordering_ok,
         overlap_stop_day=overlap_stop_day,
         skipped_samples=run.skipped,
@@ -316,7 +311,7 @@ def run_monitoring_trace(cfg: Config, out_dir: str | Path, seed: int | None = No
     # Grow the representative plant (a population of one) to session age under no demand.
     plant = make_seedling(run.gp, EcBand.NORMAL, np.ones(1))
     if start_day > 0:
-        plant = advance(plant, start_day * MINUTES_PER_DAY, DemandProfile(), 0.0, run.gp)
+        plant = advance(plant, start_day * MINUTES_PER_DAY, DemandProfile(), params=run.gp)
 
     frames_dir = out / "frames"
     if dump_frames:
@@ -465,7 +460,6 @@ def _simulate_population(cfg: Config, seed: int,
             if not math.isnan(mean_h):
                 heights.append((day, mean_h, mean_w))
 
-    run.ledger.mark_complete_through(total_days * MINUTES_PER_DAY)
     return run, heights
 
 
@@ -476,6 +470,10 @@ def _auto_period_increments(cfg: Config, heights: list[tuple[int, float, float]]
     Uses the captures closest to the period boundaries (capture ages are
     day + 1; the period spans ages [auto_start - 1, auto_end]).
     """
+    if not (heights and control_heights):
+        raise NoPlantDetected(
+            "no capture day measured a plant: every capture had fewer than "
+            f"vision.min_plant_pixels = {cfg['vision.min_plant_pixels']} plant pixels")
     auto_start = cfg["compare.auto_start_day"]
     auto_end = cfg["compare.auto_end_day"]
     start_age = auto_start - 1

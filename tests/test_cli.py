@@ -1,9 +1,15 @@
 """Command-line interface: subcommands, exit codes, file outputs."""
 
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import HealthCheck, event, example, given, settings, strategies as st
 
 from fertisim.cli import main
-from fertisim.config import default_config, parse_config
+from fertisim.config import _KEYS, default_config, parse_config
 
 
 def test_dump_defaults_round_trips(capsys):
@@ -122,3 +128,64 @@ def test_growth_assertion_failure_exits_2(tmp_path, capsys):
     code = main(["growth", "--config", str(cfg), "--out", str(tmp_path / "run")])
     assert code == 2
     assert "over > normal > under" in capsys.readouterr().err
+
+
+NO_PLANT_COMPARE = (
+    "vision.min_plant_pixels = 1000000000\ncompare.plants = 2\ncompare.total_days = 4\n"
+    "compare.auto_start_day = 2\ncompare.auto_end_day = 3\n")
+
+
+def test_compare_with_every_capture_skipped_is_an_error(tmp_path, capsys):
+    cfg = tmp_path / "no_plant.cfg"
+    cfg.write_text(NO_PLANT_COMPARE)
+    assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert last.startswith("fertisim: error: ") and "vision.min_plant_pixels" in last
+
+
+# The keys that set how much a run simulates, and their caps: a config that
+# does not draw one of them sets it to its cap, so every example stays small.
+# Every other key keeps its default or ranges over all its check accepts.
+SIZE_CAPS = {"compare.plants": 2, "compare.total_days": 49, "growth_exp.group_size": 2,
+             "growth_exp.days": 43, "monitor.sample_count": 26}
+
+
+def _key_values(key):
+    entry = _KEYS[key]
+    if isinstance(entry.default, bool):
+        values = st.booleans()
+    elif isinstance(entry.default, int):
+        values = st.integers(max_value=SIZE_CAPS.get(key))
+    elif isinstance(entry.default, float):
+        values = st.floats()
+    else:  # a string key lists its choices in its range text: "one of a, b"
+        values = st.sampled_from(entry.why.removeprefix("one of ").split(", "))
+    return values.filter(entry.check)
+
+
+def _render(value):
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
+CONFIGS = st.sets(st.sampled_from(list(_KEYS))).flatmap(
+    lambda keys: st.fixed_dictionaries({key: _key_values(key) for key in keys})
+).map(lambda drawn: {**SIZE_CAPS, **drawn})
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # extreme sizes reach inf
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(values=CONFIGS)
+@example(values=dict(parse_config(NO_PLANT_COMPARE).values))
+@example(values={**SIZE_CAPS, "monitor.start_day": 10**8})  # a months-long zero-demand step
+def test_every_parsed_config_runs_or_exits_with_one_message(values):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "fuzz.cfg"
+        cfg.write_text("".join(f"{k} = {_render(v)}\n" for k, v in values.items()))
+        for command in ("growth", "monitor", "compare"):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([command, "--config", str(cfg), "--out", str(Path(tmp) / command)])
+            event(f"{command} exit {code}")  # --hypothesis-show-statistics tallies these
+            assert code in (0, 1, 2), (command, code)
+            if code == 1:
+                assert err.getvalue().splitlines()[-1].startswith("fertisim:"), command

@@ -3,6 +3,10 @@
 import pytest
 
 from fertisim.config import Config, ConfigError, default_config, dump_defaults, parse_config
+from fertisim.control import DEFAULT_WILT_THRESHOLD, Schedule
+from fertisim.growth import DemandProfile, GrowthParams
+from fertisim.render import CameraConfig
+from fertisim.vision import DEFAULT_MIN_PLANT_PIXELS, DEFAULT_RED_MARGIN
 
 
 def test_empty_document_gives_defaults():
@@ -22,6 +26,17 @@ def test_defaults_match_design_values(cfg):
     assert (v["compare.auto_start_day"], v["compare.auto_end_day"]) == (31, 44)
     assert v["monitor.sample_count"] == 26
     assert v["monitor.sample_interval_min"] == 15
+
+
+def test_module_defaults_equal_config_defaults(cfg):
+    # each module keeps its own copy of the defaults for direct callers
+    assert GrowthParams() == cfg.growth_params()
+    assert CameraConfig() == cfg.camera()
+    assert Schedule() == cfg.schedule()
+    assert DemandProfile() == cfg.demand("growth_exp.peak_loss_rate")
+    assert DEFAULT_WILT_THRESHOLD == cfg["control.wilt_threshold"]
+    assert DEFAULT_RED_MARGIN == cfg["vision.red_margin"]
+    assert DEFAULT_MIN_PLANT_PIXELS == cfg["vision.min_plant_pixels"]
 
 
 def test_threshold_override():

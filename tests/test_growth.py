@@ -25,10 +25,8 @@ NO_DEMAND = DemandProfile()
 
 
 def _run(plant, minutes, demand, step=1.0):
-    t = plant.age_min
     for _ in range(int(minutes / step)):
-        plant = advance(plant, step, demand, t % 1440.0)
-        t += step
+        plant = advance(plant, step, demand)
     return plant
 
 
@@ -42,19 +40,19 @@ class TestGrowthLaw:
 
     def test_night_step_grows_height_only(self):
         plant = make_seedling()
-        plant = advance(plant, 180.0, NO_DEMAND, 0.0)  # park it at 03:00
+        plant = advance(plant, 180.0, NO_DEMAND)  # park it at 03:00
         before = plant
-        after = advance(plant, 10.0, DemandProfile(peak_loss_rate=0.01), 180.0)
+        after = advance(plant, 10.0, DemandProfile(peak_loss_rate=0.01))
         assert after.turgor == before.turgor == 1.0
         assert after.height_cm > before.height_cm
 
     def test_split_advance_matches_single_advance(self):
         demand = DemandProfile(peak_loss_rate=0.002)
         base = make_seedling()
-        base = advance(base, 30 * 1440.0, NO_DEMAND, 0.0)  # a grown plant, clock at midnight
+        base = advance(base, 30 * 1440.0 + 600.0, NO_DEMAND)  # a grown plant, clock at 10:00
 
-        one = advance(base, 10.0, demand, 600.0)
-        two = advance(advance(base, 5.0, demand, 600.0), 5.0, demand, 605.0)
+        one = advance(base, 10.0, demand)
+        two = advance(advance(base, 5.0, demand), 5.0, demand)
         assert abs(one.height_cm - two.height_cm) < 1e-9
         assert abs(one.turgid_width_cm - two.turgid_width_cm) < 1e-9
         assert abs(one.turgor - two.turgor) < 1e-12
@@ -62,15 +60,15 @@ class TestGrowthLaw:
     def test_non_positive_dt_rejected(self):
         plant = make_seedling()
         with pytest.raises(ValueError):
-            advance(plant, 0.0, NO_DEMAND, 0.0)
+            advance(plant, 0.0, NO_DEMAND)
         with pytest.raises(ValueError):
-            advance(plant, -5.0, NO_DEMAND, 0.0)
+            advance(plant, -5.0, NO_DEMAND)
 
     def test_daily_increments_non_decreasing(self):
         plant = make_seedling()
         heights = [plant.height_cm]
         for day in range(43):
-            plant = advance(plant, 1440.0, NO_DEMAND, 0.0)
+            plant = advance(plant, 1440.0, NO_DEMAND)
             heights.append(plant.height_cm)
         increments = [b - a for a, b in zip(heights, heights[1:])]
         assert all(later >= earlier for earlier, later in zip(increments, increments[1:]))
@@ -83,7 +81,7 @@ class TestGrowthLaw:
             for gi, band in enumerate(EcBand)
         }
         for day in range(3, 44, 3):
-            groups = {band: [advance(p, 3 * 1440.0, NO_DEMAND, 0.0, params) for p in grp]
+            groups = {band: [advance(p, 3 * 1440.0, NO_DEMAND, params) for p in grp]
                       for band, grp in groups.items()}
             means = {band: sum(p.height_cm for p in grp) / len(grp)
                      for band, grp in groups.items()}
@@ -95,10 +93,8 @@ class TestIrrigationResponse:
         plant = make_seedling()
         plant = apply_irrigation(plant, now_min=100.0, lag_min=12.0)
         trajectory = {0: plant.turgor}
-        t = 0.0
         for minute in range(1, 151):
-            plant = advance(plant, 1.0, FLAT_ALL_DAY, t % 1440.0)
-            t += 1.0
+            plant = advance(plant, 1.0, FLAT_ALL_DAY)
             trajectory[minute] = plant.turgor
         assert trajectory[105] < trajectory[100], "still draining during the lag"
         post = [trajectory[m] for m in range(112, 150)]
@@ -107,7 +103,7 @@ class TestIrrigationResponse:
     def test_fully_turgid_plant_stays_saturated(self):
         plant = make_seedling()
         plant = apply_irrigation(plant, now_min=0.0, lag_min=10.0)
-        plant = advance(plant, 60.0, NO_DEMAND, 0.0)
+        plant = advance(plant, 60.0, NO_DEMAND)
         assert plant.turgor == 1.0
 
     def test_reirrigation_before_lag_takes_latest(self):
@@ -116,13 +112,11 @@ class TestIrrigationResponse:
 
         def trajectory(irrigation_times):
             plant = make_seedling()
-            t = 0.0
             seen = []
             for minute in range(1, 200):
                 if minute - 1 in irrigation_times:
                     plant = apply_irrigation(plant, float(minute - 1), lag)
-                plant = advance(plant, 1.0, demand, t % 1440.0)
-                t += 1.0
+                plant = advance(plant, 1.0, demand)
                 seen.append(plant.turgor)
             return seen
 
@@ -180,12 +174,10 @@ class TestInvariants:
     def test_state_stays_physical(self, peak, minutes, seed):
         demand = DemandProfile(peak_loss_rate=peak)
         plant = make_seedling(rate_scale=plant_rate_scale(seed, 0, 0))
-        t = 0.0
         prev = plant
         for step in range(0, minutes, 37):
             dt = min(37.0, minutes - step)
-            plant = advance(plant, dt, demand, t % 1440.0)
-            t += dt
+            plant = advance(plant, dt, demand)
             assert 0.0 <= plant.turgor <= 1.0
             assert plant.height_cm >= prev.height_cm
             assert plant.turgid_width_cm >= prev.turgid_width_cm
@@ -196,13 +188,11 @@ class TestInvariants:
 
         def simulate():
             plant = make_seedling()
-            t = 0.0
             out = []
             for minute in range(600):
                 if minute == 300:
-                    plant = apply_irrigation(plant, t, 12.5)
-                plant = advance(plant, 1.0, demand, t % 1440.0)
-                t += 1.0
+                    plant = apply_irrigation(plant, plant.age_min, 12.5)
+                plant = advance(plant, 1.0, demand)
                 out.append((plant.height_cm, plant.turgid_width_cm, plant.turgor))
             return out
 
@@ -291,13 +281,6 @@ def test_invalid_plant_states_rejected():
     with pytest.raises(ValueError):  # one bad plant rejects the population
         PlantState(age_min=0, height_cm=np.array([5.0, 0.0]), turgid_width_cm=np.array([5.0, 5.0]),
                    turgor=1, band=EcBand.NORMAL)
-
-
-def test_ec_bands_disjoint_and_ordered():
-    ranges = [band.ec_range_ms_cm for band in (EcBand.UNDER, EcBand.NORMAL, EcBand.OVER)]
-    assert ranges == [(1.0, 1.5), (2.5, 5.0), (10.0, 12.5)]
-    for (_, hi), (lo, _) in zip(ranges, ranges[1:]):
-        assert hi < lo
 
 
 def test_rate_jitter_bounded():

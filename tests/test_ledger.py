@@ -3,38 +3,36 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from fertisim.config import default_config
 from fertisim.control import Action, PumpCommand, Schedule, timer_tick
-from fertisim.ledger import (
-    PumpModel,
-    TimeOrderError,
-    WaterLedger,
-    calibrate_flow,
-    savings,
-)
+from fertisim.ledger import PumpModel, TimeOrderError, WaterLedger, savings
+
+
+def _timer_day(pump):
+    """Ledger of one day of the default timer schedule, ticked every minute."""
+    schedule = Schedule()
+    ledger = WaterLedger()
+    ledger.register_day(0, "timer")
+    for m in range(480, 1020):
+        ledger.accrue(timer_tick(schedule, float(m)), float(m), pump)
+    return ledger
 
 
 class TestCalibrateFlow:
+    """The shipped ``pump.flow_l_per_min`` is 101.6 L/day over the timer's activations."""
+
     def test_against_timer_enumeration(self):
         # the activation count comes straight from the timer schedule
         schedule = Schedule()
         activations = sum(timer_tick(schedule, float(m)).action is Action.ON
                           for m in range(1440))
         assert activations == 18
-        pump = calibrate_flow(101.6, activations)
-        assert pump.flow_l_per_min == pytest.approx(101.6 / 54.0)
-        assert pump.flow_l_per_min == pytest.approx(1.8815, abs=5e-4)
+        flow = default_config()["pump.flow_l_per_min"]
+        assert flow * activations * schedule.timer_on_min == pytest.approx(101.6)
+        assert flow == pytest.approx(1.8815, abs=5e-4)
 
     def test_round_numbers(self):
-        assert calibrate_flow(54.0, 18).flow_l_per_min == pytest.approx(1.0)
-
-    def test_post_auto_timer_period(self):
-        assert calibrate_flow(101.7, 18).flow_l_per_min == pytest.approx(101.7 / 54.0)
-
-    def test_zero_activations_rejected(self):
-        with pytest.raises(ValueError):
-            calibrate_flow(101.6, 0)
-        with pytest.raises(ValueError):
-            calibrate_flow(0.0, 18)
+        assert _timer_day(PumpModel(1.0)).mean_liters_per_day("timer") == pytest.approx(54.0)
 
 
 class TestAccrue:
@@ -45,13 +43,7 @@ class TestAccrue:
         assert ledger.total_liters() == pytest.approx(3 * 1.881)
 
     def test_full_timer_day(self):
-        schedule = Schedule()
-        pump = calibrate_flow(101.6, 18)
-        ledger = WaterLedger()
-        ledger.register_day(0, "timer")
-        for m in range(480, 1020):
-            ledger.accrue(timer_tick(schedule, float(m)), float(m), pump)
-        ledger.mark_complete_through(1440.0)
+        ledger = _timer_day(PumpModel(default_config()["pump.flow_l_per_min"]))
         row = ledger.rows()[0]
         assert row.activations == 18
         assert row.liters == pytest.approx(101.6, abs=0.1)
@@ -71,17 +63,6 @@ class TestAccrue:
         ledger.accrue(PumpCommand.on(3.0), 500.0, pump)
         with pytest.raises(TimeOrderError):
             ledger.accrue(PumpCommand.off(), 499.0, pump)
-
-    def test_partial_final_day_excluded_from_mean(self):
-        pump = PumpModel(1.0)
-        ledger = WaterLedger()
-        ledger.register_day(0, "timer")
-        ledger.accrue(PumpCommand.on(3.0), 480.0, pump)
-        ledger.register_day(1, "timer")
-        ledger.accrue(PumpCommand.on(3.0), 1440.0 + 480.0, pump)
-        ledger.accrue(PumpCommand.on(3.0), 1440.0 + 510.0, pump)
-        ledger.mark_complete_through(1440.0)  # run stopped mid day 1
-        assert ledger.mean_liters_per_day("timer") == pytest.approx(3.0)
 
     def test_additivity(self):
         pump = PumpModel(2.0)

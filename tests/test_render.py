@@ -171,7 +171,7 @@ class TestOverlapFlag:
 
 
 def test_camera_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # the frame is always 640x480
         CameraConfig(frame_w=320)
     with pytest.raises(ValueError):
         CameraConfig(focal_px=0.0)

@@ -18,7 +18,7 @@ def plant_of(height_cm, width_cm, turgor=1.0):
 def red_frame(camera):
     pixels = np.empty((480, 640, 3), np.uint8)
     pixels[:] = np.array(camera.background, np.uint8)
-    return Frame(pixels=pixels, distance_cm=100.0, timestamp_min=0.0)
+    return Frame(pixels=pixels, distance_cm=100.0)
 
 
 class TestSegment:
@@ -77,7 +77,7 @@ def test_patch_frame_matches_whole_frame(height_px, width_px, distance, backgrou
         frame, _ = render(plant_of(height_px / scale, width_px / scale), cam, distance)
     except FrameFitError:  # float rounding put the plant a hair past the edge
         assume(False)
-    whole = Frame(pixels=frame.pixels, distance_cm=distance, timestamp_min=0.0)
+    whole = Frame(pixels=frame.pixels, distance_cm=distance)
 
     mask = segment(frame, margin, cleanup)
     whole_mask = segment(whole, margin, cleanup)
