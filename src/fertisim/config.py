@@ -228,6 +228,11 @@ def _cross_check(v: dict[str, Any]) -> None:
             "key 'compare.auto_start_day': regime timeline must satisfy "
             "1 <= auto_start_day <= auto_end_day <= total_days"
         )
+    if v["compare.auto_start_day"] == 1 and v["compare.auto_end_day"] == v["compare.total_days"]:
+        raise ConfigError(
+            "key 'compare.auto_start_day': the wilt-controlled period covers all "
+            f"{v['compare.total_days']} compare days, leaving no timer day to compare against"
+        )
     last_sample = (v["control.window_start_min"]
                    + (v["monitor.sample_count"] - 1) * v["monitor.sample_interval_min"])
     if last_sample >= v["control.window_end_min"]:

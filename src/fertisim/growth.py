@@ -105,16 +105,6 @@ class DemandProfile:
         if self.shape not in ("sine", "flat"):
             raise ValueError(f"unknown demand shape {self.shape!r}")
 
-    def loss_rate(self, clock_min: float) -> float:
-        """Instantaneous loss rate at a clock time (minutes of day)."""
-        m = clock_min % MINUTES_PER_DAY
-        if not (self.window_start_min <= m <= self.window_end_min):
-            return 0.0
-        if self.shape == "flat":
-            return self.peak_loss_rate
-        span = self.window_end_min - self.window_start_min
-        return self.peak_loss_rate * math.sin(math.pi * (m - self.window_start_min) / span)
-
     def loss_integral(self, a_min: float, b_min: float) -> float:
         """Exact integral of the loss rate over [a, b] in unwrapped clock minutes.
 
@@ -240,8 +230,12 @@ def advance(state: PlantState, dt_min: float, demand: DemandProfile,
 
     rh = params.height_rate_per_min(state.band, state.rate_scale)
     rw = params.width_rate_per_min(state.band, state.rate_scale)
-    height = state.height_cm * np.exp(rh * dt_min)
-    width = state.turgid_width_cm * np.exp(rw * dt_min)
+    with np.errstate(over="ignore"):  # an overflow is reported below, not warned about
+        height = state.height_cm * np.exp(rh * dt_min)
+        width = state.turgid_width_cm * np.exp(rw * dt_min)
+    if not (np.all(np.isfinite(height)) and np.all(np.isfinite(width))):
+        raise ValueError(f"plant size overflows in a {dt_min:g}-minute growth step "
+                         f"from age {state.age_min:g} min")
     turgor = _integrate_turgor(state, dt_min, demand, state.age_min % MINUTES_PER_DAY, params)
 
     return replace(

@@ -1,21 +1,23 @@
 """Vision pipeline: red-background segmentation and plant morphometry.
 
 Segmentation is a red-dominance test (background iff red exceeds both green
-and blue by a configurable margin). A noiseless frame is a silhouette and two
-colours, so the test runs on those two colours and the silhouette places
-their classes; a whole frame is tested pixel by pixel. Measurement takes the
-bounding box of the plant mask, scanning columns only within the plant's
-rows, and converts pixel extents to centimeters through the known camera
-distance, so measurements taken at different distances stay comparable.
+and blue by a configurable margin). A noiseless frame is a silhouette held as
+row runs plus two colours, so the test runs on those two colours and the mask
+is the runs themselves; a whole frame is tested pixel by pixel. A mask is a
+``RowMask``: each row's first and last plant column and pixel count, so
+measurement reads the bounding box and the count from at most 480 rows, and
+converts pixel extents to centimeters through the known camera distance, so
+measurements taken at different distances stay comparable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .render import FRAME_H, FRAME_W, CameraConfig, Frame
+from .render import CameraConfig, Frame, RowMask
 
 DEFAULT_RED_MARGIN = 60
 DEFAULT_MIN_PLANT_PIXELS = 25
@@ -36,30 +38,37 @@ class Morphometry:
 
 
 def segment(frame: Frame, red_dominance_margin: int = DEFAULT_RED_MARGIN,
-            cleanup: bool = False) -> np.ndarray:
-    """Boolean plant mask, full frame size (480, 640).
+            cleanup: bool = False) -> RowMask:
+    """The plant mask of a frame, row by row (``RowMask.to_array`` gives the bitmap).
 
-    On a silhouette frame the red-dominance test runs once on each of its two
-    colours; the silhouette then places the plant colour's class into a mask
-    filled with the background's class, so every pixel is classified exactly
-    as if the whole buffer had been tested. A whole frame is tested pixel by
-    pixel.
+    On a run frame whose background colour tests as background, the
+    red-dominance test runs once on each of the two colours: the mask is the
+    frame's own runs when the plant colour tests as plant, and empty when it
+    does not. Every other frame is tested pixel by pixel and then reduced to
+    its rows, so every pixel is classified exactly as if the whole buffer
+    had been tested.
 
     ``cleanup`` applies a 3x3 majority filter; leave it off for noiseless
     frames so the mask matches the rasterized silhouette exactly.
     """
-    if frame.silhouette is None:
-        mask = _plant_pixels(frame.pixels, red_dominance_margin)
-    else:
-        colours = np.array([[frame.background, frame.plant_color]], dtype=np.uint8)
-        background_class, plant_class = _plant_pixels(colours, red_dominance_margin)[0]
-        mask = np.full((FRAME_H, FRAME_W), background_class)
-        r, c = frame.origin
-        h, w = frame.silhouette.shape
-        mask[r:r + h, c:c + w] = np.where(frame.silhouette, plant_class, background_class)
+    if frame.runs is not None and not cleanup:
+        background_class, plant_class = _colour_classes(
+            tuple(frame.background), tuple(frame.plant_color), red_dominance_margin)
+        if not background_class:
+            return frame.runs if plant_class else RowMask.empty()
+    mask = _plant_pixels(frame.pixels, red_dominance_margin)
     if cleanup:
         mask = _majority_filter(mask)
-    return mask
+    return RowMask.from_array(mask)
+
+
+@lru_cache(maxsize=64)
+def _colour_classes(background: tuple[int, int, int], plant_color: tuple[int, int, int],
+                    red_dominance_margin: int) -> tuple[bool, bool]:
+    """Whether each of the two colours of a run frame tests as plant."""
+    colours = np.array([[background, plant_color]], dtype=np.uint8)
+    background_class, plant_class = _plant_pixels(colours, red_dominance_margin)[0]
+    return bool(background_class), bool(plant_class)
 
 
 def _plant_pixels(rgb: np.ndarray, red_dominance_margin: int) -> np.ndarray:
@@ -83,20 +92,12 @@ def _majority_filter(mask: np.ndarray) -> np.ndarray:
     return counts >= 5
 
 
-def measure(mask: np.ndarray, distance_cm: float, cam: CameraConfig,
+def measure(mask: RowMask, distance_cm: float, cam: CameraConfig,
             min_plant_pixels: int = DEFAULT_MIN_PLANT_PIXELS) -> Morphometry:
-    """Bounding-box extents of the mask in pixels and centimeters.
-
-    Columns are scanned only within the rows that hold plant pixels, so the
-    cost of that scan follows the plant's height, not the frame's.
-    """
-    count = int(np.count_nonzero(mask))
+    """Bounding-box extents of the mask in pixels and centimeters, read from its rows."""
+    height_px, width_px, count = mask.extents
     if count < min_plant_pixels:
         raise NoPlantDetected(f"{count} plant pixels, need at least {min_plant_pixels}")
-    rows = np.flatnonzero(mask.any(axis=1))
-    cols = np.flatnonzero(mask[rows[0]:rows[-1] + 1].any(axis=0))
-    height_px = int(rows[-1] - rows[0] + 1)
-    width_px = int(cols[-1] - cols[0] + 1)
     px_to_cm = distance_cm / cam.focal_px
     return Morphometry(
         height_px=height_px,
@@ -106,4 +107,3 @@ def measure(mask: np.ndarray, distance_cm: float, cam: CameraConfig,
         plant_pixel_count=count,
         distance_cm=distance_cm,
     )
-

@@ -51,6 +51,16 @@ def test_monitor_past_control_window_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_compare_without_timer_days_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "all_auto.cfg"
+    cfg.write_text("compare.auto_start_day = 1\ncompare.auto_end_day = 3\ncompare.total_days = 3\n")
+    assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "compare.auto_start_day" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_render_then_measure_round_trip(tmp_path, capsys):
     frame = tmp_path / "frame.ppm"
     assert main(["render-frame", "--height-cm", "50", "--width-cm", "25",
@@ -172,7 +182,7 @@ CONFIGS = st.sets(st.sampled_from(list(_KEYS))).flatmap(
 ).map(lambda drawn: {**SIZE_CAPS, **drawn})
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # extreme sizes reach inf
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy warning would be a stray stderr line
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(values=CONFIGS)
 @example(values=dict(parse_config(NO_PLANT_COMPARE).values))
@@ -188,4 +198,5 @@ def test_every_parsed_config_runs_or_exits_with_one_message(values):
             event(f"{command} exit {code}")  # --hypothesis-show-statistics tallies these
             assert code in (0, 1, 2), (command, code)
             if code == 1:
-                assert err.getvalue().splitlines()[-1].startswith("fertisim:"), command
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("fertisim:"), (command, lines)

@@ -113,6 +113,15 @@ def test_cross_field_timeline_check():
         parse_config("compare.auto_end_day = 60\n")
 
 
+def test_cross_field_compare_needs_a_timer_day():
+    no_timer_day = "compare.auto_start_day = 1\ncompare.auto_end_day = 3\ncompare.total_days = 3\n"
+    with pytest.raises(ConfigError, match="compare.auto_start_day"):
+        parse_config(no_timer_day)
+    assert parse_config(no_timer_day.replace("= 1", "= 2"))["compare.auto_start_day"] == 2
+    assert parse_config(no_timer_day.replace("auto_end_day = 3", "auto_end_day = 2"))[
+        "compare.auto_end_day"] == 2
+
+
 def test_cross_field_monitor_session_check():
     with pytest.raises(ConfigError, match="monitor.sample_count"):
         parse_config("monitor.sample_count = 40\n")  # 480 + 39 * 15 = 1065 >= 1020

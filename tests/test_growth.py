@@ -237,15 +237,29 @@ class TestPopulation:
                                                          rel=1e-12, abs=0.0)
 
 
+def mean_rate(demand, a, b):
+    """Mean loss rate over [a, b] clock minutes, from the exact integral."""
+    return demand.loss_integral(a, b) / (b - a)
+
+
+def sine_rate(peak, m, start=480.0, end=1020.0):
+    """Reference half-sine loss rate at clock minute ``m`` of the default window."""
+    return peak * math.sin(math.pi * (m - start) / (end - start)) if start <= m <= end else 0.0
+
+
 class TestDemandProfile:
     def test_zero_outside_window_and_peak_at_midpoint(self):
         demand = DemandProfile(peak_loss_rate=0.01)
-        assert demand.loss_rate(100.0) == 0.0
-        assert demand.loss_rate(1300.0) == 0.0
+        assert demand.loss_integral(0.0, 480.0) == 0.0
+        assert demand.loss_integral(1020.0, 1440.0) == 0.0
+        assert demand.loss_integral(1200.0, 1400.0) == 0.0
         mid = (demand.window_start_min + demand.window_end_min) / 2.0
-        assert demand.loss_rate(mid) == pytest.approx(0.01)
+        peak = mean_rate(demand, mid - 1e-3, mid + 1e-3)
+        assert peak == pytest.approx(0.01)
         for m in (500.0, 700.0, 900.0, 1000.0):
-            assert 0.0 <= demand.loss_rate(m) <= demand.loss_rate(mid) + 1e-15
+            assert 0.0 <= mean_rate(demand, m - 1e-3, m + 1e-3) <= peak + 1e-12
+        for a, b in ((480.0, 1020.0), (480.0, 481.0), (600.0, 900.0), (1019.0, 1020.0)):
+            assert 0.0 <= demand.loss_integral(a, b) <= 0.01 * (b - a)
 
     @given(a=st.floats(0.0, 1440.0), width=st.floats(0.0, 400.0),
            peak=st.floats(0.0, 0.02))
@@ -258,7 +272,7 @@ class TestDemandProfile:
         n = 4000
         h = (b - a) / n
         grid = [a + i * h for i in range(n + 1)]
-        rates = [demand.loss_rate(m) for m in grid]
+        rates = [sine_rate(peak, m) for m in grid]
         numeric = h * (sum(rates) - 0.5 * (rates[0] + rates[-1]))
         assert demand.loss_integral(a, b) == pytest.approx(numeric, abs=1e-6)
 
@@ -268,7 +282,10 @@ class TestDemandProfile:
 
     def test_flat_shape_constant_inside_window(self):
         demand = DemandProfile(peak_loss_rate=0.005, shape="flat")
-        assert demand.loss_rate(480.0) == demand.loss_rate(750.0) == 0.005
+        assert mean_rate(demand, 480.0, 481.0) == pytest.approx(0.005)
+        assert mean_rate(demand, 745.0, 755.0) == pytest.approx(0.005)
+        assert mean_rate(demand, 1019.0, 1020.0) == pytest.approx(0.005)
+        assert demand.loss_integral(1020.0, 1100.0) == 0.0
 
 
 def test_invalid_plant_states_rejected():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fertisim.growth import (
     DemandProfile,
@@ -15,11 +16,13 @@ from fertisim.growth import (
 from fertisim.render import (
     CameraConfig,
     FrameFitError,
-    _rasterize,
+    RowMask,
     capture_distance,
     overlap_flag,
     render,
 )
+from fertisim.vision import measure, segment
+from oracle import HEIGHT_PX, WIDTH_PX, rasterize
 
 
 def plant_of(height_cm, width_cm, turgor=1.0):
@@ -80,13 +83,9 @@ class TestRender:
         plant = plant_of(37.0, 21.0, turgor=0.8)
         frame, truth = render(plant, cam, 90.0)
         scale = cam.focal_px / 90.0
-        silhouette, r, c = _rasterize(cam, plant.height_cm * scale,
-                                      effective_width(plant) * scale)
-        assert frame.origin == (r, c)
-        assert (frame.silhouette == silhouette).all()
+        expected = rasterize(cam, plant.height_cm * scale, effective_width(plant) * scale)
+        assert (frame.silhouette == expected).all()
 
-        expected = np.zeros((480, 640), bool)
-        expected[r:r + silhouette.shape[0], c:c + silhouette.shape[1]] = silhouette
         is_plant = (frame.pixels == np.array(cam.plant_color, np.uint8)).all(axis=2)
         is_background = (frame.pixels == np.array(cam.background, np.uint8)).all(axis=2)
         assert (is_plant == expected).all()
@@ -134,6 +133,58 @@ class TestRender:
         _, wilted = render(plant_of(60.0, 30.0, turgor=0.0), camera, 100.0)
         assert wilted.width_px < fresh.width_px
         assert wilted.height_px == fresh.height_px
+
+
+def _bitmap_rows(bitmap, top):
+    """Rows ``top`` onward of a bitmap as (first column, last column, count) arrays."""
+    rows = bitmap[top:]
+    return rows.argmax(axis=1), 639 - rows[:, ::-1].argmax(axis=1), rows.sum(axis=1)
+
+
+@settings(deadline=None, max_examples=200)
+@given(height_px=HEIGHT_PX, width_px=WIDTH_PX, turgor=st.floats(0.0, 1.0),
+       canopy_fraction=st.one_of(st.just(0.7), st.floats(0.0, 1.0, exclude_min=True,
+                                                         exclude_max=True)),
+       stem_fraction=st.one_of(st.just(0.15), st.floats(0.0, 1.0, exclude_min=True)))
+@example(height_px=0.3, width_px=0.2, turgor=1.0, canopy_fraction=0.7, stem_fraction=0.15)
+@example(height_px=480.0, width_px=640.0, turgor=1.0, canopy_fraction=0.7, stem_fraction=0.15)
+@example(height_px=480.0, width_px=640.0, turgor=1.0, canopy_fraction=0.5, stem_fraction=1.0)
+@example(height_px=300.0, width_px=5.0, turgor=0.0, canopy_fraction=0.7, stem_fraction=0.15)
+# A row whose closed-form half-width lands one pixel short of the per-pixel test's.
+@example(height_px=449.31984715336944, width_px=348.9937453059826, turgor=1.0,
+         canopy_fraction=0.7, stem_fraction=0.15)
+# A canopy so flat that the ellipse test overflows: only the equator chord and the stem.
+@example(height_px=84.4, width_px=98.8, turgor=1.0, canopy_fraction=5e-324, stem_fraction=0.15)
+def test_runs_equal_the_bitmap_oracle(height_px, width_px, turgor, canopy_fraction,
+                                      stem_fraction):
+    cam = CameraConfig(canopy_fraction=canopy_fraction, stem_fraction=stem_fraction)
+    scale = cam.focal_px / 100.0
+    plant = plant_of(height_px / scale, width_px / scale, turgor)
+    try:
+        frame, truth = render(plant, cam, 100.0)
+    except FrameFitError:  # float rounding put the plant a hair past the edge
+        assume(False)
+    expected = rasterize(cam, plant.height_cm * scale, effective_width(plant) * scale)
+
+    runs = frame.runs
+    plant_rows = np.flatnonzero(expected.any(axis=1))
+    assert runs.top == plant_rows[0]
+    assert runs.top + len(runs.count) == 480
+    first, last, count = _bitmap_rows(expected, runs.top)
+    assert (runs.count == count).all()
+    has = count > 0
+    assert (runs.first[has] == first[has]).all() and (runs.last[has] == last[has]).all()
+    assert (count[has] == last[has] - first[has] + 1).all()  # one run per row
+    assert (runs.first[~has] > runs.last[~has]).all()
+
+    assert (frame.silhouette == expected).all()
+    plant_cols = np.flatnonzero(expected.any(axis=0))
+    want = (int(plant_rows[-1] - plant_rows[0] + 1), int(plant_cols[-1] - plant_cols[0] + 1),
+            int(expected.sum()))
+    assert (truth.height_px, truth.width_px, truth.plant_pixel_count) == want
+    m = measure(segment(frame), 100.0, cam, min_plant_pixels=1)
+    assert (m.height_px, m.width_px, m.plant_pixel_count) == want
+    assert RowMask.from_array(expected).extents == want
 
 
 def population_of(widths_cm, height_cm=50.0):

@@ -6,8 +6,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from fertisim.control import wilt_degree
 from fertisim.growth import EcBand, PlantState
-from fertisim.render import CameraConfig, Frame, FrameFitError, render
+from fertisim.render import CameraConfig, Frame, FrameFitError, RowMask, render
 from fertisim.vision import Morphometry, NoPlantDetected, measure, segment
+from oracle import HEIGHT_PX, WIDTH_PX
 
 
 def plant_of(height_cm, width_cm, turgor=1.0):
@@ -24,38 +25,33 @@ def red_frame(camera):
 class TestSegment:
     def test_noiseless_mask_matches_silhouette_exactly(self, camera):
         frame, truth = render(plant_of(60.0, 30.0), camera, 100.0)
-        mask = segment(frame)
+        mask = segment(frame).to_array()
         drawn = (frame.pixels == np.array(camera.plant_color, np.uint8)).all(axis=2)
         assert (mask == drawn).all()
         assert int(mask.sum()) == truth.plant_pixel_count
 
     def test_pure_red_frame_is_all_background(self, camera):
-        assert not segment(red_frame(camera)).any()
+        assert not segment(red_frame(camera)).to_array().any()
 
     def test_noisy_mask_close_to_ground_truth(self):
         cam_clean = CameraConfig()
         cam_noisy = CameraConfig(noise_amplitude=20, noise_seed=3)
         plant = plant_of(60.0, 30.0)
-        clean_mask = segment(render(plant, cam_clean, 100.0)[0])
-        noisy_mask = segment(render(plant, cam_noisy, 100.0)[0], cleanup=True)
+        clean_mask = segment(render(plant, cam_clean, 100.0)[0]).to_array()
+        noisy_mask = segment(render(plant, cam_noisy, 100.0)[0], cleanup=True).to_array()
         differing = int((clean_mask != noisy_mask).sum())
         assert differing < 0.005 * int(clean_mask.sum())
 
     def test_mask_shape_matches_frame(self, camera):
         mask = segment(red_frame(camera))
-        assert mask.shape == (480, 640)
-        assert mask.dtype == bool
+        assert mask.size == 480 * 640
+        assert mask.to_array().shape == (480, 640)
+        assert mask.to_array().dtype == bool
 
 
 _RGB = st.tuples(*[st.integers(0, 255)] * 3)
-# Projected extents in pixels: sub-pixel, anything that fits, and exactly
-# touching the frame top (480) or sides (640).
-_HEIGHT_PX = st.one_of(st.floats(0.01, 1.0), st.floats(1.0, 480.0), st.sampled_from([479.5, 480.0]))
-_WIDTH_PX = st.one_of(st.floats(0.01, 1.0), st.floats(1.0, 640.0), st.sampled_from([639.5, 640.0]))
-
-
 @settings(deadline=None, max_examples=150)
-@given(height_px=_HEIGHT_PX, width_px=_WIDTH_PX, distance=st.floats(30.0, 170.0),
+@given(height_px=HEIGHT_PX, width_px=WIDTH_PX, distance=st.floats(30.0, 170.0),
        background=st.one_of(st.just((255, 0, 0)), _RGB),
        plant_color=st.one_of(st.just((0, 160, 0)), _RGB),
        margin=st.integers(0, 255), cleanup=st.booleans())
@@ -81,8 +77,9 @@ def test_patch_frame_matches_whole_frame(height_px, width_px, distance, backgrou
 
     mask = segment(frame, margin, cleanup)
     whole_mask = segment(whole, margin, cleanup)
-    assert mask.shape == whole_mask.shape == (480, 640)
-    assert (mask == whole_mask).all()
+    assert mask.size == whole_mask.size == 480 * 640
+    assert mask.to_array().shape == (480, 640)
+    assert (mask.to_array() == whole_mask.to_array()).all()
 
     def measured(m):
         try:
@@ -132,7 +129,7 @@ def test_measure_equals_a_full_scan(rects, min_plant_pixels, camera):
     for r0, r1, c0, c1 in rects:
         mask[r0:r1 + 1, c0:c1 + 1] = True
     try:
-        got = measure(mask, 100.0, camera, min_plant_pixels)
+        got = measure(RowMask.from_array(mask), 100.0, camera, min_plant_pixels)
     except NoPlantDetected:
         got = None
     assert got == _full_scan(mask, 100.0, camera, min_plant_pixels)
@@ -142,7 +139,7 @@ class TestMeasure:
     def test_bounding_box_arithmetic(self, camera):
         mask = np.zeros((480, 640), bool)
         mask[100:340, 200:320] = True  # 240 x 120 px
-        m = measure(mask, 100.0, camera)
+        m = measure(RowMask.from_array(mask), 100.0, camera)
         assert (m.height_px, m.width_px) == (240, 120)
         assert m.height_cm == pytest.approx(50.0)
         assert m.width_cm == pytest.approx(25.0)
@@ -177,7 +174,7 @@ class TestMeasure:
         mask = np.zeros((480, 640), bool)
         mask[10, 10:20] = True  # 10 pixels
         with pytest.raises(NoPlantDetected):
-            measure(mask, 100.0, camera, min_plant_pixels=25)
+            measure(RowMask.from_array(mask), 100.0, camera, min_plant_pixels=25)
 
     def test_empty_frame_raises(self, camera):
         with pytest.raises(NoPlantDetected):
