@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 
 from .config import ConfigError, default_config, dump_defaults, load_config
-from .growth import EcBand, PlantState
+from .growth import EcBand, PlantState, effective_width
 from .ppm import PpmFormatError, read_ppm, write_ppm
 from .render import FrameFitError, render
 from .scenarios import run_fertigation_comparison, run_growth_experiment, run_monitoring_trace
@@ -31,6 +32,17 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+def _distance_cm(raw: str) -> float:
+    """A ``--distance`` value: a finite number of centimetres above 0."""
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite distance > 0 cm, got {raw!r}")
+    return value
 
 
 def _build_parser() -> _Parser:
@@ -52,13 +64,13 @@ def _build_parser() -> _Parser:
     rf.add_argument("--height-cm", type=float, default=50.0)
     rf.add_argument("--width-cm", type=float, default=25.0)
     rf.add_argument("--turgor", type=float, default=1.0)
-    rf.add_argument("--distance", type=float, default=100.0)
+    rf.add_argument("--distance", type=_distance_cm, default=100.0)
     rf.add_argument("--file", default="frame.ppm", help="output PPM path")
 
     mi = sub.add_parser("measure-image", help="measure a plant in a PPM frame")
     mi.add_argument("image", help="path to a P6 PPM file")
     mi.add_argument("--config", help="path to a config file")
-    mi.add_argument("--distance", type=float, required=True, help="capture distance in cm")
+    mi.add_argument("--distance", type=_distance_cm, required=True, help="capture distance in cm")
 
     return parser
 
@@ -122,8 +134,8 @@ def main(argv: list[str]) -> int:
             plant = PlantState(age_min=0.0, height_cm=args.height_cm,
                                turgid_width_cm=args.width_cm, turgor=args.turgor,
                                band=EcBand.NORMAL)
-            frame, truth = render(plant, cfg.camera(), args.distance,
-                                  growth_params=cfg.growth_params())
+            frame, truth = render(plant.height_cm, effective_width(plant, cfg.growth_params()),
+                                  cfg.camera(), args.distance)
             write_ppm(frame, args.file)
             print(f"height_px={truth.height_px} width_px={truth.width_px} "
                   f"plant_pixel_count={truth.plant_pixel_count}")

@@ -1,6 +1,9 @@
 """Flat ``section.key = value`` configuration with validated defaults.
 
-Every calibration constant in the simulator lives here under a dotted key.
+Every calibration constant in the simulator lives here under a dotted key,
+and only here: each key's default and range are in ``_KEYS`` (plus the
+cross-field rules of ``_cross_check``), and the module parameter objects
+have neither, so they are built from a ``Config``.
 An empty document yields the defaults; unknown keys, bad values, and
 out-of-range values are errors that name the offending key (and line).
 Parsing is order-independent; duplicate keys are rejected.
@@ -51,6 +54,7 @@ _KEYS: dict[str, _Key] = {
 
     "growth.initial_height_cm": _Key(float, 5.0, _pos, "> 0"),
     "growth.initial_width_cm": _Key(float, 6.0, _pos, "> 0"),
+    # ~80 cm at day 43 from a 5 cm seedling.
     "growth.normal_rate_per_day": _Key(float, 0.0645, _pos, "> 0"),
     "growth.under_multiplier": _Key(float, 0.80, _pos, "> 0"),
     "growth.over_multiplier": _Key(float, 1.15, _pos, "> 0"),

@@ -5,15 +5,15 @@ of each day. At every later sample it computes
 
     wilt_degree = (reference_width - width) / reference_width
 
-and commands the pump ON for 3 minutes iff wilt_degree exceeds the
-threshold (strictly) AND the width shrank since the previous sample
-(strictly). The second conjunct keeps the controller from re-watering
-while the plant is already responding: widths stop shrinking shortly
-after an irrigation, so the next sample sees a non-decreasing width even
-though the wilt degree may still read above threshold.
+and commands the pump ON for ``timer_on_min`` minutes iff wilt_degree
+exceeds the threshold (strictly) AND the width shrank since the previous
+sample (strictly). The second conjunct keeps the controller from
+re-watering while the plant is already responding: widths stop shrinking
+shortly after an irrigation, so the next sample sees a non-decreasing
+width even though the wilt degree may still read above threshold.
 
-The timer baseline simply pumps 3 minutes every 30 minutes inside the
-daytime window.
+The timer baseline simply pumps for ``timer_on_min`` minutes at every
+timer period inside the daytime window.
 """
 
 from __future__ import annotations
@@ -22,9 +22,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .growth import MINUTES_PER_DAY
-
-DEFAULT_WILT_THRESHOLD = 0.02
-
 
 class SchedulingError(RuntimeError):
     """Controller sampled outside its daytime window."""
@@ -42,7 +39,7 @@ class PumpCommand:
     duration_min: float = 0.0
 
     @staticmethod
-    def on(duration_min: float = 3.0) -> "PumpCommand":
+    def on(duration_min: float) -> "PumpCommand":
         return PumpCommand(Action.ON, duration_min)
 
     @staticmethod
@@ -58,17 +55,11 @@ class PumpCommand:
 class Schedule:
     """Sampling and timer cadence; the window is half-open [start, end)."""
 
-    sample_interval_min: int = 15
-    window_start_min: int = 480  # 08:00
-    window_end_min: int = 1020  # 17:00
-    timer_period_min: int = 30
-    timer_on_min: float = 3.0
-
-    def __post_init__(self):
-        if self.sample_interval_min <= 0 or self.timer_period_min <= 0:
-            raise ValueError("intervals must be > 0")
-        if not 0 <= self.window_start_min < self.window_end_min <= MINUTES_PER_DAY:
-            raise ValueError("window must satisfy 0 <= start < end <= 1440")
+    sample_interval_min: int
+    window_start_min: int
+    window_end_min: int
+    timer_period_min: int
+    timer_on_min: float
 
     def in_window(self, now_min: float) -> bool:
         m = now_min % MINUTES_PER_DAY
@@ -96,8 +87,7 @@ class ControllerState:
 
 
 def spa_tick(state: ControllerState, width_cm: float, now_min: float,
-             schedule: Schedule,
-             wilt_threshold: float = DEFAULT_WILT_THRESHOLD) -> tuple[ControllerState, PumpCommand]:
+             schedule: Schedule, wilt_threshold: float) -> tuple[ControllerState, PumpCommand]:
     """One wilt-rule evaluation at an in-window sample instant."""
     if width_cm <= 0.0:
         raise ValueError("width_cm must be > 0")
@@ -134,7 +124,7 @@ def spa_tick(state: ControllerState, width_cm: float, now_min: float,
 
 
 def timer_tick(schedule: Schedule, now_min: float) -> PumpCommand:
-    """Baseline regime: ON for 3 minutes at every timer period inside the window."""
+    """Baseline regime: ON for ``timer_on_min`` at every timer period inside the window."""
     if not schedule.in_window(now_min):
         return PumpCommand.off()
     m = now_min % MINUTES_PER_DAY

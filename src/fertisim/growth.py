@@ -50,22 +50,22 @@ class EcBand(Enum):
 class GrowthParams:
     """Calibration constants for the growth and turgor model."""
 
-    initial_height_cm: float = 5.0
-    initial_width_cm: float = 6.0
-    # Normal-band relative height growth per day; ~80 cm at day 43 from 5 cm.
-    normal_rate_per_day: float = 0.0645
-    under_multiplier: float = 0.80
-    over_multiplier: float = 1.15
+    initial_height_cm: float
+    initial_width_cm: float
+    # Normal-band relative height growth per day.
+    normal_rate_per_day: float
+    under_multiplier: float
+    over_multiplier: float
     # Canopy width grows slower than height by this factor.
-    width_exponent: float = 0.55
+    width_exponent: float
     # Per-plant growth-rate jitter half-range (fraction of the band rate).
-    jitter: float = 0.05
+    jitter: float
     # Maximum fractional canopy shrink at zero turgor.
-    s_max: float = 0.10
-    recovery_tau_min: float = 20.0
-    recovery_duration_min: float = 90.0
-    lag_low_min: float = 10.0
-    lag_high_min: float = 15.0
+    s_max: float
+    recovery_tau_min: float
+    recovery_duration_min: float
+    lag_low_min: float
+    lag_high_min: float
 
     def band_multiplier(self, band: EcBand) -> float:
         if band is EcBand.UNDER:
@@ -81,9 +81,6 @@ class GrowthParams:
         return self.width_exponent * self.height_rate_per_min(band, rate_scale)
 
 
-DEFAULT_GROWTH = GrowthParams()
-
-
 @dataclass(frozen=True)
 class DemandProfile:
     """Diurnal turgor-loss rate: zero outside the daytime window, peaking at its midpoint.
@@ -92,18 +89,10 @@ class DemandProfile:
     inside the window; the midpoint still attains the maximum).
     """
 
-    window_start_min: float = 480.0
-    window_end_min: float = 1020.0
-    peak_loss_rate: float = 0.0  # turgor fraction per minute at the midpoint
-    shape: str = "sine"
-
-    def __post_init__(self):
-        if not 0.0 <= self.window_start_min < self.window_end_min <= MINUTES_PER_DAY:
-            raise ValueError("demand window must satisfy 0 <= start < end <= 1440")
-        if self.peak_loss_rate < 0.0:
-            raise ValueError("peak_loss_rate must be >= 0")
-        if self.shape not in ("sine", "flat"):
-            raise ValueError(f"unknown demand shape {self.shape!r}")
+    window_start_min: float
+    window_end_min: float
+    peak_loss_rate: float  # turgor fraction per minute at the midpoint
+    shape: str
 
     def loss_integral(self, a_min: float, b_min: float) -> float:
         """Exact integral of the loss rate over [a, b] in unwrapped clock minutes.
@@ -159,14 +148,8 @@ class PlantState:
         if not 0.0 <= self.turgor <= 1.0:
             raise ValueError("turgor must be in [0, 1]")
 
-    def plant(self, i: int) -> PlantState:
-        """Plant ``i`` of a population as a one-plant state."""
-        return replace(self, height_cm=self.height_cm[i],
-                       turgid_width_cm=self.turgid_width_cm[i],
-                       rate_scale=np.broadcast_to(self.rate_scale, np.shape(self.height_cm))[i])
 
-
-def make_seedling(params: GrowthParams = DEFAULT_GROWTH, band: EcBand = EcBand.NORMAL,
+def make_seedling(params: GrowthParams, band: EcBand = EcBand.NORMAL,
                   rate_scale: float | np.ndarray = 1.0) -> PlantState:
     """Fresh fully-turgid seedling at transplant time.
 
@@ -184,13 +167,13 @@ def make_seedling(params: GrowthParams = DEFAULT_GROWTH, band: EcBand = EcBand.N
 
 
 def plant_rate_scale(seed: int, group_index: int, plant_index: int,
-                     params: GrowthParams = DEFAULT_GROWTH) -> float:
+                     params: GrowthParams) -> float:
     """Deterministic per-plant growth-rate multiplier in 1 +/- jitter."""
     u = unit_hash(seed, _JITTER_STREAM, group_index, plant_index)
     return 1.0 + params.jitter * (2.0 * u - 1.0)
 
 
-def irrigation_lag(seed: int, now_min: float, params: GrowthParams = DEFAULT_GROWTH) -> float:
+def irrigation_lag(seed: int, now_min: float, params: GrowthParams) -> float:
     """Uptake lag in minutes for an irrigation at ``now_min``, drawn from [low, high).
 
     Stateless in the irrigation history: re-irrigating at the same instant
@@ -200,8 +183,7 @@ def irrigation_lag(seed: int, now_min: float, params: GrowthParams = DEFAULT_GRO
     return params.lag_low_min + (params.lag_high_min - params.lag_low_min) * u
 
 
-def effective_width(state: PlantState,
-                    params: GrowthParams = DEFAULT_GROWTH) -> float | np.ndarray:
+def effective_width(state: PlantState, params: GrowthParams) -> float | np.ndarray:
     """Visible canopy width: full turgid width scaled down by turgor deficit, per plant."""
     return state.turgid_width_cm * (1.0 - params.s_max * (1.0 - state.turgor))
 
@@ -216,7 +198,7 @@ def apply_irrigation(state: PlantState, now_min: float, lag_min: float) -> Plant
 
 
 def advance(state: PlantState, dt_min: float, demand: DemandProfile,
-            params: GrowthParams = DEFAULT_GROWTH) -> PlantState:
+            params: GrowthParams) -> PlantState:
     """Advance a plant or a population by ``dt_min`` minutes of simulated time.
 
     The time of day at the start of the step is the plant age modulo 1440

@@ -12,17 +12,6 @@ class TimeOrderError(ValueError):
     """Commands were fed to the ledger out of time order."""
 
 
-@dataclass(frozen=True)
-class PumpModel:
-    """Flow rate of the whole population manifold."""
-
-    flow_l_per_min: float
-
-    def __post_init__(self):
-        if self.flow_l_per_min <= 0.0:
-            raise ValueError("flow_l_per_min must be > 0")
-
-
 @dataclass
 class DailyUsage:
     day: int
@@ -46,8 +35,9 @@ class WaterLedger:
         if day not in self.days:
             self.days[day] = DailyUsage(day=day, regime=regime)
 
-    def accrue(self, command: PumpCommand, now_min: float, pump: PumpModel,
-               regime: str = "timer") -> None:
+    def accrue(self, command: PumpCommand, now_min: float, flow_l_per_min: float,
+               regime: str) -> None:
+        """Account one command; ``flow_l_per_min`` is the whole population manifold's flow."""
         if self._last_time is not None and now_min < self._last_time:
             raise TimeOrderError(f"command at minute {now_min} precedes minute {self._last_time}")
         self._last_time = now_min
@@ -55,7 +45,7 @@ class WaterLedger:
         self.register_day(day, regime)
         if command.action is Action.ON:
             row = self.days[day]
-            row.liters += command.duration_min * pump.flow_l_per_min
+            row.liters += command.duration_min * flow_l_per_min
             row.activations += 1
 
     def total_liters(self) -> float:

@@ -5,7 +5,8 @@ rectangle, centered horizontally with its base on the bottom frame row.
 Scale is ``focal_px / distance_cm`` pixels per centimeter. A pixel belongs
 to the plant exactly when its center lies inside the silhouette, which
 makes rasterization reproducible and gives the vision tests an exact
-ground truth.
+ground truth. The two colours are fixed: ``PLANT_COLOR`` on the silhouette
+and ``BACKGROUND`` everywhere else, before any camera noise.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .growth import DEFAULT_GROWTH, GrowthParams, PlantState, effective_width
-
 FRAME_W = 640
 FRAME_H = 480
+BACKGROUND = (255, 0, 0)
+PLANT_COLOR = (0, 160, 0)
 
 DISTANCE_MIN_CM = 30.0
 DISTANCE_MAX_CM = 170.0
@@ -33,23 +34,11 @@ class FrameFitError(ValueError):
 
 @dataclass(frozen=True)
 class CameraConfig:
-    focal_px: float = 480.0
-    background: tuple[int, int, int] = (255, 0, 0)
-    plant_color: tuple[int, int, int] = (0, 160, 0)
-    canopy_fraction: float = 0.7  # share of total height taken by the ellipse
-    stem_fraction: float = 0.15  # stem width as a share of canopy width
-    noise_amplitude: int = 0  # per-channel uniform jitter, 0..255
-    noise_seed: int = 0
-
-    def __post_init__(self):
-        if self.focal_px <= 0.0:
-            raise ValueError("focal_px must be > 0")
-        if not 0 <= self.noise_amplitude <= 255:
-            raise ValueError("noise_amplitude must be in 0..255")
-        if not 0.0 < self.canopy_fraction < 1.0:
-            raise ValueError("canopy_fraction must be in (0, 1)")
-        if not 0.0 < self.stem_fraction <= 1.0:
-            raise ValueError("stem_fraction must be in (0, 1]")
+    focal_px: float
+    canopy_fraction: float  # share of total height taken by the ellipse
+    stem_fraction: float  # stem width as a share of canopy width
+    noise_amplitude: int  # per-channel uniform jitter, 0..255
+    noise_seed: int
 
 
 class RowMask:
@@ -75,16 +64,11 @@ class RowMask:
         self._bitmap = bitmap
 
     @classmethod
-    def empty(cls, bitmap: np.ndarray | None = None) -> RowMask:
-        """A mask without plant pixels."""
-        return cls(FRAME_H, _NO_ROWS, _NO_ROWS, _NO_ROWS, bitmap)
-
-    @classmethod
     def from_array(cls, mask: np.ndarray) -> RowMask:
         """The rows of a (480, 640) boolean mask, scanned only within its bounding box."""
         rows = np.flatnonzero(mask.any(axis=1))
         if not rows.size:
-            return cls.empty(mask)
+            return cls(FRAME_H, _NO_ROWS, _NO_ROWS, _NO_ROWS, mask)
         plant = mask[rows[0]:rows[-1] + 1]
         cols = np.flatnonzero(plant.any(axis=0))
         box = plant[:, cols[0]:cols[-1] + 1]
@@ -134,8 +118,7 @@ class Frame:
     A whole frame (``Frame(pixels=...)``: a noisy render, a PPM read) holds
     its (480, 640, 3) uint8 RGB buffer. A noiseless render holds only what
     it drew: ``runs``, the silhouette as a ``RowMask`` of one run per row,
-    and two colours, ``plant_color`` on the runs and ``background``
-    everywhere else. ``runs`` is None for a whole frame.
+    in ``PLANT_COLOR`` on ``BACKGROUND``. ``runs`` is None for a whole frame.
 
     ``silhouette`` (the (480, 640) boolean plant mask; None for a whole
     frame) and ``pixels`` (the full (480, 640, 3) buffer) are built from the
@@ -143,9 +126,7 @@ class Frame:
     """
 
     def __init__(self, pixels: np.ndarray | None = None, distance_cm: float = 0.0,
-                 *, runs: RowMask | None = None,
-                 background: tuple[int, int, int] = (0, 0, 0),
-                 plant_color: tuple[int, int, int] = (0, 0, 0)):
+                 *, runs: RowMask | None = None):
         if (pixels is None) == (runs is None):
             raise ValueError("give exactly one of pixels and runs")
         if pixels is not None:
@@ -154,8 +135,6 @@ class Frame:
             self.pixels = pixels
             self.silhouette = None
         self.runs = runs
-        self.background = background
-        self.plant_color = plant_color
         self.distance_cm = distance_cm
 
     @cached_property
@@ -170,8 +149,8 @@ class Frame:
         # One strided fill and one masked copy per channel: several times
         # faster than a broadcast fill or a boolean-indexed assignment.
         for ch in range(3):
-            full[:, :, ch] = self.background[ch]
-            np.copyto(box[:, :, ch], self.plant_color[ch], where=plant)
+            full[:, :, ch] = BACKGROUND[ch]
+            np.copyto(box[:, :, ch], PLANT_COLOR[ch], where=plant)
         return full
 
 
@@ -192,21 +171,22 @@ def capture_distance(age_days: float) -> float:
                DISTANCE_MAX_CM)
 
 
-def render(plant: PlantState, cam: CameraConfig, distance_cm: float,
-           growth_params: GrowthParams = DEFAULT_GROWTH) -> tuple[Frame, GroundTruth]:
+def render(height_cm: float, width_cm: float, cam: CameraConfig,
+           distance_cm: float) -> tuple[Frame, GroundTruth]:
     """Rasterize one plant seen from ``distance_cm``; returns the frame and ground truth.
 
-    The silhouette is built as row runs: the frame holds them and the two
-    colours, and builds the full buffer only when ``Frame.pixels`` is read.
-    With camera noise the frame is built whole.
+    ``width_cm`` is the visible canopy width (``growth.effective_width``).
+    The silhouette is built as row runs: the frame holds them and builds the
+    full buffer only when ``Frame.pixels`` is read. With camera noise the
+    frame is built whole.
     """
     if distance_cm <= 0.0:
         raise ValueError("distance_cm must be > 0")
 
     scale = cam.focal_px / distance_cm
     with np.errstate(over="ignore"):  # an overflow to inf fails the fit check below
-        height_px = plant.height_cm * scale
-        width_px = effective_width(plant, growth_params) * scale
+        height_px = height_cm * scale
+        width_px = width_cm * scale
     if height_px > FRAME_H or width_px > FRAME_W:
         raise FrameFitError(
             f"plant projects to {height_px:.1f}x{width_px:.1f} px at {distance_cm:.0f} cm; "
@@ -215,8 +195,7 @@ def render(plant: PlantState, cam: CameraConfig, distance_cm: float,
 
     runs = _runs(cam, height_px, width_px)
     truth = GroundTruth(*runs.extents)
-    frame = Frame(runs=runs, background=cam.background, plant_color=cam.plant_color,
-                  distance_cm=distance_cm)
+    frame = Frame(runs=runs, distance_cm=distance_cm)
     if cam.noise_amplitude > 0:
         # Noise covers every pixel, so a noisy frame is built whole. The sum is
         # formed in the noise buffer and written back into the frame buffer:
@@ -299,9 +278,8 @@ _ROW_CENTRES = np.arange(FRAME_H) + 0.5
 _OFFSETS = np.arange(_HALF_W) + 0.5  # pixel centres' distances from the centre line
 
 
-def overlap_flag(population: PlantState, spacing_cm: float,
-                 growth_params: GrowthParams = DEFAULT_GROWTH) -> bool:
-    """True when any plant's canopy is wider than the row spacing, so neighbors would overlap in frame."""
+def overlap_flag(widths_cm: np.ndarray, spacing_cm: float) -> bool:
+    """True when any visible canopy width exceeds the row spacing: neighbors overlap in frame."""
     if spacing_cm <= 0.0:
         raise ValueError("spacing_cm must be > 0")
-    return bool(np.any(effective_width(population, growth_params) > spacing_cm))
+    return bool(np.any(widths_cm > spacing_cm))

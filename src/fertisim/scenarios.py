@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,11 +40,12 @@ from .growth import (
     PlantState,
     advance,
     apply_irrigation,
+    effective_width,
     irrigation_lag,
     make_seedling,
     plant_rate_scale,
 )
-from .ledger import PumpModel, WaterLedger, savings
+from .ledger import WaterLedger, savings
 from .ppm import write_ppm
 from .render import capture_distance, overlap_flag, render
 from .vision import Morphometry, NoPlantDetected, measure, segment
@@ -155,7 +156,7 @@ class _Run:
     def __post_init__(self):
         self.gp = self.cfg.growth_params()
         self.cam = self.cfg.camera()
-        self.pump = PumpModel(self.cfg["pump.flow_l_per_min"])
+        self.flow_l_per_min = self.cfg["pump.flow_l_per_min"]
 
     def step_to(self, pop: PlantState, to_min: float) -> PlantState:
         """``pop`` advanced to absolute minute ``to_min``; unchanged if it is already there."""
@@ -166,11 +167,14 @@ class _Run:
     def irrigate(self, pop: PlantState, now: float) -> PlantState:
         return apply_irrigation(pop, now, irrigation_lag(self.seed, now, self.gp))
 
-    def measure_plant(self, plant: PlantState, day: int,
+    def measure_plant(self, height_cm: float, width_cm: float, day: int,
                       ppm_path: Path | None = None) -> Morphometry:
-        """Render one plant at the day's camera distance, save the frame if asked, measure it."""
+        """Render one plant at the day's camera distance, save the frame if asked, measure it.
+
+        ``width_cm`` is the plant's visible canopy width.
+        """
         distance = capture_distance(day)
-        frame, _ = render(plant, self.cam, distance, self.gp)
+        frame, _ = render(height_cm, width_cm, self.cam, distance)
         if ppm_path is not None:
             write_ppm(frame, str(ppm_path))
         mask = segment(frame, self.cfg["vision.red_margin"], cleanup=self.cam.noise_amplitude > 0)
@@ -185,7 +189,8 @@ class _Run:
         """
         day = int(now // MINUTES_PER_DAY)
         try:
-            morpho = self.measure_plant(pop.plant(0), day, ppm_path)
+            morpho = self.measure_plant(pop.height_cm[0], effective_width(pop, self.gp)[0], day,
+                                        ppm_path)
         except NoPlantDetected as exc:
             self.skipped += 1
             log.warning("day %d minute %d: representative sample skipped (%s)",
@@ -194,7 +199,7 @@ class _Run:
         previous = self.state.previous_width_cm if self.state.last_sample_day == day else None
         self.state, cmd = spa_tick(self.state, morpho.width_cm, now, self.schedule,
                                    self.cfg["control.wilt_threshold"])
-        self.ledger.accrue(cmd, now, self.pump, regime="auto")
+        self.ledger.accrue(cmd, now, self.flow_l_per_min, regime="auto")
         if cmd.action is Action.ON:
             self.events.append(PumpEvent(sample_index, now, now - start_min))
             pop = self.irrigate(pop, now)
@@ -213,9 +218,9 @@ class _Run:
     def capture(self, pop: PlantState, day: int) -> tuple[float, float]:
         """Mean measured height and width over every plant of ``pop``; NaN if none was measured."""
         hs, ws = [], []
-        for i in range(np.size(pop.height_cm)):
+        for height, width in zip(pop.height_cm, effective_width(pop, self.gp)):
             try:
-                m = self.measure_plant(pop.plant(i), day)
+                m = self.measure_plant(height, width, day)
             except NoPlantDetected as exc:
                 self.skipped += 1
                 log.warning("capture day %d: sample skipped (%s)", day, exc)
@@ -256,7 +261,7 @@ def run_growth_experiment(cfg: Config, out_dir: str | Path,
 
     for day in range(0, total_days, every):
         pops = [run.step_to(pop, (day + 1) * MINUTES_PER_DAY) for pop in pops]
-        if any(overlap_flag(pop, spacing, run.gp) for pop in pops):
+        if any(overlap_flag(effective_width(pop, run.gp), spacing) for pop in pops):
             overlap_stop_day = day
             log.info("individual capture stopped at day %d: canopies wider than %.0f cm spacing",
                      day, spacing)
@@ -311,7 +316,8 @@ def run_monitoring_trace(cfg: Config, out_dir: str | Path, seed: int | None = No
     # Grow the representative plant (a population of one) to session age under no demand.
     plant = make_seedling(run.gp, EcBand.NORMAL, np.ones(1))
     if start_day > 0:
-        plant = advance(plant, start_day * MINUTES_PER_DAY, DemandProfile(), params=run.gp)
+        no_demand = replace(run.demand, peak_loss_rate=0.0)
+        plant = advance(plant, start_day * MINUTES_PER_DAY, no_demand, params=run.gp)
 
     frames_dir = out / "frames"
     if dump_frames:
@@ -450,7 +456,7 @@ def _simulate_population(cfg: Config, seed: int,
             for now in schedule.timer_times(day):
                 pop = run.step_to(pop, now)
                 cmd = timer_tick(schedule, now)
-                run.ledger.accrue(cmd, now, run.pump, regime)
+                run.ledger.accrue(cmd, now, run.flow_l_per_min, regime)
                 if cmd.action is Action.ON:
                     pop = run.irrigate(pop, now)
 

@@ -2,8 +2,9 @@
 
 Segmentation is a red-dominance test (background iff red exceeds both green
 and blue by a configurable margin). A noiseless frame is a silhouette held as
-row runs plus two colours, so the test runs on those two colours and the mask
-is the runs themselves; a whole frame is tested pixel by pixel. A mask is a
+row runs in the renderer's two fixed colours, which test as plant and as
+background at every margin the config allows, so its mask is the runs
+themselves; a whole frame is tested pixel by pixel. A mask is a
 ``RowMask``: each row's first and last plant column and pixel count, so
 measurement reads the bounding box and the count from at most 480 rows, and
 converts pixel extents to centimeters through the known camera distance, so
@@ -13,14 +14,10 @@ measurements taken at different distances stay comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .render import CameraConfig, Frame, RowMask
-
-DEFAULT_RED_MARGIN = 60
-DEFAULT_MIN_PLANT_PIXELS = 25
 
 
 class NoPlantDetected(RuntimeError):
@@ -37,42 +34,27 @@ class Morphometry:
     distance_cm: float
 
 
-def segment(frame: Frame, red_dominance_margin: int = DEFAULT_RED_MARGIN,
-            cleanup: bool = False) -> RowMask:
+def segment(frame: Frame, red_dominance_margin: int, cleanup: bool = False) -> RowMask:
     """The plant mask of a frame, row by row (``RowMask.to_array`` gives the bitmap).
 
-    On a run frame whose background colour tests as background, the
-    red-dominance test runs once on each of the two colours: the mask is the
-    frame's own runs when the plant colour tests as plant, and empty when it
-    does not. Every other frame is tested pixel by pixel and then reduced to
-    its rows, so every pixel is classified exactly as if the whole buffer
-    had been tested.
+    Without ``cleanup`` the mask of a run frame is its own runs: at any
+    margin in [0, 255] the renderer's plant colour tests as plant and its
+    background as background. Every other frame is tested pixel by pixel
+    and then reduced to its rows.
 
     ``cleanup`` applies a 3x3 majority filter; leave it off for noiseless
     frames so the mask matches the rasterized silhouette exactly.
     """
     if frame.runs is not None and not cleanup:
-        background_class, plant_class = _colour_classes(
-            tuple(frame.background), tuple(frame.plant_color), red_dominance_margin)
-        if not background_class:
-            return frame.runs if plant_class else RowMask.empty()
+        return frame.runs
     mask = _plant_pixels(frame.pixels, red_dominance_margin)
     if cleanup:
         mask = _majority_filter(mask)
     return RowMask.from_array(mask)
 
 
-@lru_cache(maxsize=64)
-def _colour_classes(background: tuple[int, int, int], plant_color: tuple[int, int, int],
-                    red_dominance_margin: int) -> tuple[bool, bool]:
-    """Whether each of the two colours of a run frame tests as plant."""
-    colours = np.array([[background, plant_color]], dtype=np.uint8)
-    background_class, plant_class = _plant_pixels(colours, red_dominance_margin)[0]
-    return bool(background_class), bool(plant_class)
-
-
 def _plant_pixels(rgb: np.ndarray, red_dominance_margin: int) -> np.ndarray:
-    """True where a pixel is not red-dominant, over the first two axes of ``rgb``."""
+    """True where a pixel of an (h, w, 3) buffer is not red-dominant."""
     r = rgb[:, :, 0]
     g = rgb[:, :, 1]
     b = rgb[:, :, 2]
@@ -93,7 +75,7 @@ def _majority_filter(mask: np.ndarray) -> np.ndarray:
 
 
 def measure(mask: RowMask, distance_cm: float, cam: CameraConfig,
-            min_plant_pixels: int = DEFAULT_MIN_PLANT_PIXELS) -> Morphometry:
+            min_plant_pixels: int) -> Morphometry:
     """Bounding-box extents of the mask in pixels and centimeters, read from its rows."""
     height_px, width_px, count = mask.extents
     if count < min_plant_pixels:

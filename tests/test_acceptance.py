@@ -21,9 +21,9 @@ import numpy as np
 import pytest
 
 from fertisim.config import default_config, parse_config
-from fertisim.control import Action, ControllerState, Schedule, spa_tick, timer_tick
+from fertisim.control import Action, ControllerState, spa_tick, timer_tick
 from fertisim.growth import EcBand, PlantState, effective_width
-from fertisim.ledger import PumpModel, WaterLedger
+from fertisim.ledger import WaterLedger
 from fertisim.render import capture_distance, render
 from fertisim.scenarios import (
     run_fertigation_comparison,
@@ -72,14 +72,13 @@ def test_criterion_1_water_savings(compare_run):
                f"auto {result.auto_mean_l_per_day:.2f} L/day, {elapsed:.1f}s")
 
 
-def test_criterion_2_timer_arithmetic():
-    schedule = Schedule()
-    pump = PumpModel(default_config()["pump.flow_l_per_min"])
+def test_criterion_2_timer_arithmetic(cfg, schedule):
+    flow = cfg["pump.flow_l_per_min"]
     ledger = WaterLedger()
     ledger.register_day(0, "timer")
     commands = [timer_tick(schedule, float(m)) for m in range(1440)]
     for m, cmd in enumerate(commands):
-        ledger.accrue(cmd, float(m), pump)
+        ledger.accrue(cmd, float(m), flow, "timer")
     ons = [c for c in commands if c.action is Action.ON]
     row = ledger.rows()[0]
     assert len(ons) == 18
@@ -99,8 +98,8 @@ def test_criterion_3_monitoring_event(monitor_run):
     _report(3, "one pump event, sample 17, minute 255")
 
 
-def test_criterion_4_wilt_rule_sweep():
-    schedule = Schedule()
+def test_criterion_4_wilt_rule_sweep(cfg, schedule):
+    threshold = cfg["control.wilt_threshold"]
     now = 600.0
     checked = 0
     for reference in (40.0, 64.0, 100.0):
@@ -109,7 +108,7 @@ def test_criterion_4_wilt_rule_sweep():
                 state = ControllerState(reference_width_cm=reference,
                                         previous_width_cm=float(previous),
                                         last_sample_day=0)
-                _, cmd = spa_tick(state, float(current), now, schedule)
+                _, cmd = spa_tick(state, float(current), now, schedule, threshold)
                 wilt = (reference - current) / reference
                 expected = wilt > 0.02 and previous > current
                 assert (cmd.action is Action.ON) == expected, \
@@ -121,11 +120,11 @@ def test_criterion_4_wilt_rule_sweep():
         assert (reference - boundary) / reference == 0.02
         state = ControllerState(reference_width_cm=reference,
                                 previous_width_cm=reference, last_sample_day=0)
-        _, cmd = spa_tick(state, boundary, now, schedule)
+        _, cmd = spa_tick(state, boundary, now, schedule, threshold)
         assert cmd.action is Action.OFF, "wilt exactly 2% must not fire"
         state = ControllerState(reference_width_cm=reference,
                                 previous_width_cm=0.95 * reference, last_sample_day=0)
-        _, cmd = spa_tick(state, 0.95 * reference, now, schedule)
+        _, cmd = spa_tick(state, 0.95 * reference, now, schedule, threshold)
         assert cmd.action is Action.OFF, "previous == current must not fire"
         checked += 2
     _report(4, f"{checked} grid points incl. both boundaries")
@@ -135,6 +134,7 @@ def test_criterion_5_vision_oracle():
     cfg = default_config()
     gp = cfg.growth_params()
     cam = cfg.camera()
+    margin, min_pixels = cfg["vision.red_margin"], cfg["vision.min_plant_pixels"]
     rng = np.random.default_rng(2024)
     rate = gp.normal_rate_per_day
     t0 = time.perf_counter()
@@ -160,8 +160,8 @@ def test_criterion_5_vision_oracle():
 
         measured = []
         for d in (d1,) + ((d2,) if d2 else ()):
-            frame, truth = render(plant, cam, d, growth_params=gp)
-            m = measure(segment(frame), d, cam)
+            frame, truth = render(plant.height_cm, effective_width(plant, gp), cam, d)
+            m = measure(segment(frame, margin), d, cam, min_pixels)
             # pixel extents recovered exactly
             assert (m.height_px, m.width_px, m.plant_pixel_count) == \
                 (truth.height_px, truth.width_px, truth.plant_pixel_count)

@@ -5,11 +5,14 @@ import io
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, example, given, settings, strategies as st
 
 from fertisim.cli import main
 from fertisim.config import _KEYS, default_config, parse_config
+from fertisim.render import BACKGROUND
+from oracle import rasterize
 
 
 def test_dump_defaults_round_trips(capsys):
@@ -82,6 +85,34 @@ def test_measure_image_on_plantless_frame(tmp_path, capsys):
     frame.write_bytes(header + red)
     assert main(["measure-image", str(frame), "--distance", "100"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_measure_image_on_a_red_dominant_plant(tmp_path, capsys, camera):
+    # A whole frame is tested pixel by pixel: (200, 50, 50) is red-dominant by
+    # 150 on both channels, so at margin 60 the plant is background.
+    pixels = np.empty((480, 640, 3), np.uint8)
+    pixels[:] = BACKGROUND
+    pixels[rasterize(camera, 240.0, 120.0)] = (200, 50, 50)
+    frame = tmp_path / "reddish.ppm"
+    frame.write_bytes(b"P6\n640 480\n255\n" + pixels.tobytes())
+    assert main(["measure-image", str(frame), "--distance", "100"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["fertisim: error: 0 plant pixels, need at least 25"]
+
+
+@pytest.mark.parametrize("distance", ["0", "-5", "nan", "inf"])
+@pytest.mark.parametrize("command", ["render-frame", "measure-image"])
+def test_bad_distance_rejected(tmp_path, capsys, command, distance):
+    frame = tmp_path / "frame.ppm"
+    assert main(["render-frame", "--file", str(frame)]) == 0
+    capsys.readouterr()
+    args = ["render-frame", "--file", str(frame)] if command == "render-frame" \
+        else ["measure-image", str(frame)]
+    assert main(args + ["--distance", distance]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --distance: must be a finite distance > 0 cm, got '{distance}'" \
+        in captured.err
 
 
 def test_measure_image_rejects_bad_ppm(tmp_path, capsys):
@@ -182,7 +213,6 @@ CONFIGS = st.sets(st.sampled_from(list(_KEYS))).flatmap(
 ).map(lambda drawn: {**SIZE_CAPS, **drawn})
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy warning would be a stray stderr line
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(values=CONFIGS)
 @example(values=dict(parse_config(NO_PLANT_COMPARE).values))

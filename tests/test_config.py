@@ -1,12 +1,14 @@
 """Config parsing, validation, and the defaults document."""
 
+import re
+from dataclasses import fields
+
 import pytest
 
 from fertisim.config import Config, ConfigError, default_config, dump_defaults, parse_config
-from fertisim.control import DEFAULT_WILT_THRESHOLD, Schedule
+from fertisim.control import Schedule
 from fertisim.growth import DemandProfile, GrowthParams
 from fertisim.render import CameraConfig
-from fertisim.vision import DEFAULT_MIN_PLANT_PIXELS, DEFAULT_RED_MARGIN
 
 
 def test_empty_document_gives_defaults():
@@ -28,15 +30,51 @@ def test_defaults_match_design_values(cfg):
     assert v["monitor.sample_interval_min"] == 15
 
 
-def test_module_defaults_equal_config_defaults(cfg):
-    # each module keeps its own copy of the defaults for direct callers
-    assert GrowthParams() == cfg.growth_params()
-    assert CameraConfig() == cfg.camera()
-    assert Schedule() == cfg.schedule()
-    assert DemandProfile() == cfg.demand("growth_exp.peak_loss_rate")
-    assert DEFAULT_WILT_THRESHOLD == cfg["control.wilt_threshold"]
-    assert DEFAULT_RED_MARGIN == cfg["vision.red_margin"]
-    assert DEFAULT_MIN_PLANT_PIXELS == cfg["vision.min_plant_pixels"]
+def test_parameter_objects_have_no_defaults():
+    # the config table is the one home of every default
+    for cls in (GrowthParams, CameraConfig, Schedule, DemandProfile):
+        with pytest.raises(TypeError):
+            cls()
+    assert [f.name for f in fields(CameraConfig)] == [
+        "focal_px", "canopy_fraction", "stem_fraction", "noise_amplitude", "noise_seed"]
+
+
+# Each range rule the parameter objects once repeated, with a value that only
+# its _KEYS or _cross_check rule rejects.
+PARAMETER_RANGES = [
+    # CameraConfig
+    ("camera.focal_px = 0", "camera.focal_px"),
+    ("camera.noise_amplitude = 300", "camera.noise_amplitude"),
+    ("camera.noise_amplitude = -1", "camera.noise_amplitude"),
+    ("camera.canopy_fraction = 0", "camera.canopy_fraction"),
+    ("camera.canopy_fraction = 1", "camera.canopy_fraction"),
+    ("camera.stem_fraction = 0", "camera.stem_fraction"),
+    ("camera.stem_fraction = 1.5", "camera.stem_fraction"),
+    # Schedule
+    ("monitor.sample_interval_min = 0", "monitor.sample_interval_min"),
+    ("compare.sample_interval_min = 0", "compare.sample_interval_min"),
+    ("control.timer_period_min = 0", "control.timer_period_min"),
+    ("control.window_start_min = -1", "control.window_start_min"),
+    ("control.window_end_min = 1441", "control.window_end_min"),
+    ("control.window_start_min = 900\ncontrol.window_end_min = 600", "control.window_end_min"),
+    # DemandProfile
+    ("demand.window_start_min = -1", "demand.window_start_min"),
+    ("demand.window_end_min = 1441", "demand.window_end_min"),
+    ("demand.window_start_min = 900\ndemand.window_end_min = 600", "demand.window_end_min"),
+    ("demand.peak_loss_rate = -0.001", "demand.peak_loss_rate"),
+    ("monitor.peak_loss_rate = -0.001", "monitor.peak_loss_rate"),
+    ("growth_exp.peak_loss_rate = -0.001", "growth_exp.peak_loss_rate"),
+    ("demand.shape = square", "demand.shape"),
+    # the pump's flow rate
+    ("pump.flow_l_per_min = 0", "pump.flow_l_per_min"),
+]
+
+
+@pytest.mark.parametrize("document, key", PARAMETER_RANGES,
+                         ids=[doc.replace("\n", "; ") for doc, _ in PARAMETER_RANGES])
+def test_parameter_ranges_are_config_rules(document, key):
+    with pytest.raises(ConfigError, match=re.escape(repr(key))):
+        parse_config(document + "\n")
 
 
 def test_threshold_override():

@@ -1,19 +1,23 @@
 """Wilt-rule controller and timer baseline."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fertisim.config import default_config
 from fertisim.control import (
     Action,
     ControllerState,
-    Schedule,
     SchedulingError,
     spa_tick,
     timer_tick,
     wilt_degree,
 )
 
-SCHEDULE = Schedule()  # 15-min samples, window 08:00-17:00, timer 30/3
+CFG = default_config()
+SCHEDULE = CFG.schedule()  # 15-min samples, window 08:00-17:00, timer 30/3
+THRESHOLD = CFG["control.wilt_threshold"]  # 2%
 DAY0_0800 = 480.0
 
 
@@ -25,24 +29,24 @@ def state_with(reference, previous, now=DAY0_0800 + 60):
 class TestWiltRule:
     def test_fires_when_wilted_and_shrinking(self):
         state = state_with(100.0, 97.5)
-        _, cmd = spa_tick(state, 97.0, DAY0_0800 + 60, SCHEDULE)
+        _, cmd = spa_tick(state, 97.0, DAY0_0800 + 60, SCHEDULE, THRESHOLD)
         assert cmd.action is Action.ON
         assert cmd.duration_min == 3.0
 
     def test_recovering_plant_stays_off(self):
         state = state_with(100.0, 98.5)
-        _, cmd = spa_tick(state, 99.0, DAY0_0800 + 60, SCHEDULE)
+        _, cmd = spa_tick(state, 99.0, DAY0_0800 + 60, SCHEDULE, THRESHOLD)
         assert cmd.action is Action.OFF
 
     def test_equal_widths_do_not_fire(self):
         # wilt 3% but width not strictly shrinking: the second conjunct blocks it
         state = state_with(100.0, 97.0)
-        _, cmd = spa_tick(state, 97.0, DAY0_0800 + 60, SCHEDULE)
+        _, cmd = spa_tick(state, 97.0, DAY0_0800 + 60, SCHEDULE, THRESHOLD)
         assert cmd.action is Action.OFF
 
     def test_threshold_is_strict(self):
         state = state_with(100.0, 98.5)
-        _, cmd = spa_tick(state, 98.0, DAY0_0800 + 60, SCHEDULE)  # exactly 2%
+        _, cmd = spa_tick(state, 98.0, DAY0_0800 + 60, SCHEDULE, THRESHOLD)  # exactly 2%
         assert cmd.action is Action.OFF
 
     def test_scripted_session_fires_once_at_minute_255(self):
@@ -58,13 +62,13 @@ class TestWiltRule:
         fired = []
         for i, width in enumerate(widths):
             now = DAY0_0800 + 15 * i
-            state, cmd = spa_tick(state, width, now, SCHEDULE)
+            state, cmd = spa_tick(state, width, now, SCHEDULE, THRESHOLD)
             if cmd.action is Action.ON:
                 fired.append((i, now - DAY0_0800))
         assert fired == [(17, 255.0)]
 
     def test_first_sample_of_day_anchors_reference(self):
-        state, cmd = spa_tick(ControllerState(), 42.0, DAY0_0800, SCHEDULE)
+        state, cmd = spa_tick(ControllerState(), 42.0, DAY0_0800, SCHEDULE, THRESHOLD)
         assert cmd.action is Action.HOLD
         assert state.reference_width_cm == 42.0
         assert state.previous_width_cm == 42.0
@@ -72,41 +76,41 @@ class TestWiltRule:
     def test_reference_reanchors_on_new_day(self):
         state = state_with(100.0, 95.0, now=DAY0_0800)
         next_day = 1440.0 + DAY0_0800
-        state, cmd = spa_tick(state, 90.0, next_day, SCHEDULE)
+        state, cmd = spa_tick(state, 90.0, next_day, SCHEDULE, THRESHOLD)
         assert cmd.action is Action.HOLD
         assert state.reference_width_cm == 90.0
 
     def test_two_days_use_their_own_references(self):
         state = ControllerState()
-        state, _ = spa_tick(state, 100.0, DAY0_0800, SCHEDULE)
-        state, cmd = spa_tick(state, 96.0, DAY0_0800 + 30, SCHEDULE)
+        state, _ = spa_tick(state, 100.0, DAY0_0800, SCHEDULE, THRESHOLD)
+        state, cmd = spa_tick(state, 96.0, DAY0_0800 + 30, SCHEDULE, THRESHOLD)
         assert cmd.action is Action.ON  # 4% against day-1 reference
         day2 = 1440.0 + DAY0_0800
-        state, _ = spa_tick(state, 96.0, day2, SCHEDULE)  # day-2 anchor
-        state, cmd = spa_tick(state, 94.5, day2 + 30, SCHEDULE)
+        state, _ = spa_tick(state, 96.0, day2, SCHEDULE, THRESHOLD)  # day-2 anchor
+        state, cmd = spa_tick(state, 94.5, day2 + 30, SCHEDULE, THRESHOLD)
         assert wilt_degree(96.0, 94.5) < 0.02
         assert cmd.action is Action.OFF  # 1.6% against the day-2 reference
 
     def test_hold_while_pump_runs(self):
-        fast = Schedule(sample_interval_min=1)
+        fast = replace(SCHEDULE, sample_interval_min=1)
         state = state_with(100.0, 97.5)
-        state, cmd = spa_tick(state, 97.0, DAY0_0800 + 60, fast)
+        state, cmd = spa_tick(state, 97.0, DAY0_0800 + 60, fast, THRESHOLD)
         assert cmd.action is Action.ON
-        state, cmd = spa_tick(state, 96.0, DAY0_0800 + 61, fast)
+        state, cmd = spa_tick(state, 96.0, DAY0_0800 + 61, fast, THRESHOLD)
         assert cmd.action is Action.HOLD  # 3 minutes not yet expired
         assert state.previous_width_cm == 96.0
-        state, cmd = spa_tick(state, 95.0, DAY0_0800 + 63, fast)
+        state, cmd = spa_tick(state, 95.0, DAY0_0800 + 63, fast, THRESHOLD)
         assert cmd.action is Action.ON  # deadline expired, rule re-evaluated
 
     def test_out_of_window_sample_rejected(self):
         with pytest.raises(SchedulingError):
-            spa_tick(ControllerState(), 40.0, 100.0, SCHEDULE)
+            spa_tick(ControllerState(), 40.0, 100.0, SCHEDULE, THRESHOLD)
         with pytest.raises(SchedulingError):
-            spa_tick(ControllerState(), 40.0, 1020.0, SCHEDULE)  # window is half-open
+            spa_tick(ControllerState(), 40.0, 1020.0, SCHEDULE, THRESHOLD)  # window is half-open
 
     def test_non_positive_width_rejected(self):
         with pytest.raises(ValueError):
-            spa_tick(ControllerState(), 0.0, DAY0_0800, SCHEDULE)
+            spa_tick(ControllerState(), 0.0, DAY0_0800, SCHEDULE, THRESHOLD)
 
     def test_exhaustive_rule_grid(self):
         # fire iff wilt > 0.02 strictly AND previous > current strictly
@@ -115,7 +119,7 @@ class TestWiltRule:
                 for cur_f in (0.93, 0.96, 0.975, 0.98, 0.985, 1.0):
                     previous, current = reference * prev_f, reference * cur_f
                     state = state_with(reference, previous)
-                    _, cmd = spa_tick(state, current, DAY0_0800 + 60, SCHEDULE)
+                    _, cmd = spa_tick(state, current, DAY0_0800 + 60, SCHEDULE, THRESHOLD)
                     wilt = (reference - current) / reference
                     expected = wilt > 0.02 and previous > current
                     assert (cmd.action is Action.ON) == expected, \
@@ -149,11 +153,11 @@ class TestResetDaily:
     def test_rollover_clears_anchors(self):
         state = state_with(100.0, 95.0, now=DAY0_0800)
         next_day = 1440.0 + DAY0_0800
-        state, cmd = spa_tick(state, 88.0, next_day, SCHEDULE)
+        state, cmd = spa_tick(state, 88.0, next_day, SCHEDULE, THRESHOLD)
         assert cmd.action is Action.HOLD  # 12% below yesterday's reference, but a new day
         assert state.reference_width_cm == state.previous_width_cm == 88.0
         assert state.last_sample_day == 1
-        _, cmd = spa_tick(state, 87.0, next_day + 15, SCHEDULE)
+        _, cmd = spa_tick(state, 87.0, next_day + 15, SCHEDULE, THRESHOLD)
         assert cmd.action is Action.OFF  # 1.1% against today's anchor, not 13% against 100
 
 
@@ -166,7 +170,7 @@ class TestTraceInvariants:
         previous = None
         for i, width in enumerate(widths):
             now = DAY0_0800 + 15.0 * i
-            state, cmd = spa_tick(state, width, now, SCHEDULE)
+            state, cmd = spa_tick(state, width, now, SCHEDULE, THRESHOLD)
             if cmd.action is Action.ON:
                 assert cmd.duration_min == 3.0
                 assert previous is not None and previous > width, \
@@ -183,6 +187,6 @@ class TestTraceInvariants:
         state = ControllerState()
         for i, width in enumerate(widths):
             now = DAY0_0800 + 15.0 * i
-            state, cmd = spa_tick(state, width, now, SCHEDULE)
+            state, cmd = spa_tick(state, width, now, SCHEDULE, THRESHOLD)
             if cmd.action is Action.ON:
                 assert state.pump_off_deadline_min == now + 3.0

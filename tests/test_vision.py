@@ -1,76 +1,95 @@
 """Segmentation and morphometry against the renderer's ground truth."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from fertisim.config import default_config
 from fertisim.control import wilt_degree
-from fertisim.growth import EcBand, PlantState
-from fertisim.render import CameraConfig, Frame, FrameFitError, RowMask, render
+from fertisim.growth import EcBand, PlantState, effective_width
+from fertisim.render import BACKGROUND, PLANT_COLOR, Frame, FrameFitError, RowMask, render
 from fertisim.vision import Morphometry, NoPlantDetected, measure, segment
 from oracle import HEIGHT_PX, WIDTH_PX
 
+CFG = default_config()
+GP = CFG.growth_params()
+MARGIN = CFG["vision.red_margin"]
+MIN_PIXELS = CFG["vision.min_plant_pixels"]
 
-def plant_of(height_cm, width_cm, turgor=1.0):
-    return PlantState(age_min=0.0, height_cm=height_cm, turgid_width_cm=width_cm,
-                      turgor=turgor, band=EcBand.NORMAL)
+
+def shoot(height_cm, width_cm, cam, distance_cm, turgor=1.0):
+    """Render a plant at its visible width, as the scenarios do."""
+    plant = PlantState(age_min=0.0, height_cm=height_cm, turgid_width_cm=width_cm,
+                       turgor=turgor, band=EcBand.NORMAL)
+    return render(height_cm, effective_width(plant, GP), cam, distance_cm)
 
 
-def red_frame(camera):
+def uniform_frame(colour):
     pixels = np.empty((480, 640, 3), np.uint8)
-    pixels[:] = np.array(camera.background, np.uint8)
+    pixels[:] = np.array(colour, np.uint8)
     return Frame(pixels=pixels, distance_cm=100.0)
 
 
 class TestSegment:
     def test_noiseless_mask_matches_silhouette_exactly(self, camera):
-        frame, truth = render(plant_of(60.0, 30.0), camera, 100.0)
-        mask = segment(frame).to_array()
-        drawn = (frame.pixels == np.array(camera.plant_color, np.uint8)).all(axis=2)
+        frame, truth = shoot(60.0, 30.0, camera, 100.0)
+        mask = segment(frame, MARGIN).to_array()
+        drawn = (frame.pixels == np.array(PLANT_COLOR, np.uint8)).all(axis=2)
         assert (mask == drawn).all()
         assert int(mask.sum()) == truth.plant_pixel_count
 
-    def test_pure_red_frame_is_all_background(self, camera):
-        assert not segment(red_frame(camera)).to_array().any()
+    def test_pure_red_frame_is_all_background(self):
+        assert not segment(uniform_frame(BACKGROUND), MARGIN).to_array().any()
 
-    def test_noisy_mask_close_to_ground_truth(self):
-        cam_clean = CameraConfig()
-        cam_noisy = CameraConfig(noise_amplitude=20, noise_seed=3)
-        plant = plant_of(60.0, 30.0)
-        clean_mask = segment(render(plant, cam_clean, 100.0)[0]).to_array()
-        noisy_mask = segment(render(plant, cam_noisy, 100.0)[0], cleanup=True).to_array()
+    def test_noisy_mask_close_to_ground_truth(self, camera):
+        cam_noisy = replace(camera, noise_amplitude=20, noise_seed=3)
+        clean_mask = segment(shoot(60.0, 30.0, camera, 100.0)[0], MARGIN).to_array()
+        noisy_mask = segment(shoot(60.0, 30.0, cam_noisy, 100.0)[0], MARGIN,
+                             cleanup=True).to_array()
         differing = int((clean_mask != noisy_mask).sum())
         assert differing < 0.005 * int(clean_mask.sum())
 
-    def test_mask_shape_matches_frame(self, camera):
-        mask = segment(red_frame(camera))
+    def test_mask_shape_matches_frame(self):
+        mask = segment(uniform_frame(BACKGROUND), MARGIN)
         assert mask.size == 480 * 640
         assert mask.to_array().shape == (480, 640)
         assert mask.to_array().dtype == bool
 
+    def test_fixed_colours_class_as_background_and_plant_at_every_margin(self, camera):
+        # What lets segment return a run frame's own runs without testing a colour.
+        frame, _ = shoot(60.0, 30.0, camera, 100.0)
+        whole = Frame(pixels=frame.pixels, distance_cm=100.0)
+        for margin in range(256):
+            assert (segment(whole, margin).to_array() == frame.silhouette).all(), margin
+
 
 _RGB = st.tuples(*[st.integers(0, 255)] * 3)
+
+
+@settings(deadline=None, max_examples=60)
+@given(colour=_RGB, margin=st.integers(0, 255))
+@example(colour=BACKGROUND, margin=MARGIN)
+@example(colour=PLANT_COLOR, margin=MARGIN)
+@example(colour=(200, 50, 50), margin=MARGIN)  # red-dominant by exactly 150
+def test_uniform_frame_is_one_class(colour, margin):
+    # The whole-frame path measure-image takes for any PPM, without cleanup.
+    r, g, b = colour
+    is_plant = not (r - g >= margin and r - b >= margin)
+    mask = segment(uniform_frame(colour), margin).to_array()
+    assert (mask == is_plant).all()
+
+
 @settings(deadline=None, max_examples=150)
 @given(height_px=HEIGHT_PX, width_px=WIDTH_PX, distance=st.floats(30.0, 170.0),
-       background=st.one_of(st.just((255, 0, 0)), _RGB),
-       plant_color=st.one_of(st.just((0, 160, 0)), _RGB),
        margin=st.integers(0, 255), cleanup=st.booleans())
-# One colour for plant and background: the frame is uniform.
-@example(height_px=300.0, width_px=200.0, distance=100.0, background=(255, 0, 0),
-         plant_color=(255, 0, 0), margin=60, cleanup=False)
-@example(height_px=300.0, width_px=200.0, distance=100.0, background=(255, 0, 0),
-         plant_color=(255, 0, 0), margin=60, cleanup=True)
-# A plant colour the margin classes as background: the plant is invisible.
-@example(height_px=300.0, width_px=200.0, distance=100.0, background=(255, 0, 0),
-         plant_color=(200, 50, 50), margin=60, cleanup=False)
-@example(height_px=300.0, width_px=200.0, distance=100.0, background=(255, 0, 0),
-         plant_color=(200, 50, 50), margin=60, cleanup=True)
-def test_patch_frame_matches_whole_frame(height_px, width_px, distance, background,
-                                         plant_color, margin, cleanup):
-    cam = CameraConfig(background=background, plant_color=plant_color)
-    scale = cam.focal_px / distance
+@example(height_px=300.0, width_px=200.0, distance=100.0, margin=0, cleanup=False)
+@example(height_px=300.0, width_px=200.0, distance=100.0, margin=255, cleanup=True)
+def test_patch_frame_matches_whole_frame(height_px, width_px, distance, margin, cleanup, camera):
+    scale = camera.focal_px / distance
     try:
-        frame, _ = render(plant_of(height_px / scale, width_px / scale), cam, distance)
+        frame, _ = render(height_px / scale, width_px / scale, camera, distance)
     except FrameFitError:  # float rounding put the plant a hair past the edge
         assume(False)
     whole = Frame(pixels=frame.pixels, distance_cm=distance)
@@ -83,7 +102,7 @@ def test_patch_frame_matches_whole_frame(height_px, width_px, distance, backgrou
 
     def measured(m):
         try:
-            return measure(m, distance, cam)
+            return measure(m, distance, camera, MIN_PIXELS)
         except NoPlantDetected:
             return None
 
@@ -139,7 +158,7 @@ class TestMeasure:
     def test_bounding_box_arithmetic(self, camera):
         mask = np.zeros((480, 640), bool)
         mask[100:340, 200:320] = True  # 240 x 120 px
-        m = measure(RowMask.from_array(mask), 100.0, camera)
+        m = measure(RowMask.from_array(mask), 100.0, camera, MIN_PIXELS)
         assert (m.height_px, m.width_px) == (240, 120)
         assert m.height_cm == pytest.approx(50.0)
         assert m.width_cm == pytest.approx(25.0)
@@ -147,27 +166,24 @@ class TestMeasure:
 
     def test_roundtrip_equals_ground_truth(self, camera):
         for turgor in (1.0, 0.8, 0.4):
-            plant = plant_of(57.3, 28.1, turgor)
-            frame, truth = render(plant, camera, 110.0)
-            m = measure(segment(frame), 110.0, camera)
+            frame, truth = shoot(57.3, 28.1, camera, 110.0, turgor)
+            m = measure(segment(frame, MARGIN), 110.0, camera, MIN_PIXELS)
             assert (m.height_px, m.width_px, m.plant_pixel_count) == \
                 (truth.height_px, truth.width_px, truth.plant_pixel_count)
 
     def test_physical_extents_within_one_pixel(self, camera):
-        plant = plant_of(57.3, 28.1, 0.9)
         distance = 110.0
-        frame, _ = render(plant, camera, distance)
-        m = measure(segment(frame), distance, camera)
+        frame, _ = shoot(57.3, 28.1, camera, distance, 0.9)
+        m = measure(segment(frame, MARGIN), distance, camera, MIN_PIXELS)
         cm_per_px = distance / camera.focal_px
-        assert abs(m.height_cm - plant.height_cm) <= cm_per_px
-        assert abs(m.width_cm - plant.turgid_width_cm * 0.99) <= cm_per_px
+        assert abs(m.height_cm - 57.3) <= cm_per_px
+        assert abs(m.width_cm - 28.1 * 0.99) <= cm_per_px
 
     def test_distance_invariance(self, camera):
-        plant = plant_of(50.0, 25.0)
         out = []
         for d in (100.0, 160.0):
-            frame, _ = render(plant, camera, d)
-            out.append(measure(segment(frame), d, camera))
+            frame, _ = shoot(50.0, 25.0, camera, d)
+            out.append(measure(segment(frame, MARGIN), d, camera, MIN_PIXELS))
         assert out[0].height_cm == pytest.approx(out[1].height_cm, rel=0.02)
 
     def test_small_mask_raises(self, camera):
@@ -178,18 +194,18 @@ class TestMeasure:
 
     def test_empty_frame_raises(self, camera):
         with pytest.raises(NoPlantDetected):
-            measure(segment(red_frame(camera)), 100.0, camera)
+            measure(segment(uniform_frame(BACKGROUND), MARGIN), 100.0, camera, MIN_PIXELS)
 
     def test_shrinking_plant_measures_narrower(self, camera):
         widths = []
         for turgor in (1.0, 0.7, 0.4, 0.1):
-            frame, _ = render(plant_of(60.0, 30.0, turgor), camera, 100.0)
-            widths.append(measure(segment(frame), 100.0, camera).width_cm)
+            frame, _ = shoot(60.0, 30.0, camera, 100.0, turgor)
+            widths.append(measure(segment(frame, MARGIN), 100.0, camera, MIN_PIXELS).width_cm)
         assert all(b < a for a, b in zip(widths, widths[1:]))
         heights = set()
         for turgor in (1.0, 0.4):
-            frame, _ = render(plant_of(60.0, 30.0, turgor), camera, 100.0)
-            heights.add(measure(segment(frame), 100.0, camera).height_px)
+            frame, _ = shoot(60.0, 30.0, camera, 100.0, turgor)
+            heights.add(measure(segment(frame, MARGIN), 100.0, camera, MIN_PIXELS).height_px)
         assert len(heights) == 1
 
 
