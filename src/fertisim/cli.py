@@ -13,8 +13,8 @@ import logging
 import math
 import sys
 
-from .config import ConfigError, default_config, dump_defaults, load_config
-from .growth import EcBand, PlantState, effective_width
+from .config import Config, ConfigError, default_config, dump_defaults, load_config
+from .growth import PlantState, effective_width
 from .ppm import PpmFormatError, read_ppm, write_ppm
 from .render import FrameFitError, render
 from .scenarios import run_fertigation_comparison, run_growth_experiment, run_monitoring_trace
@@ -56,7 +56,7 @@ def _build_parser() -> _Parser:
     ):
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", help="path to a config file")
-        sp.add_argument("--seed", type=int, help="override sim.seed")
+        sp.add_argument("--seed", type=int, help="set sim.seed, checked like any config key")
         sp.add_argument("--out", default="out", help="output directory")
 
     rf = sub.add_parser("render-frame", help="render one synthetic frame to a PPM file")
@@ -94,13 +94,15 @@ def main(argv: list[str]) -> int:
 
     try:
         cfg = load_config(args.config) if getattr(args, "config", None) else default_config()
+        if getattr(args, "seed", None) is not None:
+            cfg = Config(values={**cfg.values, "sim.seed": args.seed})
     except (ConfigError, OSError) as exc:
         print(f"fertisim: config error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
     try:
         if args.command == "growth":
-            result = run_growth_experiment(cfg, args.out, seed=args.seed)
+            result = run_growth_experiment(cfg, args.out)
             print(f"growth experiment: {len(result.capture_days)} capture days, "
                   f"outputs in {args.out}")
             if not result.ordering_ok:
@@ -110,14 +112,14 @@ def main(argv: list[str]) -> int:
             return EXIT_OK
 
         if args.command == "monitor":
-            result = run_monitoring_trace(cfg, args.out, seed=args.seed)
+            result = run_monitoring_trace(cfg, args.out)
             offsets = ", ".join(str(int(e.offset_min)) for e in result.events) or "none"
             print(f"monitoring session: {len(result.rows)} samples, "
                   f"{len(result.events)} pump event(s) at minute(s): {offsets}")
             return EXIT_OK
 
         if args.command == "compare":
-            result = run_fertigation_comparison(cfg, args.out, seed=args.seed)
+            result = run_fertigation_comparison(cfg, args.out)
             print(f"comparison: timer {result.timer_mean_l_per_day:.1f} L/day, "
                   f"auto {result.auto_mean_l_per_day:.1f} L/day, "
                   f"savings {result.savings_fraction * 100.0:.1f}%")
@@ -133,7 +135,7 @@ def main(argv: list[str]) -> int:
         if args.command == "render-frame":
             plant = PlantState(age_min=0.0, height_cm=args.height_cm,
                                turgid_width_cm=args.width_cm, turgor=args.turgor,
-                               band=EcBand.NORMAL)
+                               rate_per_min=0.0)
             frame, truth = render(plant.height_cm, effective_width(plant, cfg.growth_params()),
                                   cfg.camera(), args.distance)
             write_ppm(frame, args.file)

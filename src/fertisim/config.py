@@ -68,7 +68,6 @@ _KEYS: dict[str, _Key] = {
 
     "demand.window_start_min": _Key(int, 480, lambda x: 0 <= x < 1440, "in [0, 1440)"),
     "demand.window_end_min": _Key(int, 1020, lambda x: 0 < x <= 1440, "in (0, 1440]"),
-    "demand.shape": _Key(str, "sine", lambda x: x in ("sine", "flat"), "one of sine, flat"),
     # Comparison-scenario daytime demand; calibrated so the wilt controller
     # lands near 17 L/day for the population.
     "demand.peak_loss_rate": _Key(float, 0.008, _nonneg, ">= 0"),
@@ -167,7 +166,6 @@ class Config:
             window_start_min=float(v["demand.window_start_min"]),
             window_end_min=float(v["demand.window_end_min"]),
             peak_loss_rate=v[peak_key],
-            shape=v["demand.shape"],
         )
 
     def schedule(self, sample_interval_min: int | None = None) -> Schedule:

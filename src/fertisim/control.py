@@ -12,8 +12,9 @@ re-watering while the plant is already responding: widths stop shrinking
 shortly after an irrigation, so the next sample sees a non-decreasing
 width even though the wilt degree may still read above threshold.
 
-The timer baseline simply pumps for ``timer_on_min`` minutes at every
-timer period inside the daytime window.
+The timer baseline pumps for ``timer_on_min`` minutes at each of its
+instants, ``Schedule.timer_times``: every timer period inside the daytime
+window.
 """
 
 from __future__ import annotations
@@ -123,14 +124,9 @@ def spa_tick(state: ControllerState, width_cm: float, now_min: float,
     return updated, command
 
 
-def timer_tick(schedule: Schedule, now_min: float) -> PumpCommand:
-    """Baseline regime: ON for ``timer_on_min`` at every timer period inside the window."""
-    if not schedule.in_window(now_min):
-        return PumpCommand.off()
-    m = now_min % MINUTES_PER_DAY
-    if (m - schedule.window_start_min) % schedule.timer_period_min == 0:
-        return PumpCommand.on(schedule.timer_on_min)
-    return PumpCommand.off()
+def timer_tick(schedule: Schedule) -> PumpCommand:
+    """Baseline regime: the command at each of the timer's instants, ``Schedule.timer_times``."""
+    return PumpCommand.on(schedule.timer_on_min)
 
 
 def wilt_degree(reference_width_cm: float, width_cm: float) -> float:

@@ -1,8 +1,9 @@
 """Plant growth and canopy turgor dynamics on a fixed simulation clock.
 
-Height and turgid canopy width grow exponentially at a rate set by the
-nutrient concentration band (over-fertilized fastest, under-fertilized
-slowest). Turgor is a fraction in [0, 1]: it drains under a diurnal
+Height and turgid canopy width grow exponentially, each plant at its own
+rate: the nutrient concentration band's rate (over-fertilized fastest,
+under-fertilized slowest) times the plant's seeded jitter, fixed when the
+seedling is made. Turgor is a fraction in [0, 1]: it drains under a diurnal
 water-demand profile and, after an irrigation plus an uptake lag of
 10-15 minutes, recovers first-order toward 1 for a fixed recovery window.
 The visible canopy width shrinks with lost turgor, which is what the
@@ -15,7 +16,7 @@ exploit this to jump between sampling instants without per-minute loops.
 One ``PlantState`` also holds a whole population. Every plant in a run
 shares the demand, the irrigation instants and the uptake lag, so turgor
 never depends on the plant: the population shares one turgor, and its
-heights, turgid widths and rate multipliers are arrays stepped together.
+heights, turgid widths and growth rates are arrays stepped together.
 """
 
 from __future__ import annotations
@@ -74,25 +75,17 @@ class GrowthParams:
             return self.over_multiplier
         return 1.0
 
-    def height_rate_per_min(self, band: EcBand, rate_scale: float = 1.0) -> float:
-        return self.normal_rate_per_day * self.band_multiplier(band) * rate_scale / MINUTES_PER_DAY
-
-    def width_rate_per_min(self, band: EcBand, rate_scale: float = 1.0) -> float:
-        return self.width_exponent * self.height_rate_per_min(band, rate_scale)
-
 
 @dataclass(frozen=True)
 class DemandProfile:
-    """Diurnal turgor-loss rate: zero outside the daytime window, peaking at its midpoint.
+    """Diurnal turgor-loss rate: a half sine over the daytime window, zero outside it.
 
-    ``shape`` is "sine" (half sine over the window) or "flat" (constant
-    inside the window; the midpoint still attains the maximum).
+    The rate peaks at ``peak_loss_rate`` at the window's midpoint.
     """
 
     window_start_min: float
     window_end_min: float
     peak_loss_rate: float  # turgor fraction per minute at the midpoint
-    shape: str
 
     def loss_integral(self, a_min: float, b_min: float) -> float:
         """Exact integral of the loss rate over [a, b] in unwrapped clock minutes.
@@ -109,8 +102,6 @@ class DemandProfile:
         hi = min(b, self.window_end_min)
         if hi <= lo:
             return 0.0
-        if self.shape == "flat":
-            return self.peak_loss_rate * (hi - lo)
         span = self.window_end_min - self.window_start_min
         w = math.pi / span
         return (self.peak_loss_rate / w) * (
@@ -122,12 +113,13 @@ class DemandProfile:
 class PlantState:
     """Physiological state of one plant, or of a population that shares its turgor.
 
-    ``height_cm``, ``turgid_width_cm`` and ``rate_scale`` are floats for one
+    ``height_cm``, ``turgid_width_cm`` and ``rate_per_min`` are floats for one
     plant or arrays of shape (n,) for a population of n plants; the other
     fields are shared by every plant. ``age_min`` doubles as absolute
     simulation time: plants are transplanted at t = 0 (midnight), so
     clock-of-day is age modulo 1440.
-    ``rate_scale`` carries the per-plant growth jitter.
+    ``rate_per_min`` is the relative height growth per minute, band and
+    jitter included; the turgid width grows at ``width_exponent`` times it.
     ``recovery_deadline_min`` is the absolute time at which post-irrigation
     turgor recovery begins (irrigation time plus lag).
     """
@@ -136,8 +128,7 @@ class PlantState:
     height_cm: float | np.ndarray
     turgid_width_cm: float | np.ndarray
     turgor: float
-    band: EcBand
-    rate_scale: float | np.ndarray = 1.0
+    rate_per_min: float | np.ndarray
     recovery_deadline_min: float | None = None
 
     def __post_init__(self):
@@ -153,6 +144,7 @@ def make_seedling(params: GrowthParams, band: EcBand = EcBand.NORMAL,
                   rate_scale: float | np.ndarray = 1.0) -> PlantState:
     """Fresh fully-turgid seedling at transplant time.
 
+    Its growth rate is the band's rate times ``rate_scale``, the plant's jitter.
     An array ``rate_scale`` makes a population of ``len(rate_scale)`` seedlings.
     """
     shape = np.shape(rate_scale)  # () for one plant: [()] below unwraps the 0-d array
@@ -161,8 +153,8 @@ def make_seedling(params: GrowthParams, band: EcBand = EcBand.NORMAL,
         height_cm=np.full(shape, params.initial_height_cm)[()],
         turgid_width_cm=np.full(shape, params.initial_width_cm)[()],
         turgor=1.0,
-        band=band,
-        rate_scale=rate_scale,
+        rate_per_min=(params.normal_rate_per_day * params.band_multiplier(band) * rate_scale
+                      / MINUTES_PER_DAY),
     )
 
 
@@ -210,11 +202,9 @@ def advance(state: PlantState, dt_min: float, demand: DemandProfile,
     if dt_min <= 0.0:
         raise ValueError("dt_min must be > 0")
 
-    rh = params.height_rate_per_min(state.band, state.rate_scale)
-    rw = params.width_rate_per_min(state.band, state.rate_scale)
     with np.errstate(over="ignore"):  # an overflow is reported below, not warned about
-        height = state.height_cm * np.exp(rh * dt_min)
-        width = state.turgid_width_cm * np.exp(rw * dt_min)
+        height = state.height_cm * np.exp(state.rate_per_min * dt_min)
+        width = state.turgid_width_cm * np.exp(params.width_exponent * state.rate_per_min * dt_min)
     if not (np.all(np.isfinite(height)) and np.all(np.isfinite(width))):
         raise ValueError(f"plant size overflows in a {dt_min:g}-minute growth step "
                          f"from age {state.age_min:g} min")

@@ -120,9 +120,8 @@ class Frame:
     it drew: ``runs``, the silhouette as a ``RowMask`` of one run per row,
     in ``PLANT_COLOR`` on ``BACKGROUND``. ``runs`` is None for a whole frame.
 
-    ``silhouette`` (the (480, 640) boolean plant mask; None for a whole
-    frame) and ``pixels`` (the full (480, 640, 3) buffer) are built from the
-    runs on first access and cached.
+    ``pixels`` (the full (480, 640, 3) buffer) is built from the runs on
+    first access and cached.
     """
 
     def __init__(self, pixels: np.ndarray | None = None, distance_cm: float = 0.0,
@@ -133,13 +132,8 @@ class Frame:
             if pixels.shape != (FRAME_H, FRAME_W, 3) or pixels.dtype != np.uint8:
                 raise ValueError("frame buffer must be 480x640x3 uint8")
             self.pixels = pixels
-            self.silhouette = None
         self.runs = runs
         self.distance_cm = distance_cm
-
-    @cached_property
-    def silhouette(self) -> np.ndarray:
-        return self.runs.to_array()
 
     @cached_property
     def pixels(self) -> np.ndarray:

@@ -17,7 +17,7 @@ pump waters the whole population, so its plants share turgor and differ only
 in height, width and growth rate. The timer regime runs on its own clock
 (one tick per timer period); the camera samples only on wilt-controlled
 days. Captures are logged at the end of each capture day. All randomness is
-hash-derived from the seed, so identical config plus seed reproduces
+hash-derived from ``sim.seed``, so identical config plus seed reproduces
 byte-identical output files.
 """
 
@@ -36,7 +36,6 @@ from .growth import (
     MINUTES_PER_DAY,
     DemandProfile,
     EcBand,
-    GrowthParams,
     PlantState,
     advance,
     apply_irrigation,
@@ -127,24 +126,17 @@ def _gradient_sign(previous: float | None, width: float) -> int:
     return 1 if previous > width else -1
 
 
-def _population(gp: GrowthParams, band: EcBand, seed: int, group_index: int,
-                n_plants: int) -> PlantState:
-    """Seedling population of one treatment group, with each plant's seeded rate jitter."""
-    scales = np.array([plant_rate_scale(seed, group_index, i, gp) for i in range(n_plants)])
-    return make_seedling(gp, band, scales)
-
-
 @dataclass
 class _Run:
     """One scenario run: its settings plus the controller state, ledger and trace it builds.
 
-    Every scenario is made of three steps on a population: ``step_to`` a
-    later instant, ``wilt_sample`` (one camera sample under the wilt rule)
-    and ``capture`` (measure every plant at the end of a day).
+    Every scenario makes its seedlings with ``population``, then runs three
+    steps on them: ``step_to`` a later instant, ``wilt_sample`` (one camera
+    sample under the wilt rule) and ``capture`` (measure every plant at the
+    end of a day).
     """
 
     cfg: Config
-    seed: int
     demand: DemandProfile
     schedule: Schedule
     state: ControllerState = field(default_factory=ControllerState)
@@ -154,9 +146,16 @@ class _Run:
     skipped: int = 0
 
     def __post_init__(self):
+        self.seed = self.cfg["sim.seed"]
         self.gp = self.cfg.growth_params()
         self.cam = self.cfg.camera()
         self.flow_l_per_min = self.cfg["pump.flow_l_per_min"]
+
+    def population(self, band: EcBand, group_index: int, n_plants: int) -> PlantState:
+        """Seedling population of one treatment group, with each plant's seeded rate jitter."""
+        scales = np.array([plant_rate_scale(self.seed, group_index, i, self.gp)
+                           for i in range(n_plants)])
+        return make_seedling(self.gp, band, scales)
 
     def step_to(self, pop: PlantState, to_min: float) -> PlantState:
         """``pop`` advanced to absolute minute ``to_min``; unchanged if it is already there."""
@@ -236,20 +235,17 @@ class _Run:
 # Growth experiment
 # ---------------------------------------------------------------------------
 
-def run_growth_experiment(cfg: Config, out_dir: str | Path,
-                          seed: int | None = None) -> GrowthResult:
+def run_growth_experiment(cfg: Config, out_dir: str | Path) -> GrowthResult:
     """Grow three treatment groups and record per-group mean measured heights."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if seed is None:
-        seed = cfg["sim.seed"]
     group_size = cfg["growth_exp.group_size"]
     every = cfg["growth_exp.capture_every_days"]
     total_days = cfg["growth_exp.days"]
     spacing = cfg["growth_exp.spacing_cm"]
 
-    run = _Run(cfg, seed, cfg.demand("growth_exp.peak_loss_rate"), cfg.schedule())
-    pops = [_population(run.gp, band, seed, gi, group_size)
+    run = _Run(cfg, cfg.demand("growth_exp.peak_loss_rate"), cfg.schedule())
+    pops = [run.population(band, gi, group_size)
             for gi, (_, band) in enumerate(_GROWTH_GROUPS)]
 
     labels = [label for label, _ in _GROWTH_GROUPS]
@@ -301,17 +297,15 @@ def run_growth_experiment(cfg: Config, out_dir: str | Path,
 # Real-time monitoring trace
 # ---------------------------------------------------------------------------
 
-def run_monitoring_trace(cfg: Config, out_dir: str | Path, seed: int | None = None) -> MonitorResult:
+def run_monitoring_trace(cfg: Config, out_dir: str | Path) -> MonitorResult:
     """Sample one plant through a monitoring session and drive the wilt rule."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if seed is None:
-        seed = cfg["sim.seed"]
     interval = cfg["monitor.sample_interval_min"]
     count = cfg["monitor.sample_count"]
     start_day = cfg["monitor.start_day"]
     dump_frames = cfg["output.dump_frames"]
-    run = _Run(cfg, seed, cfg.demand("monitor.peak_loss_rate"), cfg.schedule(interval))
+    run = _Run(cfg, cfg.demand("monitor.peak_loss_rate"), cfg.schedule(interval))
 
     # Grow the representative plant (a population of one) to session age under no demand.
     plant = make_seedling(run.gp, EcBand.NORMAL, np.ones(1))
@@ -362,16 +356,13 @@ def _write_events_csv(path: Path, events: list[PumpEvent]) -> None:
 # Fertigation comparison
 # ---------------------------------------------------------------------------
 
-def run_fertigation_comparison(cfg: Config, out_dir: str | Path,
-                               seed: int | None = None) -> CompareResult:
+def run_fertigation_comparison(cfg: Config, out_dir: str | Path) -> CompareResult:
     """Timer vs wilt-triggered regimes over one 60-plant population, plus an all-timer control."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if seed is None:
-        seed = cfg["sim.seed"]
 
-    main, heights = _simulate_population(cfg, seed, all_timer=False)
-    _, control_heights = _simulate_population(cfg, seed, all_timer=True)
+    main, heights = _simulate_population(cfg, all_timer=False)
+    _, control_heights = _simulate_population(cfg, all_timer=True)
 
     ledger = main.ledger
     timer_mean = ledger.mean_liters_per_day("timer")
@@ -426,7 +417,7 @@ def run_fertigation_comparison(cfg: Config, out_dir: str | Path,
     )
 
 
-def _simulate_population(cfg: Config, seed: int,
+def _simulate_population(cfg: Config,
                          all_timer: bool) -> tuple[_Run, list[tuple[int, float, float]]]:
     """One compare population through the regime timeline; returns the run and its captures.
 
@@ -437,10 +428,10 @@ def _simulate_population(cfg: Config, seed: int,
     auto_start = cfg["compare.auto_start_day"]
     auto_end = cfg["compare.auto_end_day"]
     capture_every = cfg["compare.capture_every_days"]
-    run = _Run(cfg, seed, cfg.demand("demand.peak_loss_rate"),
+    run = _Run(cfg, cfg.demand("demand.peak_loss_rate"),
                cfg.schedule(cfg["compare.sample_interval_min"]))
     schedule = run.schedule
-    pop = _population(run.gp, EcBand.NORMAL, seed, _COMPARE_GROUP_INDEX, cfg["compare.plants"])
+    pop = run.population(EcBand.NORMAL, _COMPARE_GROUP_INDEX, cfg["compare.plants"])
     heights: list[tuple[int, float, float]] = []
     auto_start_min = (auto_start - 1) * MINUTES_PER_DAY
 
@@ -455,10 +446,8 @@ def _simulate_population(cfg: Config, seed: int,
         else:
             for now in schedule.timer_times(day):
                 pop = run.step_to(pop, now)
-                cmd = timer_tick(schedule, now)
-                run.ledger.accrue(cmd, now, run.flow_l_per_min, regime)
-                if cmd.action is Action.ON:
-                    pop = run.irrigate(pop, now)
+                run.ledger.accrue(timer_tick(schedule), now, run.flow_l_per_min, regime)
+                pop = run.irrigate(pop, now)
 
         if day % capture_every == 0:
             pop = run.step_to(pop, (day + 1) * MINUTES_PER_DAY)

@@ -22,7 +22,7 @@ import pytest
 
 from fertisim.config import default_config, parse_config
 from fertisim.control import Action, ControllerState, spa_tick, timer_tick
-from fertisim.growth import EcBand, PlantState, effective_width
+from fertisim.growth import PlantState, effective_width
 from fertisim.ledger import WaterLedger
 from fertisim.render import capture_distance, render
 from fertisim.scenarios import (
@@ -41,7 +41,7 @@ def _report(criterion, text):
 def compare_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("acc_compare")
     t0 = time.perf_counter()
-    result = run_fertigation_comparison(default_config(), out, seed=42)
+    result = run_fertigation_comparison(default_config(), out)
     elapsed = time.perf_counter() - t0
     return result, out, elapsed
 
@@ -50,14 +50,14 @@ def compare_run(tmp_path_factory):
 def monitor_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("acc_monitor")
     cfg = parse_config("output.dump_frames = true\n")
-    result = run_monitoring_trace(cfg, out, seed=42)
+    result = run_monitoring_trace(cfg, out)
     return result, out
 
 
 @pytest.fixture(scope="module")
 def growth_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("acc_growth")
-    result = run_growth_experiment(default_config(), out, seed=42)
+    result = run_growth_experiment(default_config(), out)
     return result, out
 
 
@@ -76,12 +76,13 @@ def test_criterion_2_timer_arithmetic(cfg, schedule):
     flow = cfg["pump.flow_l_per_min"]
     ledger = WaterLedger()
     ledger.register_day(0, "timer")
-    commands = [timer_tick(schedule, float(m)) for m in range(1440)]
-    for m, cmd in enumerate(commands):
+    ons = []
+    for m in schedule.timer_times(0):
+        cmd = timer_tick(schedule)
         ledger.accrue(cmd, float(m), flow, "timer")
-    ons = [c for c in commands if c.action is Action.ON]
+        ons.append(cmd)
     row = ledger.rows()[0]
-    assert len(ons) == 18
+    assert len(ons) == 18 and all(c.action is Action.ON for c in ons)
     assert sum(c.duration_min for c in ons) == 54.0
     assert abs(row.liters - 101.6) <= 0.1
     _report(2, f"18 activations, 54 pump-minutes, {row.liters:.4f} L/day")
@@ -146,7 +147,7 @@ def test_criterion_5_vision_oracle():
         height = gp.initial_height_cm * math.exp(rate * mult * age)
         width = gp.initial_width_cm * math.exp(gp.width_exponent * rate * mult * age)
         plant = PlantState(age_min=age * 1440.0, height_cm=height,
-                           turgid_width_cm=width, turgor=turgor, band=EcBand.NORMAL)
+                           turgid_width_cm=width, turgor=turgor, rate_per_min=0.0)
         d1 = capture_distance(age)
         d2 = None
         for delta in rng.permutation([-9, -6, -3, 3, 6, 9]):
@@ -183,8 +184,8 @@ def test_criterion_5_vision_oracle():
 def test_criterion_6_growth_ordering_ten_seeds(growth_run, tmp_path):
     results = [growth_run[0]]
     for seed in range(9):
-        results.append(run_growth_experiment(default_config(), tmp_path / str(seed),
-                                             seed=seed))
+        results.append(run_growth_experiment(parse_config(f"sim.seed = {seed}\n"),
+                                             tmp_path / str(seed)))
     for result in results:
         assert len(result.capture_days) == 15
         assert result.ordering_ok
@@ -215,12 +216,11 @@ def _tree_bytes(root):
 def test_criterion_8_determinism(compare_run, monitor_run, growth_run, tmp_path):
     reruns = [
         ("compare", compare_run[1],
-         lambda out: run_fertigation_comparison(default_config(), out, seed=42)),
+         lambda out: run_fertigation_comparison(default_config(), out)),
         ("monitor", monitor_run[1],
-         lambda out: run_monitoring_trace(parse_config("output.dump_frames = true\n"),
-                                          out, seed=42)),
+         lambda out: run_monitoring_trace(parse_config("output.dump_frames = true\n"), out)),
         ("growth", growth_run[1],
-         lambda out: run_growth_experiment(default_config(), out, seed=42)),
+         lambda out: run_growth_experiment(default_config(), out)),
     ]
     total_files = 0
     for name, first_out, rerun in reruns:

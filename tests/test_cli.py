@@ -151,6 +151,39 @@ def test_compare_runs_are_reproducible(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+SCENARIOS = ["growth", "monitor", "compare"]
+SHORT_COMPARE = "compare.total_days = 8\ncompare.auto_start_day = 3\ncompare.auto_end_day = 6\n"
+
+
+def _tree(root):
+    return {path.relative_to(root).as_posix(): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+@pytest.mark.parametrize("command", SCENARIOS)
+def test_negative_seed_is_a_config_error(tmp_path, capsys, command):
+    assert main([command, "--seed", "-1", "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "fertisim: config error: key 'sim.seed': value -1 out of range (must be >= 0)"]
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", SCENARIOS)
+def test_seed_flag_is_the_config_key(tmp_path, command):
+    body = SHORT_COMPARE if command == "compare" else ""
+    plain, keyed = tmp_path / "plain.cfg", tmp_path / "keyed.cfg"
+    plain.write_text(body)
+    keyed.write_text(body + "sim.seed = 7\n")
+    flag, key, default = tmp_path / "flag", tmp_path / "key", tmp_path / "default"
+    assert main([command, "--config", str(plain), "--seed", "7", "--out", str(flag)]) == 0
+    assert main([command, "--config", str(keyed), "--out", str(key)]) == 0
+    assert main([command, "--config", str(plain), "--out", str(default)]) == 0
+    assert _tree(flag) == _tree(key)
+    assert _tree(flag) != _tree(default)  # seed 7 is not the default 42
+
+
 def test_compare_savings_failure_exits_2(tmp_path, capsys):
     # against a lean 2-hour timer baseline the wilt regime cannot save 80%
     cfg = tmp_path / "lean_timer.cfg"
@@ -197,10 +230,8 @@ def _key_values(key):
         values = st.booleans()
     elif isinstance(entry.default, int):
         values = st.integers(max_value=SIZE_CAPS.get(key))
-    elif isinstance(entry.default, float):
+    else:
         values = st.floats()
-    else:  # a string key lists its choices in its range text: "one of a, b"
-        values = st.sampled_from(entry.why.removeprefix("one of ").split(", "))
     return values.filter(entry.check)
 
 

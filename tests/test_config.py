@@ -64,7 +64,6 @@ PARAMETER_RANGES = [
     ("demand.peak_loss_rate = -0.001", "demand.peak_loss_rate"),
     ("monitor.peak_loss_rate = -0.001", "monitor.peak_loss_rate"),
     ("growth_exp.peak_loss_rate = -0.001", "growth_exp.peak_loss_rate"),
-    ("demand.shape = square", "demand.shape"),
     # the pump's flow rate
     ("pump.flow_l_per_min = 0", "pump.flow_l_per_min"),
 ]

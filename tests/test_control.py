@@ -128,22 +128,24 @@ class TestWiltRule:
 
 class TestTimer:
     def test_window_start_activates(self):
-        assert timer_tick(SCHEDULE, DAY0_0800).action is Action.ON
+        assert int(DAY0_0800) in SCHEDULE.timer_times(0)
+        assert timer_tick(SCHEDULE).action is Action.ON
 
     def test_mid_cycle_off(self):
-        assert timer_tick(SCHEDULE, DAY0_0800 + 15).action is Action.OFF
+        assert int(DAY0_0800) + 15 not in SCHEDULE.timer_times(0)  # 08:15
 
     def test_full_day_is_18_activations(self):
-        commands = [timer_tick(SCHEDULE, float(m)) for m in range(1440)]
-        ons = [c for c in commands if c.action is Action.ON]
-        assert len(ons) == 18
-        assert sum(c.duration_min for c in ons) == 54.0
-        on_minutes = [m for m, c in enumerate(commands) if c.action is Action.ON]
-        assert [m - 1440 for m in SCHEDULE.timer_times(1)] == on_minutes
+        instants = SCHEDULE.timer_times(0)
+        assert list(instants) == list(range(480, 1020, 30))
+        commands = [timer_tick(SCHEDULE) for _ in instants]
+        assert len(commands) == 18
+        assert all(c.action is Action.ON for c in commands)
+        assert sum(c.duration_min for c in commands) == 54.0
+        assert [m - 1440 for m in SCHEDULE.timer_times(1)] == list(instants)
 
     def test_outside_window_off(self):
-        assert timer_tick(SCHEDULE, 100.0).action is Action.OFF
-        assert timer_tick(SCHEDULE, 1020.0).action is Action.OFF
+        assert 100 not in SCHEDULE.timer_times(0)  # 01:40
+        assert 1020 not in SCHEDULE.timer_times(0)  # 17:00, the window's open end
 
 
 class TestResetDaily:

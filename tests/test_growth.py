@@ -22,12 +22,12 @@ from fertisim.growth import (
 CFG = default_config()
 GP = CFG.growth_params()
 NO_DEMAND = CFG.demand("growth_exp.peak_loss_rate")  # the default window, no loss
-FLAT_ALL_DAY = replace(NO_DEMAND, window_start_min=0.0, window_end_min=1440.0,
-                       peak_loss_rate=0.003, shape="flat")
+SINE_ALL_DAY = replace(NO_DEMAND, window_start_min=0.0, window_end_min=1440.0,
+                       peak_loss_rate=0.003)
 
 
-def demand_of(peak, shape="sine"):
-    return replace(NO_DEMAND, peak_loss_rate=peak, shape=shape)
+def demand_of(peak):
+    return replace(NO_DEMAND, peak_loss_rate=peak)
 
 
 def _run(plant, minutes, demand, step=1.0):
@@ -100,7 +100,7 @@ class TestIrrigationResponse:
         plant = apply_irrigation(plant, now_min=100.0, lag_min=12.0)
         trajectory = {0: plant.turgor}
         for minute in range(1, 151):
-            plant = advance(plant, 1.0, FLAT_ALL_DAY, GP)
+            plant = advance(plant, 1.0, SINE_ALL_DAY, GP)
             trajectory[minute] = plant.turgor
         assert trajectory[105] < trajectory[100], "still draining during the lag"
         post = [trajectory[m] for m in range(112, 150)]
@@ -114,7 +114,7 @@ class TestIrrigationResponse:
 
     def test_reirrigation_before_lag_takes_latest(self):
         lag = 12.0
-        demand = FLAT_ALL_DAY
+        demand = SINE_ALL_DAY
 
         def trajectory(irrigation_times):
             plant = make_seedling(GP)
@@ -141,23 +141,23 @@ class TestIrrigationResponse:
 class TestEffectiveWidth:
     def test_full_turgor_identity(self):
         plant = PlantState(age_min=0, height_cm=50, turgid_width_cm=40, turgor=1.0,
-                           band=EcBand.NORMAL)
+                           rate_per_min=0.0)
         assert effective_width(plant, GP) == 40.0
 
     def test_zero_turgor_hits_shrink_floor(self):
         plant = PlantState(age_min=0, height_cm=50, turgid_width_cm=40, turgor=0.0,
-                           band=EcBand.NORMAL)
+                           rate_per_min=0.0)
         assert effective_width(plant, GP) == pytest.approx(36.0)
 
     def test_partial_turgor_formula(self):
         plant = PlantState(age_min=0, height_cm=50, turgid_width_cm=40, turgor=0.8,
-                           band=EcBand.NORMAL)
+                           rate_per_min=0.0)
         assert effective_width(plant, GP) == pytest.approx(40.0 * (1.0 - 0.10 * 0.2))
 
     @given(turgor=st.floats(0.0, 1.0), width=st.floats(1.0, 100.0))
     def test_bounded_by_shrink_limit(self, turgor, width):
         plant = PlantState(age_min=0, height_cm=10, turgid_width_cm=width, turgor=turgor,
-                           band=EcBand.NORMAL)
+                           rate_per_min=0.0)
         w = effective_width(plant, GP)
         assert w <= width
         assert w >= (1.0 - 0.10) * width - 1e-12
@@ -170,7 +170,7 @@ class TestEffectiveWidth:
         if hi - lo < 1e-9:  # below float resolution of the formula
             return
         make = lambda t: PlantState(age_min=0, height_cm=10, turgid_width_cm=40, turgor=t,
-                                    band=EcBand.NORMAL)
+                                    rate_per_min=0.0)
         assert effective_width(make(lo), GP) < effective_width(make(hi), GP)
 
 
@@ -236,7 +236,7 @@ class TestPopulation:
             assert pop.age_min == single.age_min
             assert pop.turgor == single.turgor
             assert pop.recovery_deadline_min == single.recovery_deadline_min
-            assert pop.rate_scale[i] == single.rate_scale
+            assert pop.rate_per_min[i] == single.rate_per_min
             assert pop.height_cm[i] == pytest.approx(single.height_cm, rel=1e-12, abs=0.0)
             assert pop.turgid_width_cm[i] == pytest.approx(single.turgid_width_cm,
                                                            rel=1e-12, abs=0.0)
@@ -283,27 +283,22 @@ class TestDemandProfile:
         assert demand.loss_integral(a, b) == pytest.approx(numeric, abs=1e-6)
 
     def test_bad_shape_rejected(self):
-        with pytest.raises(ConfigError, match="demand.shape"):
-            parse_config("demand.shape = square\n")
-
-    def test_flat_shape_constant_inside_window(self):
-        demand = demand_of(0.005, "flat")
-        assert mean_rate(demand, 480.0, 481.0) == pytest.approx(0.005)
-        assert mean_rate(demand, 745.0, 755.0) == pytest.approx(0.005)
-        assert mean_rate(demand, 1019.0, 1020.0) == pytest.approx(0.005)
-        assert demand.loss_integral(1020.0, 1100.0) == 0.0
+        # the half sine is the only shape: naming one is an unknown key
+        for shape in ("sine", "flat", "square"):
+            with pytest.raises(ConfigError, match="unknown key 'demand.shape'"):
+                parse_config(f"demand.shape = {shape}\n")
 
 
 def test_invalid_plant_states_rejected():
     with pytest.raises(ValueError):
-        PlantState(age_min=0, height_cm=0.0, turgid_width_cm=5, turgor=1, band=EcBand.NORMAL)
+        PlantState(age_min=0, height_cm=0.0, turgid_width_cm=5, turgor=1, rate_per_min=0.0)
     with pytest.raises(ValueError):
-        PlantState(age_min=0, height_cm=5, turgid_width_cm=-1, turgor=1, band=EcBand.NORMAL)
+        PlantState(age_min=0, height_cm=5, turgid_width_cm=-1, turgor=1, rate_per_min=0.0)
     with pytest.raises(ValueError):
-        PlantState(age_min=0, height_cm=5, turgid_width_cm=5, turgor=1.2, band=EcBand.NORMAL)
+        PlantState(age_min=0, height_cm=5, turgid_width_cm=5, turgor=1.2, rate_per_min=0.0)
     with pytest.raises(ValueError):  # one bad plant rejects the population
         PlantState(age_min=0, height_cm=np.array([5.0, 0.0]), turgid_width_cm=np.array([5.0, 5.0]),
-                   turgor=1, band=EcBand.NORMAL)
+                   turgor=1, rate_per_min=0.0)
 
 
 def test_rate_jitter_bounded():

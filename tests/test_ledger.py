@@ -4,16 +4,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fertisim.config import ConfigError, default_config, parse_config
-from fertisim.control import Action, PumpCommand, timer_tick
+from fertisim.control import PumpCommand, timer_tick
 from fertisim.ledger import TimeOrderError, WaterLedger, savings
 
 
 def _timer_day(schedule, flow_l_per_min):
-    """Ledger of one day of ``schedule``'s timer, ticked every minute."""
+    """Ledger of one day of ``schedule``'s timer, ticked at each of its instants."""
     ledger = WaterLedger()
     ledger.register_day(0, "timer")
-    for m in range(480, 1020):
-        ledger.accrue(timer_tick(schedule, float(m)), float(m), flow_l_per_min, "timer")
+    for m in schedule.timer_times(0):
+        ledger.accrue(timer_tick(schedule), float(m), flow_l_per_min, "timer")
     return ledger
 
 
@@ -22,8 +22,7 @@ class TestCalibrateFlow:
 
     def test_against_timer_enumeration(self, schedule):
         # the activation count comes straight from the timer schedule
-        activations = sum(timer_tick(schedule, float(m)).action is Action.ON
-                          for m in range(1440))
+        activations = len(schedule.timer_times(0))
         assert activations == 18
         flow = default_config()["pump.flow_l_per_min"]
         assert flow * activations * schedule.timer_on_min == pytest.approx(101.6)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fertisim.growth import EcBand, PlantState, effective_width
+from fertisim.growth import PlantState, effective_width
 from fertisim.ppm import PpmFormatError, read_ppm, write_ppm
 from fertisim.render import render
 
@@ -11,7 +11,7 @@ from fertisim.render import render
 @pytest.fixture
 def frame(camera, growth_params):
     plant = PlantState(age_min=0, height_cm=50, turgid_width_cm=25, turgor=0.9,
-                       band=EcBand.NORMAL)
+                       rate_per_min=0.0)
     return render(plant.height_cm, effective_width(plant, growth_params), camera, 100.0)[0]
 
 

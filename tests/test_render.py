@@ -34,7 +34,7 @@ GP = CFG.growth_params()
 
 def plant_of(height_cm, width_cm, turgor=1.0):
     return PlantState(age_min=0.0, height_cm=height_cm, turgid_width_cm=width_cm,
-                      turgor=turgor, band=EcBand.NORMAL)
+                      turgor=turgor, rate_per_min=0.0)
 
 
 def shoot(plant, cam, distance_cm):
@@ -95,7 +95,7 @@ class TestRender:
         frame, truth = shoot(plant, camera, 90.0)
         scale = camera.focal_px / 90.0
         expected = rasterize(camera, plant.height_cm * scale, effective_width(plant, GP) * scale)
-        assert (frame.silhouette == expected).all()
+        assert (frame.runs.to_array() == expected).all()
 
         is_plant = (frame.pixels == np.array(PLANT_COLOR, np.uint8)).all(axis=2)
         is_background = (frame.pixels == np.array(BACKGROUND, np.uint8)).all(axis=2)
@@ -188,7 +188,7 @@ def test_runs_equal_the_bitmap_oracle(height_px, width_px, turgor, canopy_fracti
     assert (count[has] == last[has] - first[has] + 1).all()  # one run per row
     assert (runs.first[~has] > runs.last[~has]).all()
 
-    assert (frame.silhouette == expected).all()
+    assert (frame.runs.to_array() == expected).all()
     plant_cols = np.flatnonzero(expected.any(axis=0))
     want = (int(plant_rows[-1] - plant_rows[0] + 1), int(plant_cols[-1] - plant_cols[0] + 1),
             int(expected.sum()))

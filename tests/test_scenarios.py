@@ -17,13 +17,13 @@ from fertisim.scenarios import (
 @pytest.fixture(scope="module")
 def growth_default(tmp_path_factory):
     out = tmp_path_factory.mktemp("growth")
-    return run_growth_experiment(default_config(), out, seed=42), out
+    return run_growth_experiment(default_config(), out), out
 
 
 @pytest.fixture(scope="module")
 def compare_default(tmp_path_factory):
     out = tmp_path_factory.mktemp("compare")
-    return run_fertigation_comparison(default_config(), out, seed=42), out
+    return run_fertigation_comparison(default_config(), out), out
 
 
 class TestGrowthExperiment:
@@ -41,8 +41,9 @@ class TestGrowthExperiment:
 
     def test_identical_bands_are_statistically_indistinguishable(self, tmp_path):
         # band multipliers of 1 grow all three groups at the normal rate
-        same = parse_config("growth.under_multiplier = 1.0\ngrowth.over_multiplier = 1.0\n")
-        result = run_growth_experiment(same, tmp_path, seed=5)
+        same = parse_config("growth.under_multiplier = 1.0\ngrowth.over_multiplier = 1.0\n"
+                            "sim.seed = 5\n")
+        result = run_growth_experiment(same, tmp_path)
         assert result.capture_days == list(range(0, 43, 3))
         for i in range(len(result.capture_days)):
             values = [result.means[g][i] for g in result.group_labels]
@@ -51,14 +52,14 @@ class TestGrowthExperiment:
 
     def test_seed_changes_curves_but_not_ordering(self, growth_default, tmp_path):
         base, _ = growth_default
-        other = run_growth_experiment(default_config(), tmp_path, seed=43)
+        other = run_growth_experiment(parse_config("sim.seed = 43\n"), tmp_path)
         assert other.ordering_ok
         assert other.means != base.means
 
 
 class TestMonitoringTrace:
     def test_single_event_at_minute_255(self, cfg, tmp_path):
-        result = run_monitoring_trace(cfg, tmp_path, seed=42)
+        result = run_monitoring_trace(cfg, tmp_path)
         assert len(result.rows) == 26
         assert [e.offset_min for e in result.events] == [255.0]
         assert [e.sample_index for e in result.events] == [17]
@@ -67,17 +68,17 @@ class TestMonitoringTrace:
 
     def test_zero_demand_stays_quiet(self, tmp_path):
         quiet = parse_config("monitor.peak_loss_rate = 0\n")
-        result = run_monitoring_trace(quiet, tmp_path, seed=42)
+        result = run_monitoring_trace(quiet, tmp_path)
         assert result.events == []
         assert all(row.wilt_degree <= 0.0 for row in result.rows)
 
     def test_doubled_demand_fires_earlier(self, cfg, tmp_path):
         doubled = parse_config(f"monitor.peak_loss_rate = {cfg['monitor.peak_loss_rate'] * 2}\n")
-        result = run_monitoring_trace(doubled, tmp_path, seed=42)
+        result = run_monitoring_trace(doubled, tmp_path)
         assert result.events and result.events[0].offset_min < 255.0
 
     def test_trace_wilt_column_tracks_reference(self, cfg, tmp_path):
-        result = run_monitoring_trace(cfg, tmp_path, seed=42)
+        result = run_monitoring_trace(cfg, tmp_path)
         reference = result.rows[0].width_cm
         for row in result.rows:
             assert row.wilt_degree == pytest.approx(
@@ -87,8 +88,8 @@ class TestMonitoringTrace:
         dump = parse_config("output.dump_frames = true\n")
         a = tmp_path / "a"
         b = tmp_path / "b"
-        run_monitoring_trace(dump, a, seed=42)
-        run_monitoring_trace(dump, b, seed=42)
+        run_monitoring_trace(dump, a)
+        run_monitoring_trace(dump, b)
         names = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
         assert names
         for name in names:
@@ -144,7 +145,7 @@ class TestComparison:
             "compare.auto_start_day = 3\n"
             "compare.auto_end_day = 6\n"
         )
-        result = run_fertigation_comparison(cfg, tmp_path, seed=42)
+        result = run_fertigation_comparison(cfg, tmp_path)
         assert result.auto_activations == 0
         assert result.auto_mean_l_per_day == 0.0
         assert result.savings_fraction == 1.0
@@ -163,7 +164,7 @@ class TestComparison:
             "compare.auto_start_day = 3\n"
             "compare.auto_end_day = 6\n"
         )
-        result = run_fertigation_comparison(cfg, tmp_path, seed=42)
+        result = run_fertigation_comparison(cfg, tmp_path)
         default, _ = compare_default
         assert default.timer_mean_l_per_day == pytest.approx(101.6, abs=1e-9)
         assert result.timer_mean_l_per_day == pytest.approx(default.timer_mean_l_per_day,

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from fertisim.config import default_config
 from fertisim.control import wilt_degree
-from fertisim.growth import EcBand, PlantState, effective_width
+from fertisim.growth import PlantState, effective_width
 from fertisim.render import BACKGROUND, PLANT_COLOR, Frame, FrameFitError, RowMask, render
 from fertisim.vision import Morphometry, NoPlantDetected, measure, segment
 from oracle import HEIGHT_PX, WIDTH_PX
@@ -22,7 +22,7 @@ MIN_PIXELS = CFG["vision.min_plant_pixels"]
 def shoot(height_cm, width_cm, cam, distance_cm, turgor=1.0):
     """Render a plant at its visible width, as the scenarios do."""
     plant = PlantState(age_min=0.0, height_cm=height_cm, turgid_width_cm=width_cm,
-                       turgor=turgor, band=EcBand.NORMAL)
+                       turgor=turgor, rate_per_min=0.0)
     return render(height_cm, effective_width(plant, GP), cam, distance_cm)
 
 
@@ -62,7 +62,7 @@ class TestSegment:
         frame, _ = shoot(60.0, 30.0, camera, 100.0)
         whole = Frame(pixels=frame.pixels, distance_cm=100.0)
         for margin in range(256):
-            assert (segment(whole, margin).to_array() == frame.silhouette).all(), margin
+            assert (segment(whole, margin).to_array() == frame.runs.to_array()).all(), margin
 
 
 _RGB = st.tuples(*[st.integers(0, 255)] * 3)
