@@ -137,7 +137,7 @@ def main(argv: list[str]) -> int:
                                turgid_width_cm=args.width_cm, turgor=args.turgor,
                                rate_per_min=0.0)
             frame, truth = render(plant.height_cm, effective_width(plant, cfg.growth_params()),
-                                  cfg.camera(), args.distance)
+                                  cfg.camera(), args.distance, (plant.age_min, 0))
             write_ppm(frame, args.file)
             print(f"height_px={truth.height_px} width_px={truth.width_px} "
                   f"plant_pixel_count={truth.plant_pixel_count}")

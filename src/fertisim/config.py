@@ -49,8 +49,13 @@ def _nonneg(x) -> bool:
     return x >= 0
 
 
+def _seed(x) -> bool:
+    return 0 <= x < 2**64
+
+
 _KEYS: dict[str, _Key] = {
-    "sim.seed": _Key(int, 42, _nonneg, ">= 0"),
+    # Seeds are hash keys, taken modulo 2**64: larger ones would alias smaller ones.
+    "sim.seed": _Key(int, 42, _seed, "in [0, 2**64)"),
 
     "growth.initial_height_cm": _Key(float, 5.0, _pos, "> 0"),
     "growth.initial_width_cm": _Key(float, 6.0, _pos, "> 0"),
@@ -80,7 +85,7 @@ _KEYS: dict[str, _Key] = {
 
     "camera.focal_px": _Key(float, 480.0, _pos, "> 0"),
     "camera.noise_amplitude": _Key(int, 0, lambda x: 0 <= x <= 255, "in [0, 255]"),
-    "camera.noise_seed": _Key(int, 0, _nonneg, ">= 0"),
+    "camera.noise_seed": _Key(int, 0, _seed, "in [0, 2**64)"),
     "camera.canopy_fraction": _Key(float, 0.7, lambda x: 0 < x < 1, "in (0, 1)"),
     "camera.stem_fraction": _Key(float, 0.15, lambda x: 0 < x <= 1, "in (0, 1]"),
 

@@ -17,6 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .seeding import key_hash
+
 FRAME_W = 640
 FRAME_H = 480
 BACKGROUND = (255, 0, 0)
@@ -47,16 +49,16 @@ class RowMask:
     Row ``top + i`` holds ``count[i]`` plant pixels, the first in column
     ``first[i]`` and the last in column ``last[i]``. An empty row has count
     0 and its first column past its last, placed so that ``first.min()``
-    and ``last.max()`` still bound the mask's columns. A noiseless render's
+    and ``last.max()`` still bound the mask's columns. A render's
     silhouette is one run of columns per row down to the frame's last row;
-    a mask reduced from a whole-frame bitmap keeps that bitmap for
-    ``to_array``. ``size`` is the pixel count of the frame the mask covers.
+    a mask reduced from a bitmap keeps that bitmap and its place in the frame
+    for ``to_array``. ``size`` is the pixel count of the frame the mask covers.
     """
 
     size = FRAME_H * FRAME_W
 
     def __init__(self, top: int, first: np.ndarray, last: np.ndarray, count: np.ndarray,
-                 bitmap: np.ndarray | None = None):
+                 bitmap: tuple[np.ndarray, int, int] | None = None):
         self.top = top
         self.first = first
         self.last = last
@@ -64,19 +66,25 @@ class RowMask:
         self._bitmap = bitmap
 
     @classmethod
-    def from_array(cls, mask: np.ndarray) -> RowMask:
-        """The rows of a (480, 640) boolean mask, scanned only within its bounding box."""
+    def from_array(cls, mask: np.ndarray, top: int = 0, left: int = 0) -> RowMask:
+        """The rows of a boolean bitmap, scanned only within its bounding box.
+
+        The bitmap covers the whole frame or, placed with its first pixel at
+        frame row ``top`` and column ``left``, part of it; the frame is empty
+        outside it.
+        """
+        bitmap = (mask, top, left)
         rows = np.flatnonzero(mask.any(axis=1))
         if not rows.size:
-            return cls(FRAME_H, _NO_ROWS, _NO_ROWS, _NO_ROWS, mask)
+            return cls(FRAME_H, _NO_ROWS, _NO_ROWS, _NO_ROWS, bitmap)
         plant = mask[rows[0]:rows[-1] + 1]
         cols = np.flatnonzero(plant.any(axis=0))
         box = plant[:, cols[0]:cols[-1] + 1]
         count = np.add.reduce(box.view(np.uint8), axis=1, dtype=np.uint16)
         has = count > 0
-        first = np.where(has, cols[0] + box.argmax(axis=1), FRAME_W)
-        last = np.where(has, cols[-1] - box[:, ::-1].argmax(axis=1), -1)
-        return cls(int(rows[0]), first, last, count, mask)
+        first = np.where(has, left + cols[0] + box.argmax(axis=1), FRAME_W)
+        last = np.where(has, left + cols[-1] - box[:, ::-1].argmax(axis=1), -1)
+        return cls(top + int(rows[0]), first, last, count, bitmap)
 
     def box(self) -> tuple[np.ndarray, int]:
         """Each row filled from its first to its last column, as a bitmap over the
@@ -91,12 +99,17 @@ class RowMask:
 
     def to_array(self) -> np.ndarray:
         """The mask as a (480, 640) boolean bitmap."""
-        if self._bitmap is not None:
-            return self._bitmap
         full = np.zeros((FRAME_H, FRAME_W), dtype=bool)
-        if self.count.size:
-            box, c0 = self.box()
-            full[self.top:self.top + box.shape[0], c0:c0 + box.shape[1]] = box
+        if self._bitmap is not None:
+            bitmap, top, left = self._bitmap
+        elif self.count.size:
+            bitmap, left = self.box()
+            top = self.top
+        else:
+            return full
+        if bitmap.shape == full.shape:
+            return bitmap
+        full[top:top + bitmap.shape[0], left:left + bitmap.shape[1]] = bitmap
         return full
 
     @cached_property
@@ -115,17 +128,20 @@ _NO_ROWS = np.zeros(0, dtype=np.intp)
 class Frame:
     """One captured image plus its capture distance.
 
-    A whole frame (``Frame(pixels=...)``: a noisy render, a PPM read) holds
-    its (480, 640, 3) uint8 RGB buffer. A noiseless render holds only what
-    it drew: ``runs``, the silhouette as a ``RowMask`` of one run per row,
-    in ``PLANT_COLOR`` on ``BACKGROUND``. ``runs`` is None for a whole frame.
+    A whole frame (``Frame(pixels=...)``: a PPM read) holds its
+    (480, 640, 3) uint8 RGB buffer. A render holds only what it drew:
+    ``runs``, the silhouette as a ``RowMask`` of one run per row, in
+    ``PLANT_COLOR`` on ``BACKGROUND``, plus its camera noise as an amplitude
+    and a generator seed. ``runs`` is None for a whole frame.
 
-    ``pixels`` (the full (480, 640, 3) buffer) is built from the runs on
-    first access and cached.
+    ``pixels`` (the full (480, 640, 3) buffer) is built from the runs and the
+    noise on first access and cached, so a frame whose pixels are never read
+    never draws its noise.
     """
 
     def __init__(self, pixels: np.ndarray | None = None, distance_cm: float = 0.0,
-                 *, runs: RowMask | None = None):
+                 *, runs: RowMask | None = None, noise_amplitude: int = 0,
+                 noise_seed: int = 0):
         if (pixels is None) == (runs is None):
             raise ValueError("give exactly one of pixels and runs")
         if pixels is not None:
@@ -133,19 +149,37 @@ class Frame:
                 raise ValueError("frame buffer must be 480x640x3 uint8")
             self.pixels = pixels
         self.runs = runs
+        self.noise_amplitude = noise_amplitude
+        self.noise_seed = noise_seed
         self.distance_cm = distance_cm
 
     @cached_property
     def pixels(self) -> np.ndarray:
-        full = np.empty((FRAME_H, FRAME_W, 3), dtype=np.uint8)
         plant, c0 = self.runs.box()
-        box = full[self.runs.top:self.runs.top + plant.shape[0], c0:c0 + plant.shape[1]]
-        # One strided fill and one masked copy per channel: several times
-        # faster than a broadcast fill or a boolean-indexed assignment.
+        box = (slice(self.runs.top, self.runs.top + plant.shape[0]),
+               slice(c0, c0 + plant.shape[1]))
+        a = self.noise_amplitude
+        if a == 0:
+            full = np.empty((FRAME_H, FRAME_W, 3), dtype=np.uint8)
+            # One strided fill and one masked copy per channel: several times
+            # faster than a broadcast fill or a boolean-indexed assignment.
+            for ch in range(3):
+                full[:, :, ch] = BACKGROUND[ch]
+                np.copyto(full[box + (ch,)], PLANT_COLOR[ch], where=plant)
+            return full
+        # Noise plus the background, plus the plant's difference from the
+        # background on the silhouette, formed in the int16 noise buffer; a
+        # per-channel add skips the zero channels and is several times faster
+        # than a broadcast one.
+        noisy = np.random.default_rng(self.noise_seed).integers(
+            -a, a + 1, size=(FRAME_H, FRAME_W, 3), dtype=np.int16)
         for ch in range(3):
-            full[:, :, ch] = BACKGROUND[ch]
-            np.copyto(box[:, :, ch], PLANT_COLOR[ch], where=plant)
-        return full
+            if BACKGROUND[ch]:
+                noisy[:, :, ch] += BACKGROUND[ch]
+            if PLANT_COLOR[ch] != BACKGROUND[ch]:
+                region = noisy[box + (ch,)]
+                np.add(region, PLANT_COLOR[ch] - BACKGROUND[ch], out=region, where=plant)
+        return np.clip(noisy, 0, 255, out=noisy).astype(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -165,14 +199,16 @@ def capture_distance(age_days: float) -> float:
                DISTANCE_MAX_CM)
 
 
-def render(height_cm: float, width_cm: float, cam: CameraConfig,
-           distance_cm: float) -> tuple[Frame, GroundTruth]:
+def render(height_cm: float, width_cm: float, cam: CameraConfig, distance_cm: float,
+           noise_key: tuple[int, int]) -> tuple[Frame, GroundTruth]:
     """Rasterize one plant seen from ``distance_cm``; returns the frame and ground truth.
 
     ``width_cm`` is the visible canopy width (``growth.effective_width``).
     The silhouette is built as row runs: the frame holds them and builds the
-    full buffer only when ``Frame.pixels`` is read. With camera noise the
-    frame is built whole.
+    full buffer only when ``Frame.pixels`` is read. ``noise_key`` is the
+    capture's (timestamp in minutes, plant index); with camera noise, the
+    frame's noise generator is seeded from it and ``cam.noise_seed``, so each
+    capture draws its own noise, the same on every run.
     """
     if distance_cm <= 0.0:
         raise ValueError("distance_cm must be > 0")
@@ -188,22 +224,10 @@ def render(height_cm: float, width_cm: float, cam: CameraConfig,
         )
 
     runs = _runs(cam, height_px, width_px)
-    truth = GroundTruth(*runs.extents)
-    frame = Frame(runs=runs, distance_cm=distance_cm)
-    if cam.noise_amplitude > 0:
-        # Noise covers every pixel, so a noisy frame is built whole. The sum is
-        # formed in the noise buffer and written back into the frame buffer:
-        # each further frame-sized temporary pushed the per-frame peak past
-        # glibc's trim threshold, so the heap was trimmed and re-faulted per frame.
-        rng = np.random.default_rng(cam.noise_seed)
-        noisy = rng.integers(-cam.noise_amplitude, cam.noise_amplitude + 1,
-                             size=(FRAME_H, FRAME_W, 3), dtype=np.int16)
-        pixels = frame.pixels
-        noisy += pixels
-        np.copyto(pixels, np.clip(noisy, 0, 255, out=noisy), casting="unsafe")
-        frame = Frame(pixels=pixels, distance_cm=distance_cm)
-
-    return frame, truth
+    noise_seed = key_hash(cam.noise_seed, *noise_key) if cam.noise_amplitude else 0
+    frame = Frame(runs=runs, distance_cm=distance_cm, noise_amplitude=cam.noise_amplitude,
+                  noise_seed=noise_seed)
+    return frame, GroundTruth(*runs.extents)
 
 
 def _runs(cam: CameraConfig, height_px: float, width_px: float) -> RowMask:

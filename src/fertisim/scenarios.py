@@ -167,13 +167,14 @@ class _Run:
         return apply_irrigation(pop, now, irrigation_lag(self.seed, now, self.gp))
 
     def measure_plant(self, height_cm: float, width_cm: float, day: int,
-                      ppm_path: Path | None = None) -> Morphometry:
+                      noise_key: tuple[int, int], ppm_path: Path | None = None) -> Morphometry:
         """Render one plant at the day's camera distance, save the frame if asked, measure it.
 
-        ``width_cm`` is the plant's visible canopy width.
+        ``width_cm`` is the plant's visible canopy width; ``noise_key`` is the
+        capture's (minute, plant index), which keys the frame's camera noise.
         """
         distance = capture_distance(day)
-        frame, _ = render(height_cm, width_cm, self.cam, distance)
+        frame, _ = render(height_cm, width_cm, self.cam, distance, noise_key)
         if ppm_path is not None:
             write_ppm(frame, str(ppm_path))
         mask = segment(frame, self.cfg["vision.red_margin"], cleanup=self.cam.noise_amplitude > 0)
@@ -189,7 +190,7 @@ class _Run:
         day = int(now // MINUTES_PER_DAY)
         try:
             morpho = self.measure_plant(pop.height_cm[0], effective_width(pop, self.gp)[0], day,
-                                        ppm_path)
+                                        (now, 0), ppm_path)
         except NoPlantDetected as exc:
             self.skipped += 1
             log.warning("day %d minute %d: representative sample skipped (%s)",
@@ -217,9 +218,10 @@ class _Run:
     def capture(self, pop: PlantState, day: int) -> tuple[float, float]:
         """Mean measured height and width over every plant of ``pop``; NaN if none was measured."""
         hs, ws = [], []
-        for height, width in zip(pop.height_cm, effective_width(pop, self.gp)):
+        end_of_day = (day + 1) * MINUTES_PER_DAY
+        for i, (height, width) in enumerate(zip(pop.height_cm, effective_width(pop, self.gp))):
             try:
-                m = self.measure_plant(height, width, day)
+                m = self.measure_plant(height, width, day, (end_of_day, i))
             except NoPlantDetected as exc:
                 self.skipped += 1
                 log.warning("capture day %d: sample skipped (%s)", day, exc)

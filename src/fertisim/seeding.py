@@ -1,9 +1,9 @@
 """Stateless deterministic pseudo-random values derived from integer keys.
 
 Everything in the simulator that looks random (per-plant growth jitter,
-irrigation response lag) is a pure function of the scenario seed plus a
-context key, so trajectories are reproducible bit-for-bit and independent
-of call order.
+irrigation response lag, each frame's camera noise) is a pure function of a
+seed plus a context key, so trajectories are reproducible bit-for-bit and
+independent of call order.
 """
 
 from __future__ import annotations
@@ -19,9 +19,17 @@ def _mix(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def unit_hash(*parts: int) -> float:
-    """Map integer keys to a reproducible float in [0, 1)."""
+def key_hash(*parts: int) -> int:
+    """Map integer keys to a reproducible integer in [0, 2**64).
+
+    Each key is taken modulo 2**64, so keys meant to differ must stay below it.
+    """
     acc = 0
     for p in parts:
         acc = _mix((acc ^ (int(p) & _MASK64)) + 0x9E3779B97F4A7C15)
-    return (acc >> 11) * 2.0**-53
+    return acc
+
+
+def unit_hash(*parts: int) -> float:
+    """Map integer keys to a reproducible float in [0, 1)."""
+    return (key_hash(*parts) >> 11) * 2.0**-53

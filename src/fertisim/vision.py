@@ -1,11 +1,12 @@
 """Vision pipeline: red-background segmentation and plant morphometry.
 
 Segmentation is a red-dominance test (background iff red exceeds both green
-and blue by a configurable margin). A noiseless frame is a silhouette held as
-row runs in the renderer's two fixed colours, which test as plant and as
-background at every margin the config allows, so its mask is the runs
-themselves; a whole frame is tested pixel by pixel. A mask is a
-``RowMask``: each row's first and last plant column and pixel count, so
+and blue by a configurable margin). A rendered frame is a silhouette held as
+row runs in the renderer's two fixed colours plus uniform camera noise of a
+known amplitude. When no noise of that amplitude can move either colour to
+the other class, its mask is the runs themselves, and no pixel is tested or
+even drawn; otherwise, and for a whole frame, every pixel is tested. A mask
+is a ``RowMask``: each row's first and last plant column and pixel count, so
 measurement reads the bounding box and the count from at most 480 rows, and
 converts pixel extents to centimeters through the known camera distance, so
 measurements taken at different distances stay comparable.
@@ -14,10 +15,11 @@ measurements taken at different distances stay comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .render import CameraConfig, Frame, RowMask
+from .render import BACKGROUND, PLANT_COLOR, CameraConfig, Frame, RowMask
 
 
 class NoPlantDetected(RuntimeError):
@@ -37,20 +39,53 @@ class Morphometry:
 def segment(frame: Frame, red_dominance_margin: int, cleanup: bool = False) -> RowMask:
     """The plant mask of a frame, row by row (``RowMask.to_array`` gives the bitmap).
 
-    Without ``cleanup`` the mask of a run frame is its own runs: at any
-    margin in [0, 255] the renderer's plant colour tests as plant and its
-    background as background. Every other frame is tested pixel by pixel
-    and then reduced to its rows.
+    A rendered frame whose two colours keep their classes under its noise
+    (``_keeps_classes``) has its own runs as its per-pixel mask. Without
+    ``cleanup`` the mask is the runs; with it, the majority filter runs over
+    the runs' bounding box only: a pixel outside the box has at most three
+    plant neighbours, so the filter clears it. Every other frame is tested
+    pixel by pixel, filtered if asked, and reduced to its rows. Both paths
+    give the same mask.
 
     ``cleanup`` applies a 3x3 majority filter; leave it off for noiseless
     frames so the mask matches the rasterized silhouette exactly.
     """
-    if frame.runs is not None and not cleanup:
-        return frame.runs
+    runs = frame.runs
+    if runs is not None and _keeps_classes(frame.noise_amplitude, red_dominance_margin):
+        if not cleanup:
+            return runs
+        plant, c0 = runs.box()
+        return RowMask.from_array(_majority_filter(plant), runs.top, c0)
     mask = _plant_pixels(frame.pixels, red_dominance_margin)
     if cleanup:
         mask = _majority_filter(mask)
     return RowMask.from_array(mask)
+
+
+@lru_cache(maxsize=256)  # called once per frame; a run uses one amplitude and one margin
+def _keeps_classes(noise_amplitude: int, red_dominance_margin: int) -> bool:
+    """True when every pixel of a rendered frame tests as the class of its drawn colour."""
+    return (_noisy_class(BACKGROUND, noise_amplitude, red_dominance_margin) is False
+            and _noisy_class(PLANT_COLOR, noise_amplitude, red_dominance_margin) is True)
+
+
+def _noisy_class(colour: tuple[int, int, int], noise_amplitude: int,
+                 red_dominance_margin: int) -> bool | None:
+    """The class (True for plant) of every colour within noise of ``colour``; None if they differ.
+
+    Noise of amplitude ``a`` moves each channel ``c`` within the clipped box
+    ``[c - a, c + a]``. All of the box is background iff its least red excess
+    over green and over blue reaches the margin, and all of it is plant iff
+    its greatest red excess over the larger of green and blue stays under
+    the margin; both extremes lie at the box's corners.
+    """
+    (r_lo, r_hi), (g_lo, g_hi), (b_lo, b_hi) = [
+        (max(c - noise_amplitude, 0), min(c + noise_amplitude, 255)) for c in colour]
+    if r_lo - g_hi >= red_dominance_margin and r_lo - b_hi >= red_dominance_margin:
+        return False
+    if r_hi - max(g_lo, b_lo) < red_dominance_margin:
+        return True
+    return None
 
 
 def _plant_pixels(rgb: np.ndarray, red_dominance_margin: int) -> np.ndarray:
@@ -65,12 +100,18 @@ def _plant_pixels(rgb: np.ndarray, red_dominance_margin: int) -> np.ndarray:
 
 
 def _majority_filter(mask: np.ndarray) -> np.ndarray:
-    padded = np.pad(mask.astype(np.uint8), 1, mode="constant")
-    counts = sum(
-        padded[1 + dr:padded.shape[0] - 1 + dr, 1 + dc:padded.shape[1] - 1 + dc]
-        for dr in (-1, 0, 1)
-        for dc in (-1, 0, 1)
-    )
+    """True where at least 5 of a pixel's 3x3 neighbourhood are True.
+
+    The mask is empty beyond its edges. Each count is a sum over three
+    columns, then over three rows, formed in place without a padded copy.
+    """
+    m = mask.view(np.uint8)
+    across = m.copy()
+    across[:, 1:] += m[:, :-1]
+    across[:, :-1] += m[:, 1:]
+    counts = across.copy()
+    counts[1:] += across[:-1]
+    counts[:-1] += across[1:]
     return counts >= 5
 
 

@@ -99,6 +99,27 @@ def test_criterion_3_monitoring_event(monitor_run):
     _report(3, "one pump event, sample 17, minute 255")
 
 
+# The highest camera-noise amplitude A such that the event stays at minute 255
+# at every amplitude from 0 to A; noisy frames are majority-filtered (README,
+# "Camera noise").
+NOISE_TOLERANCE = 106
+
+
+def _monitor_event_offsets(amplitude, out):
+    result = run_monitoring_trace(parse_config(f"camera.noise_amplitude = {amplitude}\n"), out)
+    return [e.offset_min for e in result.events]
+
+
+def test_criterion_3_event_survives_camera_noise(tmp_path):
+    for amplitude in range(NOISE_TOLERANCE + 1):
+        assert _monitor_event_offsets(amplitude, tmp_path / str(amplitude)) == [255.0], amplitude
+    _report(3, f"event at minute 255 for every noise amplitude 0..{NOISE_TOLERANCE}")
+
+
+def test_criterion_3_event_moves_past_the_noise_tolerance(tmp_path):
+    assert _monitor_event_offsets(NOISE_TOLERANCE + 1, tmp_path) != [255.0]
+
+
 def test_criterion_4_wilt_rule_sweep(cfg, schedule):
     threshold = cfg["control.wilt_threshold"]
     now = 600.0
@@ -161,7 +182,7 @@ def test_criterion_5_vision_oracle():
 
         measured = []
         for d in (d1,) + ((d2,) if d2 else ()):
-            frame, truth = render(plant.height_cm, effective_width(plant, gp), cam, d)
+            frame, truth = render(plant.height_cm, effective_width(plant, gp), cam, d, (0, 0))
             m = measure(segment(frame, margin), d, cam, min_pixels)
             # pixel extents recovered exactly
             assert (m.height_px, m.width_px, m.plant_pixel_count) == \

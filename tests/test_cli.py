@@ -165,9 +165,23 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys, command):
     assert main([command, "--seed", "-1", "--out", str(tmp_path / "out")]) == 1
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [
-        "fertisim: config error: key 'sim.seed': value -1 out of range (must be >= 0)"]
+        "fertisim: config error: key 'sim.seed': value -1 out of range (must be in [0, 2**64))"]
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["sim.seed", "camera.noise_seed"])
+def test_seeds_stop_below_two_to_the_64(tmp_path, capsys, key):
+    # Seeds are hash keys taken modulo 2**64, so 2**64 + 42 would run as 42.
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text(f"camera.noise_amplitude = 20\n{key} = {2**64}\n")
+    assert main(["monitor", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"fertisim: config error: key {key!r}: value {2**64} out of range "
+        "(must be in [0, 2**64))"]
+    assert not (tmp_path / "out").exists()
+    cfg.write_text(f"camera.noise_amplitude = 20\n{key} = {2**64 - 1}\n")
+    assert main(["monitor", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
 
 @pytest.mark.parametrize("command", SCENARIOS)

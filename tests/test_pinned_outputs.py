@@ -1,6 +1,6 @@
-"""Pinned output bytes: the default seed-42 runs of every scenario.
+"""Pinned output bytes: the default seed-42 runs of every scenario, and one noisy monitor.
 
-Each scenario runs through the CLI into a fresh directory, and the whole
+Each run goes through the CLI into a fresh directory, and the whole
 output tree is hashed: SHA-256 over each file's relative path and bytes, in
 sorted path order. A change that moves any default output byte on purpose
 updates the digest here and says why in CHANGES.md.
@@ -33,3 +33,17 @@ def test_default_outputs_match_pinned_digest(scenario, tmp_path, capsys):
     out = tmp_path / scenario
     assert main([scenario, "--seed", "42", "--out", str(out)]) == 0
     assert tree_digest(out) == PINNED[scenario]
+
+
+# The default monitor with camera noise, dumping every frame: its PPMs pin
+# the per-frame noise keying and the noisy frame build.
+NOISY_MONITOR = "camera.noise_amplitude = 20\noutput.dump_frames = true\n"
+NOISY_MONITOR_DIGEST = "44cfc8fcd5f7420ef26fa08459dfad5f0e9fd28702817a18c20a2d281a2eb447"
+
+
+def test_noisy_monitor_outputs_match_pinned_digest(tmp_path, capsys):
+    cfg = tmp_path / "noisy.cfg"
+    cfg.write_text(NOISY_MONITOR)
+    out = tmp_path / "monitor"
+    assert main(["monitor", "--config", str(cfg), "--seed", "42", "--out", str(out)]) == 0
+    assert tree_digest(out) == NOISY_MONITOR_DIGEST

@@ -12,7 +12,8 @@ from fertisim.render import render
 def frame(camera, growth_params):
     plant = PlantState(age_min=0, height_cm=50, turgid_width_cm=25, turgor=0.9,
                        rate_per_min=0.0)
-    return render(plant.height_cm, effective_width(plant, growth_params), camera, 100.0)[0]
+    return render(plant.height_cm, effective_width(plant, growth_params), camera, 100.0,
+                  (0, 0))[0]
 
 
 def test_round_trip_is_byte_identical(frame, tmp_path):

@@ -24,6 +24,7 @@ from fertisim.render import (
     overlap_flag,
     render,
 )
+from fertisim.seeding import key_hash
 from fertisim.vision import measure, segment
 from oracle import HEIGHT_PX, WIDTH_PX, rasterize
 
@@ -37,9 +38,9 @@ def plant_of(height_cm, width_cm, turgor=1.0):
                       turgor=turgor, rate_per_min=0.0)
 
 
-def shoot(plant, cam, distance_cm):
+def shoot(plant, cam, distance_cm, noise_key=(0, 0)):
     """Render a plant at its visible width, as the scenarios do."""
-    return render(plant.height_cm, effective_width(plant, GP), cam, distance_cm)
+    return render(plant.height_cm, effective_width(plant, GP), cam, distance_cm, noise_key)
 
 
 class TestCaptureDistance:
@@ -122,12 +123,33 @@ class TestRender:
         assert a.pixels.tobytes() == b.pixels.tobytes()
 
     def test_noise_is_seeded(self, camera):
+        # Each capture's noise is keyed by the noise seed, its minute and its plant.
         cam = replace(camera, noise_amplitude=20, noise_seed=9)
-        a, _ = shoot(plant_of(40.0, 20.0), cam, 100.0)
-        b, _ = shoot(plant_of(40.0, 20.0), cam, 100.0)
-        assert a.pixels.tobytes() == b.pixels.tobytes()
-        other, _ = shoot(plant_of(40.0, 20.0), replace(cam, noise_seed=10), 100.0)
-        assert a.pixels.tobytes() != other.pixels.tobytes()
+
+        def noisy_bytes(cam, key):
+            return shoot(plant_of(40.0, 20.0), cam, 100.0, key)[0].pixels.tobytes()
+
+        base = noisy_bytes(cam, (600, 3))
+        assert noisy_bytes(cam, (600, 3)) == base
+        assert noisy_bytes(cam, (601, 3)) != base
+        assert noisy_bytes(cam, (600, 4)) != base
+        assert noisy_bytes(replace(cam, noise_seed=10), (600, 3)) != base
+
+    def test_noise_is_added_to_the_noiseless_frame(self, camera):
+        # The key's int16 noise plus the two-colour frame, clipped to 0..255.
+        cam = replace(camera, noise_amplitude=120, noise_seed=9)
+        noisy, _ = shoot(plant_of(40.0, 20.0, 0.9), cam, 100.0, (600, 3))
+        clean, _ = shoot(plant_of(40.0, 20.0, 0.9), camera, 100.0, (600, 3))
+        noise = np.random.default_rng(key_hash(9, 600, 3)).integers(
+            -120, 121, size=(480, 640, 3), dtype=np.int16)
+        assert (noisy.pixels == np.clip(clean.pixels + noise, 0, 255)).all()
+
+    def test_noise_is_drawn_only_when_pixels_are_read(self, camera):
+        cam = replace(camera, noise_amplitude=20, noise_seed=9)
+        frame, _ = shoot(plant_of(40.0, 20.0), cam, 100.0, (600, 3))
+        segment(frame, CFG["vision.red_margin"], cleanup=True)
+        assert "pixels" not in vars(frame)
+        assert frame.pixels is frame.pixels  # drawn once, then cached
 
     def test_plant_exceeding_frame_rejected(self, camera):
         with pytest.raises(FrameFitError):

@@ -7,11 +7,14 @@ import pytest
 
 from fertisim import scenarios
 from fertisim.config import Config, ConfigError, default_config, parse_config
+from fertisim.ppm import read_ppm
+from fertisim.render import capture_distance
 from fertisim.scenarios import (
     run_fertigation_comparison,
     run_growth_experiment,
     run_monitoring_trace,
 )
+from fertisim.vision import measure, segment
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +97,23 @@ class TestMonitoringTrace:
         assert names
         for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    @pytest.mark.parametrize("amplitude", [0, 20, 105])
+    def test_dumped_frames_measure_as_their_trace_rows(self, tmp_path, amplitude):
+        # Each PPM read back and segmented whole reproduces its trace.csv row,
+        # whichever path segment took on the rendered frame (at margin 60 the
+        # rendered colours keep their classes up to amplitude 97).
+        cfg = parse_config(f"camera.noise_amplitude = {amplitude}\noutput.dump_frames = true\n")
+        result = run_monitoring_trace(cfg, tmp_path)
+        cam = cfg.camera()
+        distance = capture_distance(cfg["monitor.start_day"])
+        rows = (tmp_path / "trace.csv").read_text().splitlines()[1:]
+        assert len(rows) == len(result.rows) == cfg["monitor.sample_count"]
+        for k, row in enumerate(rows):
+            frame = read_ppm(str(tmp_path / "frames" / f"sample_{k:03d}.ppm"))
+            mask = segment(frame, cfg["vision.red_margin"], cleanup=amplitude > 0)
+            m = measure(mask, distance, cam, cfg["vision.min_plant_pixels"])
+            assert row.split(",")[2:4] == [f"{m.height_cm:.6f}", f"{m.width_cm:.6f}"], k
 
 
 class TestComparison:

@@ -10,7 +10,15 @@ from fertisim.config import default_config
 from fertisim.control import wilt_degree
 from fertisim.growth import PlantState, effective_width
 from fertisim.render import BACKGROUND, PLANT_COLOR, Frame, FrameFitError, RowMask, render
-from fertisim.vision import Morphometry, NoPlantDetected, measure, segment
+from fertisim.vision import (
+    Morphometry,
+    NoPlantDetected,
+    _majority_filter,
+    _noisy_class,
+    _plant_pixels,
+    measure,
+    segment,
+)
 from oracle import HEIGHT_PX, WIDTH_PX
 
 CFG = default_config()
@@ -23,7 +31,7 @@ def shoot(height_cm, width_cm, cam, distance_cm, turgor=1.0):
     """Render a plant at its visible width, as the scenarios do."""
     plant = PlantState(age_min=0.0, height_cm=height_cm, turgid_width_cm=width_cm,
                        turgor=turgor, rate_per_min=0.0)
-    return render(height_cm, effective_width(plant, GP), cam, distance_cm)
+    return render(height_cm, effective_width(plant, GP), cam, distance_cm, (0, 0))
 
 
 def uniform_frame(colour):
@@ -89,7 +97,7 @@ def test_uniform_frame_is_one_class(colour, margin):
 def test_patch_frame_matches_whole_frame(height_px, width_px, distance, margin, cleanup, camera):
     scale = camera.focal_px / distance
     try:
-        frame, _ = render(height_px / scale, width_px / scale, camera, distance)
+        frame, _ = render(height_px / scale, width_px / scale, camera, distance, (0, 0))
     except FrameFitError:  # float rounding put the plant a hair past the edge
         assume(False)
     whole = Frame(pixels=frame.pixels, distance_cm=distance)
@@ -107,6 +115,78 @@ def test_patch_frame_matches_whole_frame(height_px, width_px, distance, margin, 
             return None
 
     assert measured(mask) == measured(whole_mask)
+
+
+def _measured(mask, distance, cam):
+    try:
+        return measure(mask, distance, cam, MIN_PIXELS)
+    except NoPlantDetected:
+        return None
+
+
+@settings(deadline=None, max_examples=60)
+@given(height_px=HEIGHT_PX, width_px=WIDTH_PX, amplitude=st.integers(0, 255),
+       noise_seed=st.integers(0, 2**64 - 1), minute=st.integers(0, 10**6),
+       plant=st.integers(0, 299), margin=st.integers(0, 255), cleanup=st.booleans())
+# At margin 60 the background flips class between amplitudes 97 and 98, the
+# plant between 109 and 110.
+@example(height_px=300.0, width_px=200.0, amplitude=97, noise_seed=0, minute=0, plant=0,
+         margin=60, cleanup=True)
+@example(height_px=300.0, width_px=200.0, amplitude=98, noise_seed=0, minute=0, plant=0,
+         margin=60, cleanup=True)
+@example(height_px=300.0, width_px=200.0, amplitude=109, noise_seed=0, minute=0, plant=0,
+         margin=60, cleanup=False)
+@example(height_px=300.0, width_px=200.0, amplitude=110, noise_seed=0, minute=0, plant=0,
+         margin=60, cleanup=False)
+@example(height_px=480.0, width_px=640.0, amplitude=20, noise_seed=42, minute=43680, plant=0,
+         margin=60, cleanup=True)  # a plant touching the frame's top and sides
+def test_noisy_run_frame_matches_its_pixels(height_px, width_px, amplitude, noise_seed, minute,
+                                            plant, margin, cleanup, camera):
+    # Segmenting a noisy render, which may skip drawing its noise, gives the
+    # mask and measurement of its drawn pixels tested one by one.
+    cam = replace(camera, noise_amplitude=amplitude, noise_seed=noise_seed)
+    distance = 100.0
+    scale = cam.focal_px / distance
+    try:
+        frame, _ = render(height_px / scale, width_px / scale, cam, distance, (minute, plant))
+    except FrameFitError:  # float rounding put the plant a hair past the edge
+        assume(False)
+    mask = segment(frame, margin, cleanup)
+    whole_mask = segment(Frame(pixels=frame.pixels, distance_cm=distance), margin, cleanup)
+    assert (mask.to_array() == whole_mask.to_array()).all()
+    assert _measured(mask, distance, cam) == _measured(whole_mask, distance, cam)
+
+
+def test_corner_rule_matches_every_colour_in_the_noise_box():
+    # The class _noisy_class reads from a colour box's corners, against the
+    # per-pixel test run on every colour in the box.
+    levels = (0, 7, 60, 128, 160, 200, 255)
+    margins = (0, 1, 17, 59, 60, 61, 128, 200, 254, 255)
+    outcomes = set()
+    for amplitude in (0, 1, 9):
+        steps = np.arange(-amplitude, amplitude + 1)
+        offsets = np.stack(np.meshgrid(steps, steps, steps, indexing="ij"), -1).reshape(-1, 3)
+        colours = np.stack(np.meshgrid(levels, levels, levels, indexing="ij"), -1)
+        for colour in colours.reshape(-1, 3):
+            box = np.clip(colour + offsets, 0, 255).astype(np.uint8)
+            for margin in margins:
+                is_plant = _plant_pixels(box[:, None, :], margin)
+                want = bool(is_plant.all()) if is_plant.all() or not is_plant.any() else None
+                got = _noisy_class(tuple(int(c) for c in colour), amplitude, margin)
+                assert got is want, (tuple(colour), amplitude, margin)
+                outcomes.add(want)
+    assert outcomes == {True, False, None}
+
+
+@settings(deadline=None, max_examples=100)
+@given(shape=st.tuples(st.integers(1, 12), st.integers(1, 12)), density=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_majority_filter_counts_each_neighbourhood(shape, density, seed):
+    mask = np.random.default_rng(seed).random(shape) < density
+    padded = np.pad(mask, 1)
+    want = np.array([[padded[r:r + 3, c:c + 3].sum() >= 5 for c in range(shape[1])]
+                     for r in range(shape[0])], dtype=bool).reshape(shape)
+    assert (_majority_filter(mask) == want).all()
 
 
 def _full_scan(mask, distance, cam, min_plant_pixels):
