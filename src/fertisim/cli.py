@@ -45,6 +45,14 @@ def _distance_cm(raw: str) -> float:
     return value
 
 
+def _warn_skipped(result, cfg: Config) -> None:
+    """One stderr line for a run's skipped samples; the log has each at INFO."""
+    if result.skipped_samples:
+        print(f"fertisim: warning: {result.skipped_samples} sample(s) skipped, each with fewer "
+              f"than vision.min_plant_pixels = {cfg['vision.min_plant_pixels']} plant pixels",
+              file=sys.stderr)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="fertisim", description=__doc__)
     sub = parser.add_subparsers(dest="command")
@@ -103,6 +111,7 @@ def main(argv: list[str]) -> int:
     try:
         if args.command == "growth":
             result = run_growth_experiment(cfg, args.out)
+            _warn_skipped(result, cfg)
             print(f"growth experiment: {len(result.capture_days)} capture days, "
                   f"outputs in {args.out}")
             if not result.ordering_ok:
@@ -113,6 +122,7 @@ def main(argv: list[str]) -> int:
 
         if args.command == "monitor":
             result = run_monitoring_trace(cfg, args.out)
+            _warn_skipped(result, cfg)
             offsets = ", ".join(str(int(e.offset_min)) for e in result.events) or "none"
             print(f"monitoring session: {len(result.rows)} samples, "
                   f"{len(result.events)} pump event(s) at minute(s): {offsets}")
@@ -120,6 +130,7 @@ def main(argv: list[str]) -> int:
 
         if args.command == "compare":
             result = run_fertigation_comparison(cfg, args.out)
+            _warn_skipped(result, cfg)
             print(f"comparison: timer {result.timer_mean_l_per_day:.1f} L/day, "
                   f"auto {result.auto_mean_l_per_day:.1f} L/day, "
                   f"savings {result.savings_fraction * 100.0:.1f}%")
@@ -136,11 +147,11 @@ def main(argv: list[str]) -> int:
             plant = PlantState(age_min=0.0, height_cm=args.height_cm,
                                turgid_width_cm=args.width_cm, turgor=args.turgor,
                                rate_per_min=0.0)
-            frame, truth = render(plant.height_cm, effective_width(plant, cfg.growth_params()),
-                                  cfg.camera(), args.distance, (plant.age_min, 0))
+            frame, (height_px, width_px, count) = render(
+                plant.height_cm, effective_width(plant, cfg.growth_params()), cfg.camera(),
+                args.distance, (plant.age_min, 0))
             write_ppm(frame, args.file)
-            print(f"height_px={truth.height_px} width_px={truth.width_px} "
-                  f"plant_pixel_count={truth.plant_pixel_count}")
+            print(f"height_px={height_px} width_px={width_px} plant_pixel_count={count}")
             return EXIT_OK
 
         if args.command == "measure-image":

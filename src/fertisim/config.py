@@ -12,6 +12,7 @@ Parsing is order-independent; duplicate keys are rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from types import MappingProxyType
 from typing import Any, Callable, Mapping
 
@@ -116,10 +117,6 @@ _KEYS: dict[str, _Key] = {
 
     "output.dump_frames": _Key(_parse_bool, False, lambda x: True, "true or false"),
 }
-
-_SECTION_ORDER = ["sim", "growth", "demand", "monitor", "camera", "vision",
-                  "control", "pump", "growth_exp", "compare", "output"]
-
 
 @dataclass(frozen=True)
 class Config:
@@ -257,11 +254,9 @@ def load_config(path: str) -> Config:
 def dump_defaults() -> str:
     """Default config document; re-parsing it reproduces ``default_config()``."""
     lines: list[str] = []
-    for section in _SECTION_ORDER:
+    for section, entries in groupby(_KEYS.items(), key=lambda item: item[0].split(".", 1)[0]):
         lines.append(f"# {section}")
-        for key, entry in _KEYS.items():
-            if key.split(".", 1)[0] != section:
-                continue
+        for key, entry in entries:
             value = entry.default
             if isinstance(value, bool):
                 rendered = "true" if value else "false"

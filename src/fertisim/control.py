@@ -39,18 +39,6 @@ class PumpCommand:
     action: Action
     duration_min: float = 0.0
 
-    @staticmethod
-    def on(duration_min: float) -> "PumpCommand":
-        return PumpCommand(Action.ON, duration_min)
-
-    @staticmethod
-    def off() -> "PumpCommand":
-        return PumpCommand(Action.OFF)
-
-    @staticmethod
-    def hold() -> "PumpCommand":
-        return PumpCommand(Action.HOLD)
-
 
 @dataclass(frozen=True)
 class Schedule:
@@ -96,28 +84,24 @@ def spa_tick(state: ControllerState, width_cm: float, now_min: float,
         raise SchedulingError(f"sample at minute {now_min} is outside the daytime window")
 
     day = int(now_min // MINUTES_PER_DAY)
-    if state.reference_width_cm is None or state.last_sample_day != day:
+    if state.last_sample_day != day:
         # First sample of the day anchors the morning reference.
-        anchored = ControllerState(
-            reference_width_cm=width_cm,
-            previous_width_cm=width_cm,
-            pump_off_deadline_min=state.pump_off_deadline_min,
-            last_sample_day=day,
-        )
-        return anchored, PumpCommand.hold()
+        anchored = replace(state, reference_width_cm=width_cm, previous_width_cm=width_cm,
+                           last_sample_day=day)
+        return anchored, PumpCommand(Action.HOLD)
 
     pump_running = (state.pump_off_deadline_min is not None
                     and now_min < state.pump_off_deadline_min)
     deadline = state.pump_off_deadline_min
     if pump_running:
-        command = PumpCommand.hold()
+        command = PumpCommand(Action.HOLD)
     else:
         degree = wilt_degree(state.reference_width_cm, width_cm)
         if degree > wilt_threshold and state.previous_width_cm > width_cm:
-            command = PumpCommand.on(schedule.timer_on_min)
+            command = PumpCommand(Action.ON, schedule.timer_on_min)
             deadline = now_min + schedule.timer_on_min
         else:
-            command = PumpCommand.off()
+            command = PumpCommand(Action.OFF)
 
     updated = replace(state, previous_width_cm=width_cm,
                       pump_off_deadline_min=deadline, last_sample_day=day)
@@ -126,7 +110,7 @@ def spa_tick(state: ControllerState, width_cm: float, now_min: float,
 
 def timer_tick(schedule: Schedule) -> PumpCommand:
     """Baseline regime: the command at each of the timer's instants, ``Schedule.timer_times``."""
-    return PumpCommand.on(schedule.timer_on_min)
+    return PumpCommand(Action.ON, schedule.timer_on_min)
 
 
 def wilt_degree(reference_width_cm: float, width_cm: float) -> float:

@@ -182,15 +182,6 @@ class Frame:
         return np.clip(noisy, 0, 255, out=noisy).astype(np.uint8)
 
 
-@dataclass(frozen=True)
-class GroundTruth:
-    """Exact rasterized extents of the drawn silhouette."""
-
-    height_px: int
-    width_px: int
-    plant_pixel_count: int
-
-
 def capture_distance(age_days: float) -> float:
     """Camera distance for a plant of the given age: 30 cm plus 10 cm per 3 days, capped at 170."""
     if age_days < 0:
@@ -200,8 +191,8 @@ def capture_distance(age_days: float) -> float:
 
 
 def render(height_cm: float, width_cm: float, cam: CameraConfig, distance_cm: float,
-           noise_key: tuple[int, int]) -> tuple[Frame, GroundTruth]:
-    """Rasterize one plant seen from ``distance_cm``; returns the frame and ground truth.
+           noise_key: tuple[int, int]) -> tuple[Frame, tuple[int, int, int]]:
+    """Rasterize one plant seen from ``distance_cm``; returns the frame and its runs' extents.
 
     ``width_cm`` is the visible canopy width (``growth.effective_width``).
     The silhouette is built as row runs: the frame holds them and builds the
@@ -227,7 +218,7 @@ def render(height_cm: float, width_cm: float, cam: CameraConfig, distance_cm: fl
     noise_seed = key_hash(cam.noise_seed, *noise_key) if cam.noise_amplitude else 0
     frame = Frame(runs=runs, distance_cm=distance_cm, noise_amplitude=cam.noise_amplitude,
                   noise_seed=noise_seed)
-    return frame, GroundTruth(*runs.extents)
+    return frame, runs.extents
 
 
 def _runs(cam: CameraConfig, height_px: float, width_px: float) -> RowMask:

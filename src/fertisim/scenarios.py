@@ -24,7 +24,6 @@ byte-identical output files.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -51,8 +50,8 @@ from .vision import Morphometry, NoPlantDetected, measure, segment
 
 log = logging.getLogger(__name__)
 
-# Group-index streams for the per-plant jitter hash.
-_GROWTH_GROUPS = [("under", EcBand.UNDER), ("normal", EcBand.NORMAL), ("over", EcBand.OVER)]
+# Group-index stream of the comparison's plants for the per-plant jitter hash;
+# the growth experiment's groups take the index of their band in ``EcBand``.
 _COMPARE_GROUP_INDEX = 3
 
 
@@ -78,10 +77,8 @@ class PumpEvent:
 @dataclass
 class GrowthResult:
     capture_days: list[int]
-    group_labels: list[str]
-    means: dict[str, list[float]]
+    means: dict[str, list[float]]  # per band, in EcBand order
     ordering_ok: bool
-    overlap_stop_day: int | None
     skipped_samples: int
 
 
@@ -89,7 +86,6 @@ class GrowthResult:
 class MonitorResult:
     rows: list[TraceRow]
     events: list[PumpEvent]
-    sample_interval_min: int
     skipped_samples: int
 
 
@@ -99,7 +95,6 @@ class CompareResult:
     timer_mean_l_per_day: float
     auto_mean_l_per_day: float
     heights: list[tuple[int, float, float]]  # (capture_day, mean_height_cm, mean_width_cm)
-    control_heights: list[tuple[int, float, float]]
     auto_increment_cm: float
     control_increment_cm: float
     events: list[PumpEvent]
@@ -166,19 +161,25 @@ class _Run:
     def irrigate(self, pop: PlantState, now: float) -> PlantState:
         return apply_irrigation(pop, now, irrigation_lag(self.seed, now, self.gp))
 
-    def measure_plant(self, height_cm: float, width_cm: float, day: int,
-                      noise_key: tuple[int, int], ppm_path: Path | None = None) -> Morphometry:
+    def measure_plant(self, height_cm: float, width_cm: float, day: int, noise_key: tuple[int, int],
+                      ppm_path: Path | None = None) -> Morphometry | None:
         """Render one plant at the day's camera distance, save the frame if asked, measure it.
 
         ``width_cm`` is the plant's visible canopy width; ``noise_key`` is the
         capture's (minute, plant index), which keys the frame's camera noise.
+        A frame with too few plant pixels is a skipped sample: counted, logged, and None.
         """
         distance = capture_distance(day)
         frame, _ = render(height_cm, width_cm, self.cam, distance, noise_key)
         if ppm_path is not None:
             write_ppm(frame, str(ppm_path))
         mask = segment(frame, self.cfg["vision.red_margin"], cleanup=self.cam.noise_amplitude > 0)
-        return measure(mask, distance, self.cam, self.cfg["vision.min_plant_pixels"])
+        try:
+            return measure(mask, distance, self.cam, self.cfg["vision.min_plant_pixels"])
+        except NoPlantDetected as exc:
+            self.skipped += 1
+            log.info("day %d minute %d plant %d: sample skipped (%s)", day, *noise_key, exc)
+            return None
 
     def wilt_sample(self, pop: PlantState, now: float, sample_index: int, start_min: float,
                     ppm_path: Path | None = None) -> PlantState:
@@ -188,13 +189,9 @@ class _Run:
         ``now - start_min`` minutes into the session. Returns the population.
         """
         day = int(now // MINUTES_PER_DAY)
-        try:
-            morpho = self.measure_plant(pop.height_cm[0], effective_width(pop, self.gp)[0], day,
-                                        (now, 0), ppm_path)
-        except NoPlantDetected as exc:
-            self.skipped += 1
-            log.warning("day %d minute %d: representative sample skipped (%s)",
-                        day, int(now), exc)
+        morpho = self.measure_plant(pop.height_cm[0], effective_width(pop, self.gp)[0], day,
+                                    (now, 0), ppm_path)
+        if morpho is None:
             return pop
         previous = self.state.previous_width_cm if self.state.last_sample_day == day else None
         self.state, cmd = spa_tick(self.state, morpho.width_cm, now, self.schedule,
@@ -216,20 +213,18 @@ class _Run:
         return pop
 
     def capture(self, pop: PlantState, day: int) -> tuple[float, float]:
-        """Mean measured height and width over every plant of ``pop``; NaN if none was measured."""
+        """Mean measured height and width of ``pop``'s measured plants; NoPlantDetected if none."""
         hs, ws = [], []
         end_of_day = (day + 1) * MINUTES_PER_DAY
         for i, (height, width) in enumerate(zip(pop.height_cm, effective_width(pop, self.gp))):
-            try:
-                m = self.measure_plant(height, width, day, (end_of_day, i))
-            except NoPlantDetected as exc:
-                self.skipped += 1
-                log.warning("capture day %d: sample skipped (%s)", day, exc)
-                continue
-            hs.append(m.height_cm)
-            ws.append(m.width_cm)
+            m = self.measure_plant(height, width, day, (end_of_day, i))
+            if m is not None:
+                hs.append(m.height_cm)
+                ws.append(m.width_cm)
         if not hs:
-            return math.nan, math.nan
+            raise NoPlantDetected(
+                f"capture day {day} measured no plant: every frame had fewer than "
+                f"vision.min_plant_pixels = {self.cfg['vision.min_plant_pixels']} plant pixels")
         return sum(hs) / len(hs), sum(ws) / len(ws)
 
 
@@ -247,10 +242,9 @@ def run_growth_experiment(cfg: Config, out_dir: str | Path) -> GrowthResult:
     spacing = cfg["growth_exp.spacing_cm"]
 
     run = _Run(cfg, cfg.demand("growth_exp.peak_loss_rate"), cfg.schedule())
-    pops = [run.population(band, gi, group_size)
-            for gi, (_, band) in enumerate(_GROWTH_GROUPS)]
+    pops = [run.population(band, gi, group_size) for gi, band in enumerate(EcBand)]
 
-    labels = [label for label, _ in _GROWTH_GROUPS]
+    labels = [band.value for band in EcBand]
     means: dict[str, list[float]] = {label: [] for label in labels}
     capture_days: list[int] = []
     ordering_ok = True
@@ -287,10 +281,8 @@ def run_growth_experiment(cfg: Config, out_dir: str | Path) -> GrowthResult:
 
     return GrowthResult(
         capture_days=capture_days,
-        group_labels=labels,
         means=means,
         ordering_ok=ordering_ok,
-        overlap_stop_day=overlap_stop_day,
         skipped_samples=run.skipped,
     )
 
@@ -303,11 +295,9 @@ def run_monitoring_trace(cfg: Config, out_dir: str | Path) -> MonitorResult:
     """Sample one plant through a monitoring session and drive the wilt rule."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    interval = cfg["monitor.sample_interval_min"]
-    count = cfg["monitor.sample_count"]
     start_day = cfg["monitor.start_day"]
     dump_frames = cfg["output.dump_frames"]
-    run = _Run(cfg, cfg.demand("monitor.peak_loss_rate"), cfg.schedule(interval))
+    run = _Run(cfg, cfg.demand("monitor.peak_loss_rate"), cfg.schedule())
 
     # Grow the representative plant (a population of one) to session age under no demand.
     plant = make_seedling(run.gp, EcBand.NORMAL, np.ones(1))
@@ -319,11 +309,10 @@ def run_monitoring_trace(cfg: Config, out_dir: str | Path) -> MonitorResult:
     if dump_frames:
         frames_dir.mkdir(exist_ok=True)
 
-    start_min = start_day * MINUTES_PER_DAY + run.schedule.window_start_min
-    for k in range(count):
-        now = start_min + k * interval
+    times = run.schedule.sample_times(start_day)[:cfg["monitor.sample_count"]]
+    for k, now in enumerate(times):
         ppm_path = frames_dir / f"sample_{k:03d}.ppm" if dump_frames else None
-        plant = run.wilt_sample(run.step_to(plant, now), now, k, start_min, ppm_path)
+        plant = run.wilt_sample(run.step_to(plant, now), now, k, times.start, ppm_path)
 
     _write_trace_csv(out / "trace.csv", run.rows)
     _write_events_csv(out / "pump_events.csv", run.events)
@@ -334,8 +323,7 @@ def run_monitoring_trace(cfg: Config, out_dir: str | Path) -> MonitorResult:
         f"liters_total = {_fmt(run.ledger.total_liters())}",
     ]
     (out / "summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
-    return MonitorResult(rows=run.rows, events=run.events, sample_interval_min=interval,
-                         skipped_samples=run.skipped)
+    return MonitorResult(rows=run.rows, events=run.events, skipped_samples=run.skipped)
 
 
 def _write_trace_csv(path: Path, rows: list[TraceRow]) -> None:
@@ -407,7 +395,6 @@ def run_fertigation_comparison(cfg: Config, out_dir: str | Path) -> CompareResul
         timer_mean_l_per_day=timer_mean,
         auto_mean_l_per_day=auto_mean,
         heights=heights,
-        control_heights=control_heights,
         auto_increment_cm=auto_inc,
         control_increment_cm=ctrl_inc,
         events=main.events,
@@ -453,9 +440,7 @@ def _simulate_population(cfg: Config,
 
         if day % capture_every == 0:
             pop = run.step_to(pop, (day + 1) * MINUTES_PER_DAY)
-            mean_h, mean_w = run.capture(pop, day)
-            if not math.isnan(mean_h):
-                heights.append((day, mean_h, mean_w))
+            heights.append((day, *run.capture(pop, day)))
 
     return run, heights
 
@@ -467,10 +452,6 @@ def _auto_period_increments(cfg: Config, heights: list[tuple[int, float, float]]
     Uses the captures closest to the period boundaries (capture ages are
     day + 1; the period spans ages [auto_start - 1, auto_end]).
     """
-    if not (heights and control_heights):
-        raise NoPlantDetected(
-            "no capture day measured a plant: every capture had fewer than "
-            f"vision.min_plant_pixels = {cfg['vision.min_plant_pixels']} plant pixels")
     auto_start = cfg["compare.auto_start_day"]
     auto_end = cfg["compare.auto_end_day"]
     start_age = auto_start - 1

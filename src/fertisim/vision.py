@@ -33,7 +33,6 @@ class Morphometry:
     height_cm: float
     width_cm: float
     plant_pixel_count: int
-    distance_cm: float
 
 
 def segment(frame: Frame, red_dominance_margin: int, cleanup: bool = False) -> RowMask:
@@ -128,5 +127,4 @@ def measure(mask: RowMask, distance_cm: float, cam: CameraConfig,
         height_cm=height_px * px_to_cm,
         width_cm=width_px * px_to_cm,
         plant_pixel_count=count,
-        distance_cm=distance_cm,
     )

@@ -91,7 +91,8 @@ def test_criterion_2_timer_arithmetic(cfg, schedule):
 def test_criterion_3_monitoring_event(monitor_run):
     result, _ = monitor_run
     assert len(result.rows) == 26
-    assert result.sample_interval_min == 15
+    times = [row.timestamp_min for row in result.rows]
+    assert [b - a for a, b in zip(times, times[1:])] == [15] * 25
     assert result.rows[-1].timestamp_min - result.rows[0].timestamp_min == 375
     assert len(result.events) == 1, f"{len(result.events)} pump events, expected 1"
     event = result.events[0]
@@ -182,11 +183,10 @@ def test_criterion_5_vision_oracle():
 
         measured = []
         for d in (d1,) + ((d2,) if d2 else ()):
-            frame, truth = render(plant.height_cm, effective_width(plant, gp), cam, d, (0, 0))
+            frame, extents = render(plant.height_cm, effective_width(plant, gp), cam, d, (0, 0))
             m = measure(segment(frame, margin), d, cam, min_pixels)
             # pixel extents recovered exactly
-            assert (m.height_px, m.width_px, m.plant_pixel_count) == \
-                (truth.height_px, truth.width_px, truth.plant_pixel_count)
+            assert (m.height_px, m.width_px, m.plant_pixel_count) == extents
             # physical extents within one rasterization pixel
             cm_per_px = d / cam.focal_px
             assert abs(m.height_cm - plant.height_cm) <= cm_per_px * (1.0 + 1e-9)
@@ -210,7 +210,7 @@ def test_criterion_6_growth_ordering_ten_seeds(growth_run, tmp_path):
     for result in results:
         assert len(result.capture_days) == 15
         assert result.ordering_ok
-        for label in result.group_labels:
+        for label in result.means:
             series = result.means[label]
             increments = [b - a for a, b in zip(series, series[1:])]
             assert all(later >= earlier

@@ -2,6 +2,9 @@
 
 import contextlib
 import io
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -13,6 +16,8 @@ from fertisim.cli import main
 from fertisim.config import _KEYS, default_config, parse_config
 from fertisim.render import BACKGROUND
 from oracle import rasterize
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_dump_defaults_round_trips(capsys):
@@ -229,6 +234,31 @@ def test_compare_with_every_capture_skipped_is_an_error(tmp_path, capsys):
     assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
     last = capsys.readouterr().err.strip().splitlines()[-1]
     assert last.startswith("fertisim: error: ") and "vision.min_plant_pixels" in last
+
+
+NO_PLANT = "vision.min_plant_pixels = 1000000000\n"
+
+
+@pytest.mark.parametrize("command, config, code, first_words", [
+    ("compare", NO_PLANT_COMPARE, 1, "fertisim: error: capture day 0 measured no plant"),
+    # Growth used to write nan means and exit 2 blaming the band ordering.
+    ("growth", NO_PLANT, 1, "fertisim: error: capture day 0 measured no plant"),
+    ("monitor", NO_PLANT, 0, "fertisim: warning: 26 sample(s) skipped"),
+], ids=["compare", "growth", "monitor"])
+def test_skipped_samples_give_one_stderr_line_in_a_real_process(tmp_path, command, config,
+                                                               code, first_words):
+    # In a fresh interpreter nothing captures the log, so every line it prints shows here.
+    cfg = tmp_path / "no_plant.cfg"
+    cfg.write_text(config)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "fertisim.cli", command, "--config", str(cfg),
+         "--out", str(tmp_path / "run")], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == code
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(first_words), lines
+    assert "vision.min_plant_pixels = 1000000000" in lines[0]
 
 
 # The keys that set how much a run simulates, and their caps: a config that

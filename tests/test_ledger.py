@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fertisim.config import ConfigError, default_config, parse_config
-from fertisim.control import PumpCommand, timer_tick
+from fertisim.control import Action, PumpCommand, timer_tick
 from fertisim.ledger import TimeOrderError, WaterLedger, savings
 
 
@@ -35,7 +35,7 @@ class TestCalibrateFlow:
 class TestAccrue:
     def test_single_activation_volume(self):
         ledger = WaterLedger()
-        ledger.accrue(PumpCommand.on(3.0), 480.0, 1.881, "timer")
+        ledger.accrue(PumpCommand(Action.ON, 3.0), 480.0, 1.881, "timer")
         assert ledger.total_liters() == pytest.approx(3 * 1.881)
 
     def test_full_timer_day(self, cfg, schedule):
@@ -48,16 +48,16 @@ class TestAccrue:
     def test_quiet_day_is_zero(self):
         ledger = WaterLedger()
         ledger.register_day(0, "auto")
-        ledger.accrue(PumpCommand.off(), 500.0, 1.881, regime="auto")
-        ledger.accrue(PumpCommand.hold(), 515.0, 1.881, regime="auto")
+        ledger.accrue(PumpCommand(Action.OFF), 500.0, 1.881, regime="auto")
+        ledger.accrue(PumpCommand(Action.HOLD), 515.0, 1.881, regime="auto")
         assert ledger.total_liters() == 0.0
         assert ledger.rows()[0].activations == 0
 
     def test_time_regression_rejected(self):
         ledger = WaterLedger()
-        ledger.accrue(PumpCommand.on(3.0), 500.0, 1.0, "timer")
+        ledger.accrue(PumpCommand(Action.ON, 3.0), 500.0, 1.0, "timer")
         with pytest.raises(TimeOrderError):
-            ledger.accrue(PumpCommand.off(), 499.0, 1.0, "timer")
+            ledger.accrue(PumpCommand(Action.OFF), 499.0, 1.0, "timer")
 
     def test_additivity(self):
         ledger = WaterLedger()
@@ -65,7 +65,8 @@ class TestAccrue:
         for day in range(3):
             ledger.register_day(day, "timer")
             for k in range(day + 1):
-                ledger.accrue(PumpCommand.on(3.0), day * 1440.0 + 480.0 + 30 * k, 2.0, "timer")
+                ledger.accrue(PumpCommand(Action.ON, 3.0), day * 1440.0 + 480.0 + 30 * k, 2.0,
+                              "timer")
                 ons += 1
         assert ledger.total_liters() == pytest.approx(sum(r.liters for r in ledger.rows()))
         assert ledger.total_liters() == pytest.approx(3.0 * 2.0 * ons)

@@ -1,4 +1,5 @@
-"""Pinned output bytes: the default seed-42 runs of every scenario, and one noisy monitor.
+"""Pinned output bytes: the default seed-42 runs of every scenario, one noisy monitor,
+and the ``--dump-defaults`` document.
 
 Each run goes through the CLI into a fresh directory, and the whole
 output tree is hashed: SHA-256 over each file's relative path and bytes, in
@@ -47,3 +48,12 @@ def test_noisy_monitor_outputs_match_pinned_digest(tmp_path, capsys):
     out = tmp_path / "monitor"
     assert main(["monitor", "--config", str(cfg), "--seed", "42", "--out", str(out)]) == 0
     assert tree_digest(out) == NOISY_MONITOR_DIGEST
+
+
+DUMP_DEFAULTS_DIGEST = "da93b70fc0cb1a26e6f41fbb91098867b90133f6edbe58a95c47c11fd4fd4cf2"
+
+
+def test_dump_defaults_match_pinned_digest(capsys):
+    assert main(["--dump-defaults"]) == 0
+    printed = capsys.readouterr().out
+    assert hashlib.sha256(printed.encode()).hexdigest() == DUMP_DEFAULTS_DIGEST

@@ -49,7 +49,7 @@ class TestGrowthExperiment:
         result = run_growth_experiment(same, tmp_path)
         assert result.capture_days == list(range(0, 43, 3))
         for i in range(len(result.capture_days)):
-            values = [result.means[g][i] for g in result.group_labels]
+            values = [series[i] for series in result.means.values()]
             spread = (max(values) - min(values)) / min(values)
             assert spread < 0.08, f"groups diverged {spread:.2%} on day {result.capture_days[i]}"
 
