@@ -16,7 +16,7 @@ import sys
 from .config import Config, ConfigError, default_config, dump_defaults, load_config
 from .growth import PlantState, effective_width
 from .ppm import PpmFormatError, read_ppm, write_ppm
-from .render import FrameFitError, render
+from .render import FrameFitError, project, render
 from .scenarios import run_fertigation_comparison, run_growth_experiment, run_monitoring_trace
 from .vision import NoPlantDetected, measure, segment
 
@@ -34,15 +34,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _distance_cm(raw: str) -> float:
-    """A ``--distance`` value: a finite number of centimetres above 0."""
-    try:
-        value = float(raw)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be a finite distance > 0 cm, got {raw!r}")
-    return value
+def _number(ok, what: str):
+    """An argparse type: a number for which ``ok`` holds, else an error that it must be ``what``."""
+    def parse(raw: str) -> float:
+        try:
+            if ok(value := float(raw)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {what}, got {raw!r}")
+    return parse
+
+
+_distance_cm = _number(lambda x: math.isfinite(x) and x > 0.0, "a finite distance > 0 cm")
+_size_cm = _number(lambda x: math.isfinite(x) and x > 0.0, "a finite size > 0 cm")
+_turgor = _number(lambda x: 0.0 <= x <= 1.0, "a turgor fraction in [0, 1]")
 
 
 def _warn_skipped(result, cfg: Config) -> None:
@@ -69,9 +75,9 @@ def _build_parser() -> _Parser:
 
     rf = sub.add_parser("render-frame", help="render one synthetic frame to a PPM file")
     rf.add_argument("--config", help="path to a config file")
-    rf.add_argument("--height-cm", type=float, default=50.0)
-    rf.add_argument("--width-cm", type=float, default=25.0)
-    rf.add_argument("--turgor", type=float, default=1.0)
+    rf.add_argument("--height-cm", type=_size_cm, default=50.0)
+    rf.add_argument("--width-cm", type=_size_cm, default=25.0)
+    rf.add_argument("--turgor", type=_turgor, default=1.0)
     rf.add_argument("--distance", type=_distance_cm, default=100.0)
     rf.add_argument("--file", default="frame.ppm", help="output PPM path")
 
@@ -144,12 +150,11 @@ def main(argv: list[str]) -> int:
             return EXIT_OK
 
         if args.command == "render-frame":
-            plant = PlantState(age_min=0.0, height_cm=args.height_cm,
-                               turgid_width_cm=args.width_cm, turgor=args.turgor,
-                               rate_per_min=0.0)
-            frame, (height_px, width_px, count) = render(
-                plant.height_cm, effective_width(plant, cfg.growth_params()), cfg.camera(),
-                args.distance, (plant.age_min, 0))
+            plant = PlantState(age_min=0.0, height_cm=args.height_cm, turgid_width_cm=args.width_cm,
+                               turgor=args.turgor, rate_per_min=0.0)
+            width, cam = effective_width(plant, cfg.growth_params()), cfg.camera()
+            runs = project([plant.height_cm], [width], cam, args.distance)
+            frame, (height_px, width_px, count) = render(runs[0], cam, (plant.age_min, 0))
             write_ppm(frame, args.file)
             print(f"height_px={height_px} width_px={width_px} plant_pixel_count={count}")
             return EXIT_OK

@@ -16,7 +16,8 @@ exploit this to jump between sampling instants without per-minute loops.
 One ``PlantState`` also holds a whole population. Every plant in a run
 shares the demand, the irrigation instants and the uptake lag, so turgor
 never depends on the plant: the population shares one turgor, and its
-heights, turgid widths and growth rates are arrays stepped together.
+heights, turgid widths and growth rates are arrays stepped together, and
+not re-checked: stepping keeps sizes finite and above 0 and turgor in [0, 1].
 """
 
 from __future__ import annotations
@@ -121,7 +122,8 @@ class PlantState:
     ``rate_per_min`` is the relative height growth per minute, band and
     jitter included; the turgid width grows at ``width_exponent`` times it.
     ``recovery_deadline_min`` is the absolute time at which post-irrigation
-    turgor recovery begins (irrigation time plus lag).
+    turgor recovery begins (irrigation time plus lag). Sizes and turgor are
+    checked where they enter the program (config, CLI), not in a state.
     """
 
     age_min: float
@@ -130,14 +132,6 @@ class PlantState:
     turgor: float
     rate_per_min: float | np.ndarray
     recovery_deadline_min: float | None = None
-
-    def __post_init__(self):
-        if not np.all(np.greater(self.height_cm, 0.0)):
-            raise ValueError("height_cm must be > 0")
-        if not np.all(np.greater(self.turgid_width_cm, 0.0)):
-            raise ValueError("turgid_width_cm must be > 0")
-        if not 0.0 <= self.turgor <= 1.0:
-            raise ValueError("turgor must be in [0, 1]")
 
 
 def make_seedling(params: GrowthParams, band: EcBand = EcBand.NORMAL,

@@ -6,7 +6,8 @@ Scale is ``focal_px / distance_cm`` pixels per centimeter. A pixel belongs
 to the plant exactly when its center lies inside the silhouette, which
 makes rasterization reproducible and gives the vision tests an exact
 ground truth. The two colours are fixed: ``PLANT_COLOR`` on the silhouette
-and ``BACKGROUND`` everywhere else, before any camera noise.
+and ``BACKGROUND`` everywhere else, before any camera noise. ``project``
+draws a population's silhouettes; ``render`` frames one of them.
 """
 
 from __future__ import annotations
@@ -49,20 +50,22 @@ class RowMask:
     Row ``top + i`` holds ``count[i]`` plant pixels, the first in column
     ``first[i]`` and the last in column ``last[i]``. An empty row has count
     0 and its first column past its last, placed so that ``first.min()``
-    and ``last.max()`` still bound the mask's columns. A render's
-    silhouette is one run of columns per row down to the frame's last row;
-    a mask reduced from a bitmap keeps that bitmap and its place in the frame
-    for ``to_array``. ``size`` is the pixel count of the frame the mask covers.
+    and ``last.max()`` still bound the mask's columns. ``extents`` are the
+    bounding-box height and width and the pixel count (all 0 if empty). A
+    projected silhouette is one run of columns per row down to the frame's
+    last row; a mask reduced from a bitmap keeps that bitmap and its place in
+    the frame for ``to_array``. ``size`` is the pixel count of the frame.
     """
 
     size = FRAME_H * FRAME_W
 
     def __init__(self, top: int, first: np.ndarray, last: np.ndarray, count: np.ndarray,
-                 bitmap: tuple[np.ndarray, int, int] | None = None):
+                 extents: tuple[int, int, int], bitmap: tuple[np.ndarray, int, int] | None = None):
         self.top = top
         self.first = first
         self.last = last
         self.count = count
+        self.extents = extents
         self._bitmap = bitmap
 
     @classmethod
@@ -76,7 +79,7 @@ class RowMask:
         bitmap = (mask, top, left)
         rows = np.flatnonzero(mask.any(axis=1))
         if not rows.size:
-            return cls(FRAME_H, _NO_ROWS, _NO_ROWS, _NO_ROWS, bitmap)
+            return cls(FRAME_H, _NO_ROWS, _NO_ROWS, _NO_ROWS, (0, 0, 0), bitmap)
         plant = mask[rows[0]:rows[-1] + 1]
         cols = np.flatnonzero(plant.any(axis=0))
         box = plant[:, cols[0]:cols[-1] + 1]
@@ -84,7 +87,8 @@ class RowMask:
         has = count > 0
         first = np.where(has, left + cols[0] + box.argmax(axis=1), FRAME_W)
         last = np.where(has, left + cols[-1] - box[:, ::-1].argmax(axis=1), -1)
-        return cls(top + int(rows[0]), first, last, count, bitmap)
+        extents = (int(rows[-1] - rows[0] + 1), int(cols[-1] - cols[0] + 1), int(count.sum()))
+        return cls(top + int(rows[0]), first, last, count, extents, bitmap)
 
     def box(self) -> tuple[np.ndarray, int]:
         """Each row filled from its first to its last column, as a bitmap over the
@@ -112,21 +116,12 @@ class RowMask:
         full[top:top + bitmap.shape[0], left:left + bitmap.shape[1]] = bitmap
         return full
 
-    @cached_property
-    def extents(self) -> tuple[int, int, int]:
-        """Bounding-box height and width and the pixel count; all 0 for an empty mask."""
-        rows = np.flatnonzero(self.count)
-        if not rows.size:
-            return 0, 0, 0
-        return (int(rows[-1] - rows[0] + 1), int(self.last.max() - self.first.min() + 1),
-                int(self.count.sum()))
-
 
 _NO_ROWS = np.zeros(0, dtype=np.intp)
 
 
 class Frame:
-    """One captured image plus its capture distance.
+    """One captured image (plus, for a PPM read, the distance it was given).
 
     A whole frame (``Frame(pixels=...)``: a PPM read) holds its
     (480, 640, 3) uint8 RGB buffer. A render holds only what it drew:
@@ -190,39 +185,44 @@ def capture_distance(age_days: float) -> float:
                DISTANCE_MAX_CM)
 
 
-def render(height_cm: float, width_cm: float, cam: CameraConfig, distance_cm: float,
-           noise_key: tuple[int, int]) -> tuple[Frame, tuple[int, int, int]]:
-    """Rasterize one plant seen from ``distance_cm``; returns the frame and its runs' extents.
+def project(heights_cm: np.ndarray, widths_cm: np.ndarray, cam: CameraConfig,
+            distance_cm: float) -> list[RowMask]:
+    """Each plant's silhouette seen from ``distance_cm``, drawn 16 plants a pass.
 
-    ``width_cm`` is the visible canopy width (``growth.effective_width``).
-    The silhouette is built as row runs: the frame holds them and builds the
-    full buffer only when ``Frame.pixels`` is read. ``noise_key`` is the
-    capture's (timestamp in minutes, plant index); with camera noise, the
-    frame's noise generator is seeded from it and ``cam.noise_seed``, so each
-    capture draws its own noise, the same on every run.
+    Widths are visible canopy widths (``growth.effective_width``). Raises
+    FrameFitError for the first plant that does not fit the frame.
     """
     if distance_cm <= 0.0:
         raise ValueError("distance_cm must be > 0")
-
     scale = cam.focal_px / distance_cm
-    with np.errstate(over="ignore"):  # an overflow to inf fails the fit check below
-        height_px = height_cm * scale
-        width_px = width_cm * scale
-    if height_px > FRAME_H or width_px > FRAME_W:
-        raise FrameFitError(
-            f"plant projects to {height_px:.1f}x{width_px:.1f} px at {distance_cm:.0f} cm; "
-            f"frame is {FRAME_H}x{FRAME_W}"
-        )
+    # An overflow to inf fails the fit check (as does a nan); a vanishing canopy
+    # height or width sends the ellipse terms to inf or nan, which pass no test.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        height_px = np.multiply(heights_cm, scale)[:, None]
+        width_px = np.multiply(widths_cm, scale)[:, None]
+        blocks = [_rasterize(cam, height_px[s:s + _PASS_PLANTS], width_px[s:s + _PASS_PLANTS])
+                  for s in range(0, len(height_px), _PASS_PLANTS)]
+    if None in blocks:  # name the first plant that does not fit
+        i = int(np.argmin((height_px <= FRAME_H) & (width_px <= FRAME_W)))
+        raise FrameFitError(f"plant projects to {height_px[i, 0]:.1f}x{width_px[i, 0]:.1f} px "
+                            f"at {distance_cm:.0f} cm; frame is {FRAME_H}x{FRAME_W}")
+    return [mask for block in blocks for mask in block]
 
-    runs = _runs(cam, height_px, width_px)
+
+def render(runs: RowMask, cam: CameraConfig,
+           noise_key: tuple[int, int]) -> tuple[Frame, tuple[int, int, int]]:
+    """One plant's frame from its silhouette (``project``), and the silhouette's extents.
+
+    With camera noise, the frame's noise generator is seeded from ``noise_key``,
+    the capture's (minute, plant index), and ``cam.noise_seed``.
+    """
     noise_seed = key_hash(cam.noise_seed, *noise_key) if cam.noise_amplitude else 0
-    frame = Frame(runs=runs, distance_cm=distance_cm, noise_amplitude=cam.noise_amplitude,
-                  noise_seed=noise_seed)
+    frame = Frame(runs=runs, noise_amplitude=cam.noise_amplitude, noise_seed=noise_seed)
     return frame, runs.extents
 
 
-def _runs(cam: CameraConfig, height_px: float, width_px: float) -> RowMask:
-    """The silhouette as one run of columns per row, from its top row down to row 479.
+def _rasterize(cam: CameraConfig, h: np.ndarray, w: np.ndarray) -> list[RowMask] | None:
+    """Silhouettes of plants ``h`` by ``w`` px, (n, 1) arrays; None if one does not fit the frame.
 
     A pixel is the plant's when its centre lies in the stem rectangle, the
     canopy ellipse or the ellipse's full-width equator chord (which keeps the
@@ -233,58 +233,59 @@ def _runs(cam: CameraConfig, height_px: float, width_px: float) -> RowMask:
     ``n`` directly; the ellipse gives it per row from its half-width, and the
     run's outermost pixel and the one beyond are then checked with the
     per-pixel ellipse test. So the runs equal a pixel-by-pixel rasterization.
+    No run needs clipping: beyond the semi-axis ``a`` the ellipse test fails
+    even in floating point, the chord ends at ``a`` and the stem is narrower.
+    Each plant is a row of a (plant, row) block over the rows from the
+    tallest plant's top down; its rows above its own top stay empty.
     """
     # Base line sits on the bottom frame edge, plant centered horizontally.
     y_base = float(FRAME_H)
-    cx = FRAME_W / 2.0
-    canopy_h = cam.canopy_fraction * height_px
-    stem_h = height_px - canopy_h
-    stem_halfw = 0.5 * cam.stem_fraction * width_px
-    a = 0.5 * width_px  # ellipse semi-axis, horizontal
+    a = 0.5 * w  # ellipse semi-axis, horizontal
+    plant_top = y_base - h
+    top = plant_top.min()
+    if not (top >= 0.0 and a.max() <= _HALF_W):
+        return None
+    canopy_h = cam.canopy_fraction * h
+    stem_top = y_base - (h - canopy_h)
     b = 0.5 * canopy_h
-    cy = y_base - stem_h - b
 
-    top = y_base - height_px
-    r_lo = max(0, math.ceil(top - 0.5))
-    c_lo = max(0, math.ceil(cx - a - 0.5))
-    c_hi = min(FRAME_W - 1, math.floor(cx + a - 0.5))
-    if r_lo < FRAME_H and c_lo <= c_hi:
-        ys = _ROW_CENTRES[r_lo:]
-        dy = ys - cy
-        # A vanishing canopy height sends the ellipse term to inf: no ellipse pixel.
-        with np.errstate(over="ignore", divide="ignore"):
-            q = (dy / b) ** 2 if b > 0.0 else np.full(ys.shape, np.inf)
-        n = np.minimum(np.floor(a * np.sqrt(np.maximum(1.0 - q, 0.0)) + 0.5), _HALF_W)
-        edges = np.array([[0.5], [-0.5]])
-        while True:  # the test is monotone in dx, so each pass moves n toward its edge
-            # Beyond the frame's last column (dx = 320.5 > a) the test always fails.
-            beyond, outermost = (((n + edges) / a) ** 2 + q <= 1.0)
-            shrink = ~outermost & (n > 0.0)
-            if not (beyond.any() or shrink.any()):
-                break
-            n += beyond
-            n -= shrink
-        n = n.astype(np.intp)
-        stem_top = np.searchsorted(ys, y_base - stem_h - 1e-12)
-        n[stem_top:] = np.maximum(n[stem_top:], np.count_nonzero(_OFFSETS <= stem_halfw))
-        chord = slice(np.searchsorted(dy, -0.5), np.searchsorted(dy, 0.5, side="right"))
-        n[chord] = np.maximum(n[chord], np.count_nonzero(_OFFSETS <= a))
+    ys = _ROW_CENTRES[min(math.ceil(top - 0.5), FRAME_H - 1):]
+    dy = ys - (stem_top - b)
+    q = (dy / b) ** 2
+    n = np.floor(a * np.sqrt(np.fmax(1.0 - q, 0.0)) + 0.5)
+    while True:  # the test is monotone in dx, so each pass moves n toward its edge
+        # Beyond the frame's last column (dx = 320.5 > a) the test always fails.
+        beyond, outermost = ((n + _EDGES) / a) ** 2 + q <= 1.0
+        shrink = ~outermost & (n > 0.0)
+        if not (np.count_nonzero(beyond) or np.count_nonzero(shrink)):
+            break
+        n += beyond
+        n -= shrink
+    n = n.astype(np.intp)
+    stem_n = _OFFSETS.searchsorted(0.5 * cam.stem_fraction * w, side="right")
+    np.maximum(n, stem_n, out=n, where=ys >= stem_top - 1e-12)
+    np.maximum(n, _OFFSETS.searchsorted(a, side="right"), out=n, where=np.abs(dy) <= 0.5)
+    n[ys < plant_top] = 0
 
-        lo = np.maximum(_HALF_W - n, c_lo)
-        hi = np.minimum(_HALF_W - 1 + n, c_hi)
-        count = hi - lo + 1
-        rows = np.flatnonzero(count)
-        if rows.size:
-            t = rows[0]
-            return RowMask(r_lo + int(t), lo[t:], hi[t:], count[t:])
-    # Sub-pixel plant: leave a minimum one-pixel mark at the base.
-    mark = np.array([min(FRAME_W - 1, int(cx))])
-    return RowMask(FRAME_H - 1, mark, mark, np.ones(1, dtype=np.intp))
+    lo, hi, count = _HALF_W - n, _HALF_W - 1 + n, n + n
+    # Each plant's first and last rows with pixels (from either end), widest run and pixel count.
+    has = n > 0
+    firsts = has.argmax(axis=1).tolist()
+    lasts = has[:, ::-1].argmax(axis=1).tolist()
+    widest = n.max(axis=1).tolist()
+    pixels = n.sum(axis=1).tolist()
+    return [RowMask(FRAME_H - ys.size + t, lo[i, t:], hi[i, t:], count[i, t:],
+                    (ys.size - last - t, 2 * wide, 2 * size)) if size else _MARK
+            for i, (t, last, wide, size) in enumerate(zip(firsts, lasts, widest, pixels))]
 
 
+_PASS_PLANTS = 16  # plants per pass: keeps a pass's arrays to 16 x 480
+_EDGES = np.array([0.5, -0.5])[:, None, None]  # the pixel beyond a run, and its outermost
 _HALF_W = FRAME_W // 2  # columns on each side of the frame's centre line
 _ROW_CENTRES = np.arange(FRAME_H) + 0.5
 _OFFSETS = np.arange(_HALF_W) + 0.5  # pixel centres' distances from the centre line
+# A sub-pixel plant leaves a minimum one-pixel mark at the base.
+_MARK = RowMask(FRAME_H - 1, np.array([_HALF_W]), np.array([_HALF_W]), np.ones(1, int), (1, 1, 1))
 
 
 def overlap_flag(widths_cm: np.ndarray, spacing_cm: float) -> bool:

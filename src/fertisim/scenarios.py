@@ -45,7 +45,7 @@ from .growth import (
 )
 from .ledger import WaterLedger, savings
 from .ppm import write_ppm
-from .render import capture_distance, overlap_flag, render
+from .render import capture_distance, overlap_flag, project, render
 from .vision import Morphometry, NoPlantDetected, measure, segment
 
 log = logging.getLogger(__name__)
@@ -127,8 +127,8 @@ class _Run:
 
     Every scenario makes its seedlings with ``population``, then runs three
     steps on them: ``step_to`` a later instant, ``wilt_sample`` (one camera
-    sample under the wilt rule) and ``capture`` (measure every plant at the
-    end of a day).
+    sample under the wilt rule) and ``capture`` (project every plant at the
+    end of a day in one ``render.project`` call, then measure each).
     """
 
     cfg: Config
@@ -161,25 +161,30 @@ class _Run:
     def irrigate(self, pop: PlantState, now: float) -> PlantState:
         return apply_irrigation(pop, now, irrigation_lag(self.seed, now, self.gp))
 
-    def measure_plant(self, height_cm: float, width_cm: float, day: int, noise_key: tuple[int, int],
-                      ppm_path: Path | None = None) -> Morphometry | None:
-        """Render one plant at the day's camera distance, save the frame if asked, measure it.
+    def measure_plants(self, pop: PlantState, day: int, minute: float, count: int | None = None,
+                       ppm_path: Path | None = None) -> list[Morphometry]:
+        """Frame ``pop``'s first ``count`` plants (default all), save the frames if asked, measure.
 
-        ``width_cm`` is the plant's visible canopy width; ``noise_key`` is the
-        capture's (minute, plant index), which keys the frame's camera noise.
-        A frame with too few plant pixels is a skipped sample: counted, logged, and None.
+        Plant i's camera noise is keyed by (``minute``, i). A frame with too few
+        plant pixels is a skipped sample: counted, logged and left out.
         """
         distance = capture_distance(day)
-        frame, _ = render(height_cm, width_cm, self.cam, distance, noise_key)
-        if ppm_path is not None:
-            write_ppm(frame, str(ppm_path))
-        mask = segment(frame, self.cfg["vision.red_margin"], cleanup=self.cam.noise_amplitude > 0)
-        try:
-            return measure(mask, distance, self.cam, self.cfg["vision.min_plant_pixels"])
-        except NoPlantDetected as exc:
-            self.skipped += 1
-            log.info("day %d minute %d plant %d: sample skipped (%s)", day, *noise_key, exc)
-            return None
+        min_pixels = self.cfg["vision.min_plant_pixels"]
+        silhouettes = project(pop.height_cm[:count], effective_width(pop, self.gp)[:count],
+                              self.cam, distance)
+        measured = []
+        for i, runs in enumerate(silhouettes):
+            frame, _ = render(runs, self.cam, (minute, i))
+            if ppm_path is not None:
+                write_ppm(frame, str(ppm_path))
+            mask = segment(frame, self.cfg["vision.red_margin"],
+                           cleanup=self.cam.noise_amplitude > 0)
+            try:
+                measured.append(measure(mask, distance, self.cam, min_pixels))
+            except NoPlantDetected as exc:
+                self.skipped += 1
+                log.info("day %d minute %d plant %d: sample skipped (%s)", day, minute, i, exc)
+        return measured
 
     def wilt_sample(self, pop: PlantState, now: float, sample_index: int, start_min: float,
                     ppm_path: Path | None = None) -> PlantState:
@@ -189,10 +194,10 @@ class _Run:
         ``now - start_min`` minutes into the session. Returns the population.
         """
         day = int(now // MINUTES_PER_DAY)
-        morpho = self.measure_plant(pop.height_cm[0], effective_width(pop, self.gp)[0], day,
-                                    (now, 0), ppm_path)
-        if morpho is None:
+        measured = self.measure_plants(pop, day, now, 1, ppm_path)
+        if not measured:
             return pop
+        morpho = measured[0]
         previous = self.state.previous_width_cm if self.state.last_sample_day == day else None
         self.state, cmd = spa_tick(self.state, morpho.width_cm, now, self.schedule,
                                    self.cfg["control.wilt_threshold"])
@@ -214,18 +219,13 @@ class _Run:
 
     def capture(self, pop: PlantState, day: int) -> tuple[float, float]:
         """Mean measured height and width of ``pop``'s measured plants; NoPlantDetected if none."""
-        hs, ws = [], []
-        end_of_day = (day + 1) * MINUTES_PER_DAY
-        for i, (height, width) in enumerate(zip(pop.height_cm, effective_width(pop, self.gp))):
-            m = self.measure_plant(height, width, day, (end_of_day, i))
-            if m is not None:
-                hs.append(m.height_cm)
-                ws.append(m.width_cm)
-        if not hs:
+        measured = self.measure_plants(pop, day, (day + 1) * MINUTES_PER_DAY)
+        if not measured:
             raise NoPlantDetected(
                 f"capture day {day} measured no plant: every frame had fewer than "
                 f"vision.min_plant_pixels = {self.cfg['vision.min_plant_pixels']} plant pixels")
-        return sum(hs) / len(hs), sum(ws) / len(ws)
+        return (sum(m.height_cm for m in measured) / len(measured),
+                sum(m.width_cm for m in measured) / len(measured))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from fertisim.config import default_config, parse_config
 from fertisim.control import Action, ControllerState, spa_tick, timer_tick
 from fertisim.growth import PlantState, effective_width
 from fertisim.ledger import WaterLedger
-from fertisim.render import capture_distance, render
+from fertisim.render import capture_distance, project, render
 from fertisim.scenarios import (
     run_fertigation_comparison,
     run_growth_experiment,
@@ -183,7 +183,8 @@ def test_criterion_5_vision_oracle():
 
         measured = []
         for d in (d1,) + ((d2,) if d2 else ()):
-            frame, extents = render(plant.height_cm, effective_width(plant, gp), cam, d, (0, 0))
+            runs = project([plant.height_cm], [effective_width(plant, gp)], cam, d)
+            frame, extents = render(runs[0], cam, (0, 0))
             m = measure(segment(frame, margin), d, cam, min_pixels)
             # pixel extents recovered exactly
             assert (m.height_px, m.width_px, m.plant_pixel_count) == extents

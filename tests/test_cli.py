@@ -120,6 +120,20 @@ def test_bad_distance_rejected(tmp_path, capsys, command, distance):
         in captured.err
 
 
+def test_render_frame_rejects_invalid_plant_states(tmp_path, capsys):
+    # A plant's size and turgor are checked where they enter, as arguments.
+    frame = tmp_path / "frame.ppm"
+    for flag, value, why in (("--height-cm", "0", "a finite size > 0 cm"),
+                             ("--width-cm", "-1", "a finite size > 0 cm"),
+                             ("--turgor", "1.2", "a turgor fraction in [0, 1]")):
+        assert main(["render-frame", "--file", str(frame), flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if line.startswith("fertisim:")]
+        assert errors == [f"fertisim: error: argument {flag}: must be {why}, got '{value}'"]
+    assert not frame.exists()
+
+
 def test_measure_image_rejects_bad_ppm(tmp_path, capsys):
     bad = tmp_path / "bad.ppm"
     bad.write_bytes(b"P3\n640 480\n255\n")

@@ -289,16 +289,27 @@ class TestDemandProfile:
                 parse_config(f"demand.shape = {shape}\n")
 
 
-def test_invalid_plant_states_rejected():
-    with pytest.raises(ValueError):
-        PlantState(age_min=0, height_cm=0.0, turgid_width_cm=5, turgor=1, rate_per_min=0.0)
-    with pytest.raises(ValueError):
-        PlantState(age_min=0, height_cm=5, turgid_width_cm=-1, turgor=1, rate_per_min=0.0)
-    with pytest.raises(ValueError):
-        PlantState(age_min=0, height_cm=5, turgid_width_cm=5, turgor=1.2, rate_per_min=0.0)
-    with pytest.raises(ValueError):  # one bad plant rejects the population
-        PlantState(age_min=0, height_cm=np.array([5.0, 0.0]), turgid_width_cm=np.array([5.0, 5.0]),
-                   turgor=1, rate_per_min=0.0)
+_STEP = st.one_of(
+    st.tuples(st.just("advance"), st.floats(1e-3, 3 * 1440.0)),  # minutes
+    st.tuples(st.just("irrigate"), st.floats(0.0, 30.0)),  # uptake lag in minutes
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(steps=st.lists(_STEP, max_size=25), peak=st.floats(0.0, 0.05),
+       band=st.sampled_from(list(EcBand)), seed=st.integers(0, 2**32))
+def test_stepping_keeps_sizes_positive_and_turgor_a_fraction(steps, peak, band, seed):
+    # What a per-state check once enforced: states stepped from seedlings stay valid.
+    scales = np.array([plant_rate_scale(seed, 0, i, GP) for i in range(5)])
+    pop = make_seedling(GP, band, scales)
+    for kind, minutes in steps:
+        if kind == "advance":
+            pop = advance(pop, minutes, demand_of(peak), GP)
+        else:
+            pop = apply_irrigation(pop, pop.age_min, minutes)
+        assert np.all(np.isfinite(pop.height_cm)) and np.all(pop.height_cm > 0.0)
+        assert np.all(np.isfinite(pop.turgid_width_cm)) and np.all(pop.turgid_width_cm > 0.0)
+        assert 0.0 <= pop.turgor <= 1.0
 
 
 def test_rate_jitter_bounded():

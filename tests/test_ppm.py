@@ -5,15 +5,15 @@ import pytest
 
 from fertisim.growth import PlantState, effective_width
 from fertisim.ppm import PpmFormatError, read_ppm, write_ppm
-from fertisim.render import render
+from fertisim.render import project, render
 
 
 @pytest.fixture
 def frame(camera, growth_params):
     plant = PlantState(age_min=0, height_cm=50, turgid_width_cm=25, turgor=0.9,
                        rate_per_min=0.0)
-    return render(plant.height_cm, effective_width(plant, growth_params), camera, 100.0,
-                  (0, 0))[0]
+    runs = project([plant.height_cm], [effective_width(plant, growth_params)], camera, 100.0)
+    return render(runs[0], camera, (0, 0))[0]
 
 
 def test_round_trip_is_byte_identical(frame, tmp_path):

@@ -22,6 +22,7 @@ from fertisim.render import (
     RowMask,
     capture_distance,
     overlap_flag,
+    project,
     render,
 )
 from fertisim.seeding import key_hash
@@ -39,8 +40,9 @@ def plant_of(height_cm, width_cm, turgor=1.0):
 
 
 def shoot(plant, cam, distance_cm, noise_key=(0, 0)):
-    """Render a plant at its visible width, as the scenarios do."""
-    return render(plant.height_cm, effective_width(plant, GP), cam, distance_cm, noise_key)
+    """Frame a plant at its visible width as a population of one, as the scenarios do."""
+    runs = project([plant.height_cm], [effective_width(plant, GP)], cam, distance_cm)
+    return render(runs[0], cam, noise_key)
 
 
 class TestCaptureDistance:
@@ -174,50 +176,84 @@ def _bitmap_rows(bitmap, top):
     return rows.argmax(axis=1), 639 - rows[:, ::-1].argmax(axis=1), rows.sum(axis=1)
 
 
-@settings(deadline=None, max_examples=200)
-@given(height_px=HEIGHT_PX, width_px=WIDTH_PX, turgor=st.floats(0.0, 1.0),
+def _crowd(height_px, width_px, turgor):
+    """A population of 18 with the plant second in the second pass, after a 480 px tall one."""
+    fillers = [(480.0, 30.0, 1.0), (2.0, 1.0, 0.5), (0.4, 300.0, 0.0), (150.0, 640.0, 0.7)] * 4
+    return fillers + [(480.0, 10.0, 1.0), (height_px, width_px, turgor)]
+
+
+_PLANTS = st.lists(st.tuples(HEIGHT_PX, WIDTH_PX, st.floats(0.0, 1.0)), min_size=1, max_size=40)
+
+
+@settings(deadline=None, max_examples=150)
+@given(plants=_PLANTS,
        canopy_fraction=st.one_of(st.just(0.7), st.floats(0.0, 1.0, exclude_min=True,
                                                          exclude_max=True)),
        stem_fraction=st.one_of(st.just(0.15), st.floats(0.0, 1.0, exclude_min=True)))
-@example(height_px=0.3, width_px=0.2, turgor=1.0, canopy_fraction=0.7, stem_fraction=0.15)
-@example(height_px=480.0, width_px=640.0, turgor=1.0, canopy_fraction=0.7, stem_fraction=0.15)
-@example(height_px=480.0, width_px=640.0, turgor=1.0, canopy_fraction=0.5, stem_fraction=1.0)
-@example(height_px=300.0, width_px=5.0, turgor=0.0, canopy_fraction=0.7, stem_fraction=0.15)
+@example(plants=_crowd(0.3, 0.2, 1.0), canopy_fraction=0.7, stem_fraction=0.15)
+@example(plants=_crowd(480.0, 640.0, 1.0), canopy_fraction=0.7, stem_fraction=0.15)
+@example(plants=_crowd(480.0, 640.0, 1.0), canopy_fraction=0.5, stem_fraction=1.0)
+@example(plants=_crowd(300.0, 5.0, 0.0), canopy_fraction=0.7, stem_fraction=0.15)
 # A row whose closed-form half-width lands one pixel short of the per-pixel test's.
-@example(height_px=449.31984715336944, width_px=348.9937453059826, turgor=1.0,
-         canopy_fraction=0.7, stem_fraction=0.15)
+@example(plants=_crowd(449.31984715336944, 348.9937453059826, 1.0), canopy_fraction=0.7,
+         stem_fraction=0.15)
 # A canopy so flat that the ellipse test overflows: only the equator chord and the stem.
-@example(height_px=84.4, width_px=98.8, turgor=1.0, canopy_fraction=5e-324, stem_fraction=0.15)
-def test_runs_equal_the_bitmap_oracle(height_px, width_px, turgor, canopy_fraction,
-                                      stem_fraction):
+@example(plants=_crowd(84.4, 98.8, 1.0), canopy_fraction=5e-324, stem_fraction=0.15)
+def test_runs_equal_the_bitmap_oracle(plants, canopy_fraction, stem_fraction):
+    # Each plant of a population, drawn in passes together with its neighbours,
+    # has the runs of the per-pixel oracle and of the same plant projected alone.
     cam = replace(CFG.camera(), canopy_fraction=canopy_fraction, stem_fraction=stem_fraction)
     scale = cam.focal_px / 100.0
-    plant = plant_of(height_px / scale, width_px / scale, turgor)
-    try:
-        frame, extents = shoot(plant, cam, 100.0)
-    except FrameFitError:  # float rounding put the plant a hair past the edge
-        assume(False)
-    expected = rasterize(cam, plant.height_cm * scale, effective_width(plant, GP) * scale)
+    population = [plant_of(h / scale, w / scale, turgor) for h, w, turgor in plants]
+    # Float rounding can put a plant a hair past the edge.
+    population = [p for p in population if p.height_cm * scale <= 480.0
+                  and effective_width(p, GP) * scale <= 640.0]
+    assume(population)
+    heights = np.array([p.height_cm for p in population])
+    widths = np.array([effective_width(p, GP) for p in population])
+    silhouettes = project(heights, widths, cam, 100.0)
+    assert len(silhouettes) == len(population)
 
-    runs = frame.runs
-    plant_rows = np.flatnonzero(expected.any(axis=1))
-    assert runs.top == plant_rows[0]
-    assert runs.top + len(runs.count) == 480
-    first, last, count = _bitmap_rows(expected, runs.top)
-    assert (runs.count == count).all()
-    has = count > 0
-    assert (runs.first[has] == first[has]).all() and (runs.last[has] == last[has]).all()
-    assert (count[has] == last[has] - first[has] + 1).all()  # one run per row
-    assert (runs.first[~has] > runs.last[~has]).all()
+    for i, (plant, runs) in enumerate(zip(population, silhouettes)):
+        expected = rasterize(cam, plant.height_cm * scale, effective_width(plant, GP) * scale)
+        plant_rows = np.flatnonzero(expected.any(axis=1))
+        assert runs.top == plant_rows[0]
+        assert runs.top + len(runs.count) == 480
+        first, last, count = _bitmap_rows(expected, runs.top)
+        assert (runs.count == count).all()
+        has = count > 0
+        assert (runs.first[has] == first[has]).all() and (runs.last[has] == last[has]).all()
+        assert (count[has] == last[has] - first[has] + 1).all()  # one run per row
+        assert (runs.first[~has] > runs.last[~has]).all()
+        plant_cols = np.flatnonzero(expected.any(axis=0))
+        want = (int(plant_rows[-1] - plant_rows[0] + 1), int(plant_cols[-1] - plant_cols[0] + 1),
+                int(expected.sum()))
+        assert runs.extents == want
 
-    assert (frame.runs.to_array() == expected).all()
-    plant_cols = np.flatnonzero(expected.any(axis=0))
-    want = (int(plant_rows[-1] - plant_rows[0] + 1), int(plant_cols[-1] - plant_cols[0] + 1),
-            int(expected.sum()))
+        alone = project(heights[i:i + 1], widths[i:i + 1], cam, 100.0)[0]
+        assert alone.top == runs.top and alone.extents == runs.extents
+        for k in ("first", "last", "count"):
+            assert (getattr(alone, k) == getattr(runs, k)).all(), k
+
+    # The last plant through the whole frame path, as a population of one.
+    frame, extents = shoot(population[-1], cam, 100.0)
     assert extents == want
+    assert (frame.runs.to_array() == expected).all()
     m = measure(segment(frame, CFG["vision.red_margin"]), 100.0, cam, min_plant_pixels=1)
     assert (m.height_px, m.width_px, m.plant_pixel_count) == want
     assert RowMask.from_array(expected).extents == want
+
+
+def test_population_names_its_first_plant_that_does_not_fit(camera):
+    # Plants 20 and 23 project past the frame's height and width; plant 20 is named.
+    heights = np.full(30, 50.0)
+    widths = np.full(30, 25.0)
+    heights[20] = 200.0  # 960 px tall at 100 cm
+    widths[23] = 140.0  # 672 px wide
+    with pytest.raises(FrameFitError, match=r"^plant projects to 960\.0x120\.0 px at 100 cm;"):
+        project(heights, widths, camera, 100.0)
+    with pytest.raises(FrameFitError, match=r"^plant projects to 240\.0x672\.0 px at 100 cm;"):
+        project(heights[21:], widths[21:], camera, 100.0)
 
 
 class TestOverlapFlag:

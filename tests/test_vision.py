@@ -9,7 +9,15 @@ from hypothesis import assume, example, given, settings, strategies as st
 from fertisim.config import default_config
 from fertisim.control import wilt_degree
 from fertisim.growth import PlantState, effective_width
-from fertisim.render import BACKGROUND, PLANT_COLOR, Frame, FrameFitError, RowMask, render
+from fertisim.render import (
+    BACKGROUND,
+    PLANT_COLOR,
+    Frame,
+    FrameFitError,
+    RowMask,
+    project,
+    render,
+)
 from fertisim.vision import (
     Morphometry,
     NoPlantDetected,
@@ -31,7 +39,8 @@ def shoot(height_cm, width_cm, cam, distance_cm, turgor=1.0):
     """Render a plant at its visible width, as the scenarios do."""
     plant = PlantState(age_min=0.0, height_cm=height_cm, turgid_width_cm=width_cm,
                        turgor=turgor, rate_per_min=0.0)
-    return render(height_cm, effective_width(plant, GP), cam, distance_cm, (0, 0))
+    runs = project([height_cm], [effective_width(plant, GP)], cam, distance_cm)
+    return render(runs[0], cam, (0, 0))
 
 
 def uniform_frame(colour):
@@ -97,7 +106,8 @@ def test_uniform_frame_is_one_class(colour, margin):
 def test_patch_frame_matches_whole_frame(height_px, width_px, distance, margin, cleanup, camera):
     scale = camera.focal_px / distance
     try:
-        frame, _ = render(height_px / scale, width_px / scale, camera, distance, (0, 0))
+        frame, _ = render(project([height_px / scale], [width_px / scale], camera, distance)[0],
+                          camera, (0, 0))
     except FrameFitError:  # float rounding put the plant a hair past the edge
         assume(False)
     whole = Frame(pixels=frame.pixels, distance_cm=distance)
@@ -148,7 +158,8 @@ def test_noisy_run_frame_matches_its_pixels(height_px, width_px, amplitude, nois
     distance = 100.0
     scale = cam.focal_px / distance
     try:
-        frame, _ = render(height_px / scale, width_px / scale, cam, distance, (minute, plant))
+        frame, _ = render(project([height_px / scale], [width_px / scale], cam, distance)[0], cam,
+                          (minute, plant))
     except FrameFitError:  # float rounding put the plant a hair past the edge
         assume(False)
     mask = segment(frame, margin, cleanup)
