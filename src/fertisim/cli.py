@@ -150,10 +150,10 @@ def main(argv: list[str]) -> int:
             return EXIT_OK
 
         if args.command == "render-frame":
-            plant = PlantState(age_min=0.0, height_cm=args.height_cm, turgid_width_cm=args.width_cm,
-                               turgor=args.turgor, rate_per_min=0.0)
+            plant = PlantState(age_min=0.0, seedling_height_cm=args.height_cm,
+                               seedling_width_cm=args.width_cm, turgor=args.turgor, rate_per_min=0)
             width, cam = effective_width(plant, cfg.growth_params()), cfg.camera()
-            runs = project([plant.height_cm], [width], cam, args.distance)
+            runs = project([args.height_cm], [width], cam, args.distance)
             frame, (height_px, width_px, count) = render(runs[0], cam, (plant.age_min, 0))
             write_ppm(frame, args.file)
             print(f"height_px={height_px} width_px={width_px} plant_pixel_count={count}")

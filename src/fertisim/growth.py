@@ -15,15 +15,16 @@ exploit this to jump between sampling instants without per-minute loops.
 
 One ``PlantState`` also holds a whole population. Every plant in a run
 shares the demand, the irrigation instants and the uptake lag, so turgor
-never depends on the plant: the population shares one turgor, and its
-heights, turgid widths and growth rates are arrays stepped together, and
-not re-checked: stepping keeps sizes finite and above 0 and turgor in [0, 1].
+never depends on the plant: the population shares one turgor and differs
+only by growth rate. A state keeps the sizes at transplant and ``sizes``
+gives them in closed form at the state's age, so stepping touches only the
+shared scalars: age, turgor and the recovery deadline.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -114,11 +115,12 @@ class DemandProfile:
 class PlantState:
     """Physiological state of one plant, or of a population that shares its turgor.
 
-    ``height_cm``, ``turgid_width_cm`` and ``rate_per_min`` are floats for one
-    plant or arrays of shape (n,) for a population of n plants; the other
-    fields are shared by every plant. ``age_min`` doubles as absolute
-    simulation time: plants are transplanted at t = 0 (midnight), so
-    clock-of-day is age modulo 1440.
+    ``rate_per_min`` is a float for one plant or an array of shape (n,) for a
+    population of n plants; the other fields are shared by every plant. The
+    seedling sizes are the height and turgid width at transplant; ``sizes``
+    gives them at ``age_min``. Age doubles as absolute simulation time:
+    plants are transplanted at t = 0 (midnight), so clock-of-day is age
+    modulo 1440.
     ``rate_per_min`` is the relative height growth per minute, band and
     jitter included; the turgid width grows at ``width_exponent`` times it.
     ``recovery_deadline_min`` is the absolute time at which post-irrigation
@@ -127,8 +129,8 @@ class PlantState:
     """
 
     age_min: float
-    height_cm: float | np.ndarray
-    turgid_width_cm: float | np.ndarray
+    seedling_height_cm: float
+    seedling_width_cm: float
     turgor: float
     rate_per_min: float | np.ndarray
     recovery_deadline_min: float | None = None
@@ -141,15 +143,9 @@ def make_seedling(params: GrowthParams, band: EcBand = EcBand.NORMAL,
     Its growth rate is the band's rate times ``rate_scale``, the plant's jitter.
     An array ``rate_scale`` makes a population of ``len(rate_scale)`` seedlings.
     """
-    shape = np.shape(rate_scale)  # () for one plant: [()] below unwraps the 0-d array
-    return PlantState(
-        age_min=0.0,
-        height_cm=np.full(shape, params.initial_height_cm)[()],
-        turgid_width_cm=np.full(shape, params.initial_width_cm)[()],
-        turgor=1.0,
-        rate_per_min=(params.normal_rate_per_day * params.band_multiplier(band) * rate_scale
-                      / MINUTES_PER_DAY),
-    )
+    rate = params.normal_rate_per_day * params.band_multiplier(band) * rate_scale / MINUTES_PER_DAY
+    return PlantState(age_min=0.0, seedling_height_cm=params.initial_height_cm,
+                      seedling_width_cm=params.initial_width_cm, turgor=1.0, rate_per_min=rate)
 
 
 def plant_rate_scale(seed: int, group_index: int, plant_index: int,
@@ -169,9 +165,25 @@ def irrigation_lag(seed: int, now_min: float, params: GrowthParams) -> float:
     return params.lag_low_min + (params.lag_high_min - params.lag_low_min) * u
 
 
-def effective_width(state: PlantState, params: GrowthParams) -> float | np.ndarray:
-    """Visible canopy width: full turgid width scaled down by turgor deficit, per plant."""
-    return state.turgid_width_cm * (1.0 - params.s_max * (1.0 - state.turgor))
+def sizes(state: PlantState, params: GrowthParams,
+          count: int | None = None) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """Heights and turgid widths at ``state.age_min`` of the first ``count`` plants (default all).
+
+    An overflow raises ValueError here, where an inf would first enter a projection.
+    """
+    rate = state.rate_per_min if count is None else state.rate_per_min[:count]
+    with np.errstate(over="ignore"):  # an overflow is reported below, not warned about
+        height = state.seedling_height_cm * np.exp(rate * state.age_min)
+        width = state.seedling_width_cm * np.exp(params.width_exponent * rate * state.age_min)
+    if not (np.all(np.isfinite(height)) and np.all(np.isfinite(width))):
+        raise ValueError(f"plant size overflows at age {state.age_min:g} min")
+    return height, width
+
+
+def effective_width(state: PlantState, params: GrowthParams,
+                    count: int | None = None) -> float | np.ndarray:
+    """Visible canopy width of the first ``count`` plants: turgid width less the turgor deficit."""
+    return sizes(state, params, count)[1] * (1.0 - params.s_max * (1.0 - state.turgor))
 
 
 def apply_irrigation(state: PlantState, now_min: float, lag_min: float) -> PlantState:
@@ -180,7 +192,8 @@ def apply_irrigation(state: PlantState, now_min: float, lag_min: float) -> Plant
     A later call always wins, so re-irrigating before the previous lag has
     elapsed simply replaces the pending recovery window.
     """
-    return replace(state, recovery_deadline_min=now_min + lag_min)
+    return PlantState(state.age_min, state.seedling_height_cm, state.seedling_width_cm,
+                      state.turgor, state.rate_per_min, now_min + lag_min)
 
 
 def advance(state: PlantState, dt_min: float, demand: DemandProfile,
@@ -188,29 +201,15 @@ def advance(state: PlantState, dt_min: float, demand: DemandProfile,
     """Advance a plant or a population by ``dt_min`` minutes of simulated time.
 
     The time of day at the start of the step is the plant age modulo 1440
-    (midnight transplant). Height and turgid width grow exponentially, each
-    plant at its own rate; the shared turgor integrates the demand loss
-    exactly, except inside the post-irrigation recovery window where it
-    relaxes toward 1 instead.
+    (midnight transplant). Sizes follow from the age (``sizes``); the shared
+    turgor integrates the demand loss exactly, except inside the
+    post-irrigation recovery window where it relaxes toward 1 instead.
     """
     if dt_min <= 0.0:
         raise ValueError("dt_min must be > 0")
-
-    with np.errstate(over="ignore"):  # an overflow is reported below, not warned about
-        height = state.height_cm * np.exp(state.rate_per_min * dt_min)
-        width = state.turgid_width_cm * np.exp(params.width_exponent * state.rate_per_min * dt_min)
-    if not (np.all(np.isfinite(height)) and np.all(np.isfinite(width))):
-        raise ValueError(f"plant size overflows in a {dt_min:g}-minute growth step "
-                         f"from age {state.age_min:g} min")
     turgor = _integrate_turgor(state, dt_min, demand, state.age_min % MINUTES_PER_DAY, params)
-
-    return replace(
-        state,
-        age_min=state.age_min + dt_min,
-        height_cm=height,
-        turgid_width_cm=width,
-        turgor=turgor,
-    )
+    return PlantState(state.age_min + dt_min, state.seedling_height_cm, state.seedling_width_cm,
+                      turgor, state.rate_per_min, state.recovery_deadline_min)
 
 
 def _integrate_turgor(state: PlantState, dt: float, demand: DemandProfile,

@@ -14,11 +14,11 @@
 
 Each group, and each comparison run, is one population ``PlantState``: one
 pump waters the whole population, so its plants share turgor and differ only
-in height, width and growth rate. The timer regime runs on its own clock
-(one tick per timer period); the camera samples only on wilt-controlled
-days. Captures are logged at the end of each capture day. All randomness is
-hash-derived from ``sim.seed``, so identical config plus seed reproduces
-byte-identical output files.
+by growth rate; sizes are evaluated only where the camera looks. The timer
+regime runs on its own clock (one tick per timer period); the camera samples
+only on wilt-controlled days. Captures are logged at the end of each capture
+day. All randomness is hash-derived from ``sim.seed``, so identical config
+plus seed reproduces byte-identical output files.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .growth import (
     irrigation_lag,
     make_seedling,
     plant_rate_scale,
+    sizes,
 )
 from .ledger import WaterLedger, savings
 from .ppm import write_ppm
@@ -170,8 +171,8 @@ class _Run:
         """
         distance = capture_distance(day)
         min_pixels = self.cfg["vision.min_plant_pixels"]
-        silhouettes = project(pop.height_cm[:count], effective_width(pop, self.gp)[:count],
-                              self.cam, distance)
+        heights, _ = sizes(pop, self.gp, count)
+        silhouettes = project(heights, effective_width(pop, self.gp, count), self.cam, distance)
         measured = []
         for i, runs in enumerate(silhouettes):
             frame, _ = render(runs, self.cam, (minute, i))

@@ -14,7 +14,6 @@ PASS line on success (run with ``pytest -v`` or ``-s`` to see them):
  9. camera distance schedule, exact
 """
 
-import math
 import time
 
 import numpy as np
@@ -22,7 +21,7 @@ import pytest
 
 from fertisim.config import default_config, parse_config
 from fertisim.control import Action, ControllerState, spa_tick, timer_tick
-from fertisim.growth import PlantState, effective_width
+from fertisim.growth import PlantState, effective_width, sizes
 from fertisim.ledger import WaterLedger
 from fertisim.render import capture_distance, project, render
 from fertisim.scenarios import (
@@ -166,10 +165,10 @@ def test_criterion_5_vision_oracle():
         age = float(rng.uniform(8.0, 43.0))
         mult = float(rng.uniform(0.76, 1.2075))  # any band with jitter
         turgor = float(rng.uniform(0.6, 1.0))
-        height = gp.initial_height_cm * math.exp(rate * mult * age)
-        width = gp.initial_width_cm * math.exp(gp.width_exponent * rate * mult * age)
-        plant = PlantState(age_min=age * 1440.0, height_cm=height,
-                           turgid_width_cm=width, turgor=turgor, rate_per_min=0.0)
+        plant = PlantState(age_min=age * 1440.0, seedling_height_cm=gp.initial_height_cm,
+                           seedling_width_cm=gp.initial_width_cm, turgor=turgor,
+                           rate_per_min=rate * mult / 1440.0)
+        height, _ = sizes(plant, gp)
         d1 = capture_distance(age)
         d2 = None
         for delta in rng.permutation([-9, -6, -3, 3, 6, 9]):
@@ -183,14 +182,14 @@ def test_criterion_5_vision_oracle():
 
         measured = []
         for d in (d1,) + ((d2,) if d2 else ()):
-            runs = project([plant.height_cm], [effective_width(plant, gp)], cam, d)
+            runs = project([height], [effective_width(plant, gp)], cam, d)
             frame, extents = render(runs[0], cam, (0, 0))
             m = measure(segment(frame, margin), d, cam, min_pixels)
             # pixel extents recovered exactly
             assert (m.height_px, m.width_px, m.plant_pixel_count) == extents
             # physical extents within one rasterization pixel
             cm_per_px = d / cam.focal_px
-            assert abs(m.height_cm - plant.height_cm) <= cm_per_px * (1.0 + 1e-9)
+            assert abs(m.height_cm - height) <= cm_per_px * (1.0 + 1e-9)
             assert abs(m.width_cm - effective_width(plant, gp)) <= cm_per_px * (1.0 + 1e-9)
             measured.append(m)
         if len(measured) == 2:

@@ -275,6 +275,23 @@ def test_skipped_samples_give_one_stderr_line_in_a_real_process(tmp_path, comman
     assert "vision.min_plant_pixels = 1000000000" in lines[0]
 
 
+@pytest.mark.parametrize("command, age_min", [("compare", 1440), ("growth", 1440),
+                                              ("monitor", 43680)])
+def test_size_overflow_is_one_error_line_in_a_real_process(tmp_path, command, age_min):
+    # Sizes are read in closed form where the camera looks; the first read names its age.
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text("growth.normal_rate_per_day = 1000000\n")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "fertisim.cli", command, "--config", str(cfg),
+         "--out", str(tmp_path / "run")], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == [
+        f"fertisim: error: plant size overflows at age {age_min} min"]
+    assert "Traceback" not in done.stderr + done.stdout
+
+
 # The keys that set how much a run simulates, and their caps: a config that
 # does not draw one of them sets it to its cap, so every example stays small.
 # Every other key keeps its default or ranges over all its check accepts.

@@ -17,6 +17,7 @@ from fertisim.growth import (
     irrigation_lag,
     make_seedling,
     plant_rate_scale,
+    sizes,
 )
 
 CFG = default_config()
@@ -41,7 +42,7 @@ class TestGrowthLaw:
         finals = {}
         for band in EcBand:
             plant = _run(make_seedling(GP, band), 30 * 1440, NO_DEMAND, step=1440.0)
-            finals[band] = plant.height_cm
+            finals[band] = sizes(plant, GP)[0]
         assert finals[EcBand.UNDER] < finals[EcBand.NORMAL] < finals[EcBand.OVER]
 
     def test_night_step_grows_height_only(self):
@@ -50,7 +51,7 @@ class TestGrowthLaw:
         before = plant
         after = advance(plant, 10.0, demand_of(0.01), GP)
         assert after.turgor == before.turgor == 1.0
-        assert after.height_cm > before.height_cm
+        assert sizes(after, GP)[0] > sizes(before, GP)[0]
 
     def test_split_advance_matches_single_advance(self):
         demand = demand_of(0.002)
@@ -59,8 +60,10 @@ class TestGrowthLaw:
 
         one = advance(base, 10.0, demand, GP)
         two = advance(advance(base, 5.0, demand, GP), 5.0, demand, GP)
-        assert abs(one.height_cm - two.height_cm) < 1e-9
-        assert abs(one.turgid_width_cm - two.turgid_width_cm) < 1e-9
+        (h1, w1), (h2, w2) = sizes(one, GP), sizes(two, GP)
+        assert h1 > sizes(base, GP)[0]
+        assert abs(h1 - h2) < 1e-9
+        assert abs(w1 - w2) < 1e-9
         assert abs(one.turgor - two.turgor) < 1e-12
 
     def test_non_positive_dt_rejected(self):
@@ -72,10 +75,10 @@ class TestGrowthLaw:
 
     def test_daily_increments_non_decreasing(self):
         plant = make_seedling(GP)
-        heights = [plant.height_cm]
+        heights = [sizes(plant, GP)[0]]
         for day in range(43):
             plant = advance(plant, 1440.0, NO_DEMAND, GP)
-            heights.append(plant.height_cm)
+            heights.append(sizes(plant, GP)[0])
         increments = [b - a for a, b in zip(heights, heights[1:])]
         assert all(later >= earlier for earlier, later in zip(increments, increments[1:]))
 
@@ -89,7 +92,7 @@ class TestGrowthLaw:
         for day in range(3, 44, 3):
             groups = {band: [advance(p, 3 * 1440.0, NO_DEMAND, params) for p in grp]
                       for band, grp in groups.items()}
-            means = {band: sum(p.height_cm for p in grp) / len(grp)
+            means = {band: sum(sizes(p, params)[0] for p in grp) / len(grp)
                      for band, grp in groups.items()}
             assert means[EcBand.OVER] > means[EcBand.NORMAL] > means[EcBand.UNDER], day
 
@@ -140,23 +143,23 @@ class TestIrrigationResponse:
 
 class TestEffectiveWidth:
     def test_full_turgor_identity(self):
-        plant = PlantState(age_min=0, height_cm=50, turgid_width_cm=40, turgor=1.0,
+        plant = PlantState(age_min=0, seedling_height_cm=50, seedling_width_cm=40, turgor=1.0,
                            rate_per_min=0.0)
         assert effective_width(plant, GP) == 40.0
 
     def test_zero_turgor_hits_shrink_floor(self):
-        plant = PlantState(age_min=0, height_cm=50, turgid_width_cm=40, turgor=0.0,
+        plant = PlantState(age_min=0, seedling_height_cm=50, seedling_width_cm=40, turgor=0.0,
                            rate_per_min=0.0)
         assert effective_width(plant, GP) == pytest.approx(36.0)
 
     def test_partial_turgor_formula(self):
-        plant = PlantState(age_min=0, height_cm=50, turgid_width_cm=40, turgor=0.8,
+        plant = PlantState(age_min=0, seedling_height_cm=50, seedling_width_cm=40, turgor=0.8,
                            rate_per_min=0.0)
         assert effective_width(plant, GP) == pytest.approx(40.0 * (1.0 - 0.10 * 0.2))
 
     @given(turgor=st.floats(0.0, 1.0), width=st.floats(1.0, 100.0))
     def test_bounded_by_shrink_limit(self, turgor, width):
-        plant = PlantState(age_min=0, height_cm=10, turgid_width_cm=width, turgor=turgor,
+        plant = PlantState(age_min=0, seedling_height_cm=10, seedling_width_cm=width, turgor=turgor,
                            rate_per_min=0.0)
         w = effective_width(plant, GP)
         assert w <= width
@@ -169,8 +172,8 @@ class TestEffectiveWidth:
         lo, hi = min(lo, hi), max(lo, hi)
         if hi - lo < 1e-9:  # below float resolution of the formula
             return
-        make = lambda t: PlantState(age_min=0, height_cm=10, turgid_width_cm=40, turgor=t,
-                                    rate_per_min=0.0)
+        make = lambda t: PlantState(age_min=0, seedling_height_cm=10, seedling_width_cm=40,
+                                    turgor=t, rate_per_min=0.0)
         assert effective_width(make(lo), GP) < effective_width(make(hi), GP)
 
 
@@ -185,8 +188,9 @@ class TestInvariants:
             dt = min(37.0, minutes - step)
             plant = advance(plant, dt, demand, GP)
             assert 0.0 <= plant.turgor <= 1.0
-            assert plant.height_cm >= prev.height_cm
-            assert plant.turgid_width_cm >= prev.turgid_width_cm
+            (height, width), (prev_height, prev_width) = sizes(plant, GP), sizes(prev, GP)
+            assert height >= prev_height
+            assert width >= prev_width
             prev = plant
 
     def test_trajectory_is_bit_deterministic(self):
@@ -199,7 +203,7 @@ class TestInvariants:
                 if minute == 300:
                     plant = apply_irrigation(plant, plant.age_min, 12.5)
                 plant = advance(plant, 1.0, demand, GP)
-                out.append((plant.height_cm, plant.turgid_width_cm, plant.turgor))
+                out.append((*sizes(plant, GP), plant.turgor))
             return out
 
         assert simulate() == simulate()
@@ -231,15 +235,16 @@ class TestPopulation:
                 alone = [apply_irrigation(p, now, lag) for p in alone]
             pop = advance(pop, dt, demand, GP)
             alone = [advance(p, dt, demand, GP) for p in alone]
+        heights, turgid = sizes(pop, GP)
         widths = effective_width(pop, GP)
         for i, single in enumerate(alone):
+            single_height, single_turgid = sizes(single, GP)
             assert pop.age_min == single.age_min
             assert pop.turgor == single.turgor
             assert pop.recovery_deadline_min == single.recovery_deadline_min
             assert pop.rate_per_min[i] == single.rate_per_min
-            assert pop.height_cm[i] == pytest.approx(single.height_cm, rel=1e-12, abs=0.0)
-            assert pop.turgid_width_cm[i] == pytest.approx(single.turgid_width_cm,
-                                                           rel=1e-12, abs=0.0)
+            assert heights[i] == pytest.approx(single_height, rel=1e-12, abs=0.0)
+            assert turgid[i] == pytest.approx(single_turgid, rel=1e-12, abs=0.0)
             assert widths[i] == pytest.approx(effective_width(single, GP), rel=1e-12, abs=0.0)
 
 
@@ -307,9 +312,45 @@ def test_stepping_keeps_sizes_positive_and_turgor_a_fraction(steps, peak, band, 
             pop = advance(pop, minutes, demand_of(peak), GP)
         else:
             pop = apply_irrigation(pop, pop.age_min, minutes)
-        assert np.all(np.isfinite(pop.height_cm)) and np.all(pop.height_cm > 0.0)
-        assert np.all(np.isfinite(pop.turgid_width_cm)) and np.all(pop.turgid_width_cm > 0.0)
+        heights, widths = sizes(pop, GP)
+        assert np.all(np.isfinite(heights)) and np.all(heights > 0.0)
+        assert np.all(np.isfinite(widths)) and np.all(widths > 0.0)
         assert 0.0 <= pop.turgor <= 1.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(steps=st.lists(_STEP, max_size=25), peak=st.floats(0.0, 0.05),
+       band=st.sampled_from(list(EcBand)), seed=st.integers(0, 2**32), count=st.integers(1, 5))
+def test_sizes_equal_the_per_step_product(steps, peak, band, seed, count):
+    # Sizes are read from transplant in closed form; stepping them one growth
+    # factor at a time, as a per-plant loop would, must give the same sizes.
+    scales = np.array([plant_rate_scale(seed, 0, i, GP) for i in range(5)])
+    pop = make_seedling(GP, band, scales)
+    heights = np.full(5, GP.initial_height_cm)
+    widths = np.full(5, GP.initial_width_cm)
+    for kind, minutes in steps:
+        if kind == "advance":
+            pop = advance(pop, minutes, demand_of(peak), GP)
+            heights = heights * np.exp(pop.rate_per_min * minutes)
+            widths = widths * np.exp(GP.width_exponent * pop.rate_per_min * minutes)
+        else:
+            pop = apply_irrigation(pop, pop.age_min, minutes)
+    got_heights, got_widths = sizes(pop, GP, count)
+    assert got_heights == pytest.approx(heights[:count], rel=1e-12, abs=0.0)
+    assert got_widths == pytest.approx(widths[:count], rel=1e-12, abs=0.0)
+
+
+def test_size_overflow_raises_where_it_is_read():
+    rates = np.array([1e-3, 1.0])  # the second plant's size overflows by day 1
+    pop = PlantState(age_min=0.0, seedling_height_cm=5.0, seedling_width_cm=3.0, turgor=1.0,
+                     rate_per_min=rates)
+    pop = advance(pop, 1440.0, NO_DEMAND, GP)  # stepping reads no size, so it cannot overflow
+    height, width = sizes(pop, GP, 1)
+    assert height[0] == pytest.approx(5.0 * math.exp(1.44)) and np.isfinite(width[0])
+    with pytest.raises(ValueError, match=r"^plant size overflows at age 1440 min$"):
+        sizes(pop, GP)
+    with pytest.raises(ValueError, match="overflows"):
+        effective_width(pop, GP)
 
 
 def test_rate_jitter_bounded():

@@ -1,5 +1,5 @@
 """Pinned output bytes: the default seed-42 runs of every scenario, one noisy monitor,
-and the ``--dump-defaults`` document.
+a 300-plant comparison at seed 7, and the ``--dump-defaults`` document.
 
 Each run goes through the CLI into a fresh directory, and the whole
 output tree is hashed: SHA-256 over each file's relative path and bytes, in
@@ -48,6 +48,20 @@ def test_noisy_monitor_outputs_match_pinned_digest(tmp_path, capsys):
     out = tmp_path / "monitor"
     assert main(["monitor", "--config", str(cfg), "--seed", "42", "--out", str(out)]) == 0
     assert tree_digest(out) == NOISY_MONITOR_DIGEST
+
+
+# The benchmark's population_stepping config at a seed no other pin covers: one
+# capture of 300 plants projects in 19 passes of 16.
+POPULATION = "compare.plants = 300\ncompare.capture_every_days = 49\n"
+POPULATION_DIGEST = "3ca35721becb6dba2675dfa16cea04b43a74ca0043f85f75e3bedca329d89c2f"
+
+
+def test_population_compare_outputs_match_pinned_digest(tmp_path, capsys):
+    cfg = tmp_path / "population.cfg"
+    cfg.write_text(POPULATION)
+    out = tmp_path / "compare"
+    assert main(["compare", "--config", str(cfg), "--seed", "7", "--out", str(out)]) == 0
+    assert tree_digest(out) == POPULATION_DIGEST
 
 
 DUMP_DEFAULTS_DIGEST = "da93b70fc0cb1a26e6f41fbb91098867b90133f6edbe58a95c47c11fd4fd4cf2"

@@ -10,9 +10,10 @@ from fertisim.render import project, render
 
 @pytest.fixture
 def frame(camera, growth_params):
-    plant = PlantState(age_min=0, height_cm=50, turgid_width_cm=25, turgor=0.9,
+    plant = PlantState(age_min=0, seedling_height_cm=50, seedling_width_cm=25, turgor=0.9,
                        rate_per_min=0.0)
-    runs = project([plant.height_cm], [effective_width(plant, growth_params)], camera, 100.0)
+    runs = project([plant.seedling_height_cm], [effective_width(plant, growth_params)], camera,
+                   100.0)
     return render(runs[0], camera, (0, 0))[0]
 
 

@@ -35,13 +35,13 @@ GP = CFG.growth_params()
 
 
 def plant_of(height_cm, width_cm, turgor=1.0):
-    return PlantState(age_min=0.0, height_cm=height_cm, turgid_width_cm=width_cm,
+    return PlantState(age_min=0.0, seedling_height_cm=height_cm, seedling_width_cm=width_cm,
                       turgor=turgor, rate_per_min=0.0)
 
 
 def shoot(plant, cam, distance_cm, noise_key=(0, 0)):
     """Frame a plant at its visible width as a population of one, as the scenarios do."""
-    runs = project([plant.height_cm], [effective_width(plant, GP)], cam, distance_cm)
+    runs = project([plant.seedling_height_cm], [effective_width(plant, GP)], cam, distance_cm)
     return render(runs[0], cam, noise_key)
 
 
@@ -97,7 +97,8 @@ class TestRender:
         plant = plant_of(37.0, 21.0, turgor=0.8)
         frame, (_, _, count) = shoot(plant, camera, 90.0)
         scale = camera.focal_px / 90.0
-        expected = rasterize(camera, plant.height_cm * scale, effective_width(plant, GP) * scale)
+        expected = rasterize(camera, plant.seedling_height_cm * scale,
+                             effective_width(plant, GP) * scale)
         assert (frame.runs.to_array() == expected).all()
 
         is_plant = (frame.pixels == np.array(PLANT_COLOR, np.uint8)).all(axis=2)
@@ -116,7 +117,7 @@ class TestRender:
             plant = plant_of(25.0, 14.0)
             _, (height_px, _, _) = shoot(plant, camera, distance)
             recovered = height_px * distance / camera.focal_px
-            assert abs(recovered - plant.height_cm) <= 1.0 * distance / camera.focal_px
+            assert abs(recovered - plant.seedling_height_cm) <= 1.0 * distance / camera.focal_px
 
     def test_deterministic(self, camera):
         a, ta = shoot(plant_of(33.3, 17.7, 0.85), camera, 90.0)
@@ -206,16 +207,17 @@ def test_runs_equal_the_bitmap_oracle(plants, canopy_fraction, stem_fraction):
     scale = cam.focal_px / 100.0
     population = [plant_of(h / scale, w / scale, turgor) for h, w, turgor in plants]
     # Float rounding can put a plant a hair past the edge.
-    population = [p for p in population if p.height_cm * scale <= 480.0
+    population = [p for p in population if p.seedling_height_cm * scale <= 480.0
                   and effective_width(p, GP) * scale <= 640.0]
     assume(population)
-    heights = np.array([p.height_cm for p in population])
+    heights = np.array([p.seedling_height_cm for p in population])
     widths = np.array([effective_width(p, GP) for p in population])
     silhouettes = project(heights, widths, cam, 100.0)
     assert len(silhouettes) == len(population)
 
     for i, (plant, runs) in enumerate(zip(population, silhouettes)):
-        expected = rasterize(cam, plant.height_cm * scale, effective_width(plant, GP) * scale)
+        expected = rasterize(cam, plant.seedling_height_cm * scale,
+                             effective_width(plant, GP) * scale)
         plant_rows = np.flatnonzero(expected.any(axis=1))
         assert runs.top == plant_rows[0]
         assert runs.top + len(runs.count) == 480

@@ -37,7 +37,7 @@ MIN_PIXELS = CFG["vision.min_plant_pixels"]
 
 def shoot(height_cm, width_cm, cam, distance_cm, turgor=1.0):
     """Render a plant at its visible width, as the scenarios do."""
-    plant = PlantState(age_min=0.0, height_cm=height_cm, turgid_width_cm=width_cm,
+    plant = PlantState(age_min=0.0, seedling_height_cm=height_cm, seedling_width_cm=width_cm,
                        turgor=turgor, rate_per_min=0.0)
     runs = project([height_cm], [effective_width(plant, GP)], cam, distance_cm)
     return render(runs[0], cam, (0, 0))
