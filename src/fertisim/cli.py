@@ -14,7 +14,7 @@ import math
 import sys
 
 from .config import Config, ConfigError, default_config, dump_defaults, load_config
-from .growth import PlantState, effective_width
+from .growth import PlantState, sizes
 from .ppm import PpmFormatError, read_ppm, write_ppm
 from .render import FrameFitError, project, render
 from .scenarios import run_fertigation_comparison, run_growth_experiment, run_monitoring_trace
@@ -152,7 +152,7 @@ def main(argv: list[str]) -> int:
         if args.command == "render-frame":
             plant = PlantState(age_min=0.0, seedling_height_cm=args.height_cm,
                                seedling_width_cm=args.width_cm, turgor=args.turgor, rate_per_min=0)
-            width, cam = effective_width(plant, cfg.growth_params()), cfg.camera()
+            width, cam = sizes(plant, cfg.growth_params())[1], cfg.camera()
             runs = project([args.height_cm], [width], cam, args.distance)
             frame, (height_px, width_px, count) = render(runs[0], cam, (plant.age_min, 0))
             write_ppm(frame, args.file)

@@ -17,8 +17,8 @@ One ``PlantState`` also holds a whole population. Every plant in a run
 shares the demand, the irrigation instants and the uptake lag, so turgor
 never depends on the plant: the population shares one turgor and differs
 only by growth rate. A state keeps the sizes at transplant and ``sizes``
-gives them in closed form at the state's age, so stepping touches only the
-shared scalars: age, turgor and the recovery deadline.
+gives them in closed form at the state's age and turgor, so stepping
+touches only the shared scalars: age, turgor and the recovery deadline.
 """
 
 from __future__ import annotations
@@ -167,23 +167,19 @@ def irrigation_lag(seed: int, now_min: float, params: GrowthParams) -> float:
 
 def sizes(state: PlantState, params: GrowthParams,
           count: int | None = None) -> tuple[float | np.ndarray, float | np.ndarray]:
-    """Heights and turgid widths at ``state.age_min`` of the first ``count`` plants (default all).
+    """Heights and visible canopy widths of the first ``count`` plants (default all).
 
-    An overflow raises ValueError here, where an inf would first enter a projection.
+    A visible width is the turgid width less the turgor deficit. ``age_min``
+    and ``turgor`` may also be arrays of one plant's instants (``count=1``).
+    An overflow raises ValueError naming the earliest age, before an inf enters a projection.
     """
     rate = state.rate_per_min if count is None else state.rate_per_min[:count]
     with np.errstate(over="ignore"):  # an overflow is reported below, not warned about
         height = state.seedling_height_cm * np.exp(rate * state.age_min)
         width = state.seedling_width_cm * np.exp(params.width_exponent * rate * state.age_min)
     if not (np.all(np.isfinite(height)) and np.all(np.isfinite(width))):
-        raise ValueError(f"plant size overflows at age {state.age_min:g} min")
-    return height, width
-
-
-def effective_width(state: PlantState, params: GrowthParams,
-                    count: int | None = None) -> float | np.ndarray:
-    """Visible canopy width of the first ``count`` plants: turgid width less the turgor deficit."""
-    return sizes(state, params, count)[1] * (1.0 - params.s_max * (1.0 - state.turgor))
+        raise ValueError(f"plant size overflows at age {np.min(state.age_min):g} min")
+    return height, width * (1.0 - params.s_max * (1.0 - state.turgor))
 
 
 def apply_irrigation(state: PlantState, now_min: float, lag_min: float) -> PlantState:

@@ -189,7 +189,7 @@ def project(heights_cm: np.ndarray, widths_cm: np.ndarray, cam: CameraConfig,
             distance_cm: float) -> list[RowMask]:
     """Each plant's silhouette seen from ``distance_cm``, drawn 16 plants a pass.
 
-    Widths are visible canopy widths (``growth.effective_width``). Raises
+    Widths are visible canopy widths (``growth.sizes``). Raises
     FrameFitError for the first plant that does not fit the frame.
     """
     if distance_cm <= 0.0:

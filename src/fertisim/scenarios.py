@@ -38,7 +38,6 @@ from .growth import (
     PlantState,
     advance,
     apply_irrigation,
-    effective_width,
     irrigation_lag,
     make_seedling,
     plant_rate_scale,
@@ -46,7 +45,7 @@ from .growth import (
 )
 from .ledger import WaterLedger, savings
 from .ppm import write_ppm
-from .render import capture_distance, overlap_flag, project, render
+from .render import RowMask, capture_distance, overlap_flag, project, render
 from .vision import Morphometry, NoPlantDetected, measure, segment
 
 log = logging.getLogger(__name__)
@@ -54,6 +53,7 @@ log = logging.getLogger(__name__)
 # Group-index stream of the comparison's plants for the per-plant jitter hash;
 # the growth experiment's groups take the index of their band in ``EcBand``.
 _COMPARE_GROUP_INDEX = 3
+_WINDOW = 16  # wilt-rule sample instants projected at once: one ``render.project`` pass
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,8 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _gradient_sign(previous: float | None, width: float) -> int:
+def _gradient_sign(state: ControllerState, day: int, width: float) -> int:
+    previous = state.previous_width_cm if state.last_sample_day == day else None
     if previous is None or previous == width:
         return 0
     return 1 if previous > width else -1
@@ -127,9 +128,9 @@ class _Run:
     """One scenario run: its settings plus the controller state, ledger and trace it builds.
 
     Every scenario makes its seedlings with ``population``, then runs three
-    steps on them: ``step_to`` a later instant, ``wilt_sample`` (one camera
-    sample under the wilt rule) and ``capture`` (project every plant at the
-    end of a day in one ``render.project`` call, then measure each).
+    steps on them: ``step_to`` a later instant, ``wilt_samples`` (a day's
+    camera samples under the wilt rule) and ``capture`` (project every plant
+    at the end of a day in one ``render.project`` call, then measure each).
     """
 
     cfg: Config
@@ -162,65 +163,73 @@ class _Run:
     def irrigate(self, pop: PlantState, now: float) -> PlantState:
         return apply_irrigation(pop, now, irrigation_lag(self.seed, now, self.gp))
 
-    def measure_plants(self, pop: PlantState, day: int, minute: float, count: int | None = None,
-                       ppm_path: Path | None = None) -> list[Morphometry]:
-        """Frame ``pop``'s first ``count`` plants (default all), save the frames if asked, measure.
+    def measure_frame(self, runs: RowMask, day: int, key: tuple[float, int],
+                      ppm_path: Path | None = None) -> Morphometry | None:
+        """Frame a silhouette (noise keyed by ``key``: minute, plant), save it if asked, measure
+        it; None for a skipped sample (too few plant pixels), which is counted and logged."""
+        frame, _ = render(runs, self.cam, key)
+        if ppm_path is not None:
+            write_ppm(frame, str(ppm_path))
+        mask = segment(frame, self.cfg["vision.red_margin"], cleanup=self.cam.noise_amplitude > 0)
+        try:
+            return measure(mask, capture_distance(day), self.cam,
+                           self.cfg["vision.min_plant_pixels"])
+        except NoPlantDetected as exc:
+            self.skipped += 1
+            log.info("day %d minute %d plant %d: sample skipped (%s)", day, *key, exc)
+            return None
 
-        Plant i's camera noise is keyed by (``minute``, i). A frame with too few
-        plant pixels is a skipped sample: counted, logged and left out.
+    def wilt_samples(self, pop: PlantState, times: range, start_min: float,
+                     frames_dir: Path | None = None, by_sample: bool = False) -> PlantState:
+        """Run the wilt rule at one day's sample ``times``; returns the population.
+
+        Each sample frames plant 0 (frame k saved in ``frames_dir`` if given) and ticks the
+        rule; an ON irrigates and logs a pump event ``now - start_min`` minutes into the
+        session, numbered by its sample if ``by_sample``, else by its trace row. Up to
+        ``_WINDOW`` instants are stepped as if the pump stays off and projected in one pass;
+        an ON drops the rest. A window that raises ValueError is redone one instant at a time.
         """
-        distance = capture_distance(day)
-        min_pixels = self.cfg["vision.min_plant_pixels"]
-        heights, _ = sizes(pop, self.gp, count)
-        silhouettes = project(heights, effective_width(pop, self.gp, count), self.cam, distance)
-        measured = []
-        for i, runs in enumerate(silhouettes):
-            frame, _ = render(runs, self.cam, (minute, i))
-            if ppm_path is not None:
-                write_ppm(frame, str(ppm_path))
-            mask = segment(frame, self.cfg["vision.red_margin"],
-                           cleanup=self.cam.noise_amplitude > 0)
+        day = int(times.start // MINUTES_PER_DAY)
+        distance, k, span = capture_distance(day), 0, _WINDOW
+        while k < len(times):
+            instants, state = times[k:k + span], pop
+            track = [state := self.step_to(state, now) for now in instants]
+            plant0 = replace(pop, age_min=np.array([s.age_min for s in track]),
+                             turgor=np.array([s.turgor for s in track]))
             try:
-                measured.append(measure(mask, distance, self.cam, min_pixels))
-            except NoPlantDetected as exc:
-                self.skipped += 1
-                log.info("day %d minute %d plant %d: sample skipped (%s)", day, minute, i, exc)
-        return measured
-
-    def wilt_sample(self, pop: PlantState, now: float, sample_index: int, start_min: float,
-                    ppm_path: Path | None = None) -> PlantState:
-        """Measure plant 0, tick the wilt rule, account the water and log a trace row.
-
-        On ON the whole population is irrigated and a pump event is logged at
-        ``now - start_min`` minutes into the session. Returns the population.
-        """
-        day = int(now // MINUTES_PER_DAY)
-        measured = self.measure_plants(pop, day, now, 1, ppm_path)
-        if not measured:
-            return pop
-        morpho = measured[0]
-        previous = self.state.previous_width_cm if self.state.last_sample_day == day else None
-        self.state, cmd = spa_tick(self.state, morpho.width_cm, now, self.schedule,
-                                   self.cfg["control.wilt_threshold"])
-        self.ledger.accrue(cmd, now, self.flow_l_per_min, regime="auto")
-        if cmd.action is Action.ON:
-            self.events.append(PumpEvent(sample_index, now, now - start_min))
-            pop = self.irrigate(pop, now)
-        self.rows.append(TraceRow(
-            timestamp_min=now,
-            plant_id=0,
-            height_cm=morpho.height_cm,
-            width_cm=morpho.width_cm,
-            wilt_degree=wilt_degree(self.state.reference_width_cm, morpho.width_cm),
-            gradient_sign=_gradient_sign(previous, morpho.width_cm),
-            command=cmd.action.value,
-            liters_to_date=self.ledger.total_liters(),
-        ))
+                silhouettes = project(*sizes(plant0, self.gp, 1), self.cam, distance)
+            except ValueError:  # a later instant's error may not be the first failing sample's
+                if len(instants) == 1:
+                    raise
+                span = 1
+                continue
+            for now, pop, runs in zip(instants, track, silhouettes):
+                ppm_path = frames_dir / f"sample_{k:03d}.ppm" if frames_dir else None
+                index, k = (k if by_sample else len(self.rows)), k + 1
+                morpho = self.measure_frame(runs, day, (now, 0), ppm_path)
+                if morpho is None:
+                    continue
+                before, width_cm = self.state, morpho.width_cm
+                self.state, cmd = spa_tick(before, width_cm, now, self.schedule,
+                                           self.cfg["control.wilt_threshold"])
+                self.ledger.accrue(cmd, now, self.flow_l_per_min, regime="auto")
+                self.rows.append(TraceRow(
+                    timestamp_min=now, plant_id=0, height_cm=morpho.height_cm, width_cm=width_cm,
+                    wilt_degree=wilt_degree(self.state.reference_width_cm, width_cm),
+                    gradient_sign=_gradient_sign(before, day, width_cm),
+                    command=cmd.action.value, liters_to_date=self.ledger.total_liters()))
+                if cmd.action is Action.ON:
+                    self.events.append(PumpEvent(index, now, now - start_min))
+                    pop = self.irrigate(pop, now)
+                    break
         return pop
 
     def capture(self, pop: PlantState, day: int) -> tuple[float, float]:
         """Mean measured height and width of ``pop``'s measured plants; NoPlantDetected if none."""
-        measured = self.measure_plants(pop, day, (day + 1) * MINUTES_PER_DAY)
+        minute = (day + 1) * MINUTES_PER_DAY
+        silhouettes = project(*sizes(pop, self.gp), self.cam, capture_distance(day))
+        measured = [m for i, runs in enumerate(silhouettes)
+                    if (m := self.measure_frame(runs, day, (minute, i))) is not None]
         if not measured:
             raise NoPlantDetected(
                 f"capture day {day} measured no plant: every frame had fewer than "
@@ -254,7 +263,7 @@ def run_growth_experiment(cfg: Config, out_dir: str | Path) -> GrowthResult:
 
     for day in range(0, total_days, every):
         pops = [run.step_to(pop, (day + 1) * MINUTES_PER_DAY) for pop in pops]
-        if any(overlap_flag(effective_width(pop, run.gp), spacing) for pop in pops):
+        if any(overlap_flag(sizes(pop, run.gp)[1], spacing) for pop in pops):
             overlap_stop_day = day
             log.info("individual capture stopped at day %d: canopies wider than %.0f cm spacing",
                      day, spacing)
@@ -297,7 +306,6 @@ def run_monitoring_trace(cfg: Config, out_dir: str | Path) -> MonitorResult:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     start_day = cfg["monitor.start_day"]
-    dump_frames = cfg["output.dump_frames"]
     run = _Run(cfg, cfg.demand("monitor.peak_loss_rate"), cfg.schedule())
 
     # Grow the representative plant (a population of one) to session age under no demand.
@@ -306,14 +314,11 @@ def run_monitoring_trace(cfg: Config, out_dir: str | Path) -> MonitorResult:
         no_demand = replace(run.demand, peak_loss_rate=0.0)
         plant = advance(plant, start_day * MINUTES_PER_DAY, no_demand, params=run.gp)
 
-    frames_dir = out / "frames"
-    if dump_frames:
+    frames_dir = out / "frames" if cfg["output.dump_frames"] else None
+    if frames_dir:
         frames_dir.mkdir(exist_ok=True)
-
     times = run.schedule.sample_times(start_day)[:cfg["monitor.sample_count"]]
-    for k, now in enumerate(times):
-        ppm_path = frames_dir / f"sample_{k:03d}.ppm" if dump_frames else None
-        plant = run.wilt_sample(run.step_to(plant, now), now, k, times.start, ppm_path)
+    run.wilt_samples(plant, times, times.start, frames_dir, by_sample=True)
 
     _write_trace_csv(out / "trace.csv", run.rows)
     _write_events_csv(out / "pump_events.csv", run.events)
@@ -431,8 +436,7 @@ def _simulate_population(cfg: Config,
         run.ledger.register_day(day, regime)
 
         if auto:
-            for now in schedule.sample_times(day):
-                pop = run.wilt_sample(run.step_to(pop, now), now, len(run.rows), auto_start_min)
+            pop = run.wilt_samples(pop, schedule.sample_times(day), auto_start_min)
         else:
             for now in schedule.timer_times(day):
                 pop = run.step_to(pop, now)

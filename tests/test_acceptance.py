@@ -21,7 +21,7 @@ import pytest
 
 from fertisim.config import default_config, parse_config
 from fertisim.control import Action, ControllerState, spa_tick, timer_tick
-from fertisim.growth import PlantState, effective_width, sizes
+from fertisim.growth import PlantState, sizes
 from fertisim.ledger import WaterLedger
 from fertisim.render import capture_distance, project, render
 from fertisim.scenarios import (
@@ -176,13 +176,13 @@ def test_criterion_5_vision_oracle():
                 continue
             cand = capture_distance(age + delta)
             if cand != d1 and height * cam.focal_px / cand <= 480.0 \
-                    and effective_width(plant, gp) * cam.focal_px / cand <= 640.0:
+                    and sizes(plant, gp)[1] * cam.focal_px / cand <= 640.0:
                 d2 = cand
                 break
 
         measured = []
         for d in (d1,) + ((d2,) if d2 else ()):
-            runs = project([height], [effective_width(plant, gp)], cam, d)
+            runs = project([height], [sizes(plant, gp)[1]], cam, d)
             frame, extents = render(runs[0], cam, (0, 0))
             m = measure(segment(frame, margin), d, cam, min_pixels)
             # pixel extents recovered exactly
@@ -190,7 +190,7 @@ def test_criterion_5_vision_oracle():
             # physical extents within one rasterization pixel
             cm_per_px = d / cam.focal_px
             assert abs(m.height_cm - height) <= cm_per_px * (1.0 + 1e-9)
-            assert abs(m.width_cm - effective_width(plant, gp)) <= cm_per_px * (1.0 + 1e-9)
+            assert abs(m.width_cm - sizes(plant, gp)[1]) <= cm_per_px * (1.0 + 1e-9)
             measured.append(m)
         if len(measured) == 2:
             rel = abs(measured[0].height_cm - measured[1].height_cm) / measured[0].height_cm

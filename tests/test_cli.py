@@ -292,6 +292,25 @@ def test_size_overflow_is_one_error_line_in_a_real_process(tmp_path, command, ag
     assert "Traceback" not in done.stderr + done.stdout
 
 
+@pytest.mark.parametrize("focal_px, line", [
+    (1000, "fertisim: error: plant projects to 480.3x165.9 px at 160 cm; frame is 480x640"),
+    (1500, "fertisim: error: plant projects to 480.3x215.1 px at 130 cm; frame is 480x640"),
+], ids=["focal-1000", "focal-1500"])
+def test_frame_fit_error_names_the_first_failing_sample_in_a_real_process(tmp_path, focal_px,
+                                                                          line):
+    # The wilt rule projects samples ahead as if the pump stays off; the error
+    # must still be the one the first failing sample raises, in its real state.
+    cfg = tmp_path / "focal.cfg"
+    cfg.write_text(f"camera.focal_px = {focal_px}\n")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "fertisim.cli", "compare", "--config", str(cfg),
+         "--out", str(tmp_path / "run")], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == [line]
+
+
 # The keys that set how much a run simulates, and their caps: a config that
 # does not draw one of them sets it to its cap, so every example stays small.
 # Every other key keeps its default or ranges over all its check accepts.

@@ -13,7 +13,6 @@ from fertisim.growth import (
     PlantState,
     advance,
     apply_irrigation,
-    effective_width,
     irrigation_lag,
     make_seedling,
     plant_rate_scale,
@@ -145,23 +144,23 @@ class TestEffectiveWidth:
     def test_full_turgor_identity(self):
         plant = PlantState(age_min=0, seedling_height_cm=50, seedling_width_cm=40, turgor=1.0,
                            rate_per_min=0.0)
-        assert effective_width(plant, GP) == 40.0
+        assert sizes(plant, GP)[1] == 40.0
 
     def test_zero_turgor_hits_shrink_floor(self):
         plant = PlantState(age_min=0, seedling_height_cm=50, seedling_width_cm=40, turgor=0.0,
                            rate_per_min=0.0)
-        assert effective_width(plant, GP) == pytest.approx(36.0)
+        assert sizes(plant, GP)[1] == pytest.approx(36.0)
 
     def test_partial_turgor_formula(self):
         plant = PlantState(age_min=0, seedling_height_cm=50, seedling_width_cm=40, turgor=0.8,
                            rate_per_min=0.0)
-        assert effective_width(plant, GP) == pytest.approx(40.0 * (1.0 - 0.10 * 0.2))
+        assert sizes(plant, GP)[1] == pytest.approx(40.0 * (1.0 - 0.10 * 0.2))
 
     @given(turgor=st.floats(0.0, 1.0), width=st.floats(1.0, 100.0))
     def test_bounded_by_shrink_limit(self, turgor, width):
         plant = PlantState(age_min=0, seedling_height_cm=10, seedling_width_cm=width, turgor=turgor,
                            rate_per_min=0.0)
-        w = effective_width(plant, GP)
+        w = sizes(plant, GP)[1]
         assert w <= width
         assert w >= (1.0 - 0.10) * width - 1e-12
         if turgor == 1.0:
@@ -174,7 +173,7 @@ class TestEffectiveWidth:
             return
         make = lambda t: PlantState(age_min=0, seedling_height_cm=10, seedling_width_cm=40,
                                     turgor=t, rate_per_min=0.0)
-        assert effective_width(make(lo), GP) < effective_width(make(hi), GP)
+        assert sizes(make(lo), GP)[1] < sizes(make(hi), GP)[1]
 
 
 class TestInvariants:
@@ -188,7 +187,9 @@ class TestInvariants:
             dt = min(37.0, minutes - step)
             plant = advance(plant, dt, demand, GP)
             assert 0.0 <= plant.turgor <= 1.0
-            (height, width), (prev_height, prev_width) = sizes(plant, GP), sizes(prev, GP)
+            # turgid sizes: the visible width at full turgor
+            turgid = [sizes(replace(p, turgor=1.0), GP) for p in (plant, prev)]
+            (height, width), (prev_height, prev_width) = turgid
             assert height >= prev_height
             assert width >= prev_width
             prev = plant
@@ -235,17 +236,17 @@ class TestPopulation:
                 alone = [apply_irrigation(p, now, lag) for p in alone]
             pop = advance(pop, dt, demand, GP)
             alone = [advance(p, dt, demand, GP) for p in alone]
-        heights, turgid = sizes(pop, GP)
-        widths = effective_width(pop, GP)
+        heights, turgid = sizes(replace(pop, turgor=1.0), GP)
+        widths = sizes(pop, GP)[1]
         for i, single in enumerate(alone):
-            single_height, single_turgid = sizes(single, GP)
+            single_height, single_turgid = sizes(replace(single, turgor=1.0), GP)
             assert pop.age_min == single.age_min
             assert pop.turgor == single.turgor
             assert pop.recovery_deadline_min == single.recovery_deadline_min
             assert pop.rate_per_min[i] == single.rate_per_min
             assert heights[i] == pytest.approx(single_height, rel=1e-12, abs=0.0)
             assert turgid[i] == pytest.approx(single_turgid, rel=1e-12, abs=0.0)
-            assert widths[i] == pytest.approx(effective_width(single, GP), rel=1e-12, abs=0.0)
+            assert widths[i] == pytest.approx(sizes(single, GP)[1], rel=1e-12, abs=0.0)
 
 
 def mean_rate(demand, a, b):
@@ -335,9 +336,32 @@ def test_sizes_equal_the_per_step_product(steps, peak, band, seed, count):
             widths = widths * np.exp(GP.width_exponent * pop.rate_per_min * minutes)
         else:
             pop = apply_irrigation(pop, pop.age_min, minutes)
-    got_heights, got_widths = sizes(pop, GP, count)
+    got_heights, got_widths = sizes(replace(pop, turgor=1.0), GP, count)  # turgid widths
     assert got_heights == pytest.approx(heights[:count], rel=1e-12, abs=0.0)
     assert got_widths == pytest.approx(widths[:count], rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(steps=st.lists(_STEP, min_size=1, max_size=20), peak=st.floats(0.0, 0.05),
+       seed=st.integers(0, 2**32))
+def test_sizes_at_instants_equal_each_instant_alone(steps, peak, seed):
+    # The wilt rule evaluates plant 0 at a window of instants in one call; each
+    # entry must be bit-identical to that instant's own evaluation.
+    scales = np.array([plant_rate_scale(seed, 0, i, GP) for i in range(3)])
+    pop = make_seedling(GP, EcBand.NORMAL, scales)
+    states = []
+    for kind, minutes in steps:
+        if kind == "advance":
+            pop = advance(pop, minutes, demand_of(peak), GP)
+        else:
+            pop = apply_irrigation(pop, pop.age_min, minutes)
+        states.append(pop)
+    track = replace(pop, age_min=np.array([p.age_min for p in states]),
+                    turgor=np.array([p.turgor for p in states]))
+    heights, widths = sizes(track, GP, 1)
+    alone = [sizes(p, GP, 1) for p in states]
+    assert heights.tolist() == [h[0] for h, _ in alone]
+    assert widths.tolist() == [w[0] for _, w in alone]
 
 
 def test_size_overflow_raises_where_it_is_read():
@@ -349,8 +373,6 @@ def test_size_overflow_raises_where_it_is_read():
     assert height[0] == pytest.approx(5.0 * math.exp(1.44)) and np.isfinite(width[0])
     with pytest.raises(ValueError, match=r"^plant size overflows at age 1440 min$"):
         sizes(pop, GP)
-    with pytest.raises(ValueError, match="overflows"):
-        effective_width(pop, GP)
 
 
 def test_rate_jitter_bounded():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fertisim.growth import PlantState, effective_width
+from fertisim.growth import PlantState, sizes
 from fertisim.ppm import PpmFormatError, read_ppm, write_ppm
 from fertisim.render import project, render
 
@@ -12,7 +12,7 @@ from fertisim.render import project, render
 def frame(camera, growth_params):
     plant = PlantState(age_min=0, seedling_height_cm=50, seedling_width_cm=25, turgor=0.9,
                        rate_per_min=0.0)
-    runs = project([plant.seedling_height_cm], [effective_width(plant, growth_params)], camera,
+    runs = project([plant.seedling_height_cm], [sizes(plant, growth_params)[1]], camera,
                    100.0)
     return render(runs[0], camera, (0, 0))[0]
 

@@ -11,9 +11,9 @@ from fertisim.growth import (
     EcBand,
     PlantState,
     advance,
-    effective_width,
     make_seedling,
     plant_rate_scale,
+    sizes,
 )
 from fertisim.render import (
     BACKGROUND,
@@ -41,7 +41,7 @@ def plant_of(height_cm, width_cm, turgor=1.0):
 
 def shoot(plant, cam, distance_cm, noise_key=(0, 0)):
     """Frame a plant at its visible width as a population of one, as the scenarios do."""
-    runs = project([plant.seedling_height_cm], [effective_width(plant, GP)], cam, distance_cm)
+    runs = project([plant.seedling_height_cm], [sizes(plant, GP)[1]], cam, distance_cm)
     return render(runs[0], cam, noise_key)
 
 
@@ -98,7 +98,7 @@ class TestRender:
         frame, (_, _, count) = shoot(plant, camera, 90.0)
         scale = camera.focal_px / 90.0
         expected = rasterize(camera, plant.seedling_height_cm * scale,
-                             effective_width(plant, GP) * scale)
+                             sizes(plant, GP)[1] * scale)
         assert (frame.runs.to_array() == expected).all()
 
         is_plant = (frame.pixels == np.array(PLANT_COLOR, np.uint8)).all(axis=2)
@@ -208,16 +208,16 @@ def test_runs_equal_the_bitmap_oracle(plants, canopy_fraction, stem_fraction):
     population = [plant_of(h / scale, w / scale, turgor) for h, w, turgor in plants]
     # Float rounding can put a plant a hair past the edge.
     population = [p for p in population if p.seedling_height_cm * scale <= 480.0
-                  and effective_width(p, GP) * scale <= 640.0]
+                  and sizes(p, GP)[1] * scale <= 640.0]
     assume(population)
     heights = np.array([p.seedling_height_cm for p in population])
-    widths = np.array([effective_width(p, GP) for p in population])
+    widths = np.array([sizes(p, GP)[1] for p in population])
     silhouettes = project(heights, widths, cam, 100.0)
     assert len(silhouettes) == len(population)
 
     for i, (plant, runs) in enumerate(zip(population, silhouettes)):
         expected = rasterize(cam, plant.seedling_height_cm * scale,
-                             effective_width(plant, GP) * scale)
+                             sizes(plant, GP)[1] * scale)
         plant_rows = np.flatnonzero(expected.any(axis=1))
         assert runs.top == plant_rows[0]
         assert runs.top + len(runs.count) == 480
@@ -280,7 +280,7 @@ class TestOverlapFlag:
             t_cap = (day + 1) * 1440.0
             groups = [advance(g, t_cap - g.age_min, no_demand, params=growth_params)
                       for g in groups]
-            if any(overlap_flag(effective_width(g, growth_params), 40.0) for g in groups):
+            if any(overlap_flag(sizes(g, growth_params)[1], 40.0) for g in groups):
                 first = day
                 break
         assert first is not None and 40 < first < 50, f"overlap first tripped at day {first}"

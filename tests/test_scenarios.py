@@ -191,6 +191,55 @@ class TestComparison:
                                                             abs=1e-9)
 
 
+def tree_bytes(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+# A lag of 40 to 60 minutes makes 45-minute samples re-irrigate while the
+# previous irrigation's lag is still pending.
+LONG_LAG = "growth.lag_low_min = 40\ngrowth.lag_high_min = 60\n"
+
+
+@pytest.mark.parametrize("interval", [5, 45])
+@pytest.mark.parametrize("seed", [0, 5, 42])
+def test_wilt_window_matches_one_sample_at_a_time(tmp_path, monkeypatch, interval, seed):
+    cfg = parse_config(f"sim.seed = {seed}\ncompare.sample_interval_min = {interval}\n"
+                       f"compare.plants = 2\n{LONG_LAG}")
+    windowed = run_fertigation_comparison(cfg, tmp_path / "windowed")
+    monkeypatch.setattr(scenarios, "_WINDOW", 1)
+    run_fertigation_comparison(cfg, tmp_path / "single")
+    assert tree_bytes(tmp_path / "windowed") == tree_bytes(tmp_path / "single")
+    # ONs land inside windows, and at 45 minutes some re-irrigate within the lag
+    times = [e.timestamp_min for e in windowed.events]
+    assert len(times) > 1
+    assert interval == 5 or min(b - a for a, b in zip(times, times[1:])) < 60
+
+
+def test_wilt_window_renders_and_writes_each_noisy_frame_once(tmp_path, monkeypatch):
+    # One-minute samples from noon: the pump fires at sample 9, inside the first window.
+    cfg = parse_config("control.window_start_min = 720\nmonitor.sample_interval_min = 1\n"
+                       "monitor.sample_count = 40\ncamera.noise_amplitude = 20\n"
+                       "output.dump_frames = true\n")
+    renders, render = [], scenarios.render
+
+    def counted(*args):
+        renders.append(args[2])
+        return render(*args)
+
+    trees = {}
+    for window in (scenarios._WINDOW, 1):
+        renders.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(scenarios, "_WINDOW", window)
+            patch.setattr(scenarios, "render", counted)
+            result = run_monitoring_trace(cfg, tmp_path / str(window))
+        assert [e.sample_index for e in result.events] == [9]
+        assert sorted(renders) == [(720 + 30 * 1440 + k, 0) for k in range(40)]
+        trees[window] = tree_bytes(tmp_path / str(window))
+    assert len(trees[1]) == 40 + 3
+    assert trees[scenarios._WINDOW] == trees[1]
+
+
 def test_every_traced_name_is_bound_in_scenarios():
     # perfbench wraps these names as bound in fertisim.scenarios; a renamed or
     # dropped import would silently remove a layer from the traced pass.

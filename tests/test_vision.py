@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from fertisim.config import default_config
 from fertisim.control import wilt_degree
-from fertisim.growth import PlantState, effective_width
+from fertisim.growth import PlantState, sizes
 from fertisim.render import (
     BACKGROUND,
     PLANT_COLOR,
@@ -39,7 +39,7 @@ def shoot(height_cm, width_cm, cam, distance_cm, turgor=1.0):
     """Render a plant at its visible width, as the scenarios do."""
     plant = PlantState(age_min=0.0, seedling_height_cm=height_cm, seedling_width_cm=width_cm,
                        turgor=turgor, rate_per_min=0.0)
-    runs = project([height_cm], [effective_width(plant, GP)], cam, distance_cm)
+    runs = project([height_cm], [sizes(plant, GP)[1]], cam, distance_cm)
     return render(runs[0], cam, (0, 0))
 
 
