@@ -9,7 +9,6 @@ of its built-in result assertions failed.
 from __future__ import annotations
 
 import argparse
-import logging
 import math
 import sys
 
@@ -94,7 +93,6 @@ def main(argv: list[str]) -> int:
         print(dump_defaults(), end="")
         return EXIT_OK
 
-    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

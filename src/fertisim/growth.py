@@ -9,9 +9,9 @@ water-demand profile and, after an irrigation plus an uptake lag of
 The visible canopy width shrinks with lost turgor, which is what the
 vision pipeline later picks up as wilt.
 
-All transitions are closed-form within a step, so advancing a plant by
-one long step or by many short ones gives the same trajectory; scenarios
-exploit this to jump between sampling instants without per-minute loops.
+A step of any length is three closed-form turgor pieces (drain, recovery in
+the recovery window, drain) under a demand integral exact over any span, so
+one long step equals many short ones to rounding and scenarios jump freely.
 
 One ``PlantState`` also holds a whole population. Every plant in a run
 shares the demand, the irrigation instants and the uptake lag, so turgor
@@ -80,35 +80,25 @@ class GrowthParams:
 
 @dataclass(frozen=True)
 class DemandProfile:
-    """Diurnal turgor-loss rate: a half sine over the daytime window, zero outside it.
-
-    The rate peaks at ``peak_loss_rate`` at the window's midpoint.
-    """
+    """Diurnal turgor-loss rate: a half sine over the daytime window, zero outside it."""
 
     window_start_min: float
     window_end_min: float
     peak_loss_rate: float  # turgor fraction per minute at the midpoint
 
     def loss_integral(self, a_min: float, b_min: float) -> float:
-        """Exact integral of the loss rate over [a, b] in unwrapped clock minutes.
+        """Exact integral of the loss rate over [a, b] in unwrapped clock minutes, any a <= b.
 
-        The interval must not straddle a window edge strictly; callers split
-        at edges first (advance() does).
+        Each day boundary crossed adds a whole window, 2 * peak / w (w = pi / window
+        length); each end adds the cosine term at its clock of day, clipped to the window.
         """
-        if b_min <= a_min:
-            return 0.0
-        day = math.floor(a_min / MINUTES_PER_DAY)
-        a = a_min - day * MINUTES_PER_DAY
-        b = b_min - day * MINUTES_PER_DAY
-        lo = max(a, self.window_start_min)
-        hi = min(b, self.window_end_min)
-        if hi <= lo:
-            return 0.0
-        span = self.window_end_min - self.window_start_min
-        w = math.pi / span
+        start, end = self.window_start_min, self.window_end_min
+        w = math.pi / (end - start)
+        day_a, clock_a = divmod(a_min, MINUTES_PER_DAY)
+        day_b, clock_b = divmod(b_min, MINUTES_PER_DAY)
+        lo, hi = min(max(clock_a, start), end), min(max(clock_b, start), end)
         return (self.peak_loss_rate / w) * (
-            math.cos(w * (lo - self.window_start_min)) - math.cos(w * (hi - self.window_start_min))
-        )
+            math.cos(w * (lo - start)) - math.cos(w * (hi - start)) + 2.0 * (day_b - day_a))
 
 
 @dataclass(frozen=True)
@@ -196,10 +186,9 @@ def advance(state: PlantState, dt_min: float, demand: DemandProfile,
             params: GrowthParams) -> PlantState:
     """Advance a plant or a population by ``dt_min`` minutes of simulated time.
 
-    The time of day at the start of the step is the plant age modulo 1440
-    (midnight transplant). Sizes follow from the age (``sizes``); the shared
-    turgor integrates the demand loss exactly, except inside the
-    post-irrigation recovery window where it relaxes toward 1 instead.
+    The clock of day at the start is the age modulo 1440 (midnight transplant).
+    Sizes follow from the age (``sizes``); the shared turgor drains with the
+    demand and relaxes toward 1 inside the post-irrigation recovery window.
     """
     if dt_min <= 0.0:
         raise ValueError("dt_min must be > 0")
@@ -210,36 +199,16 @@ def advance(state: PlantState, dt_min: float, demand: DemandProfile,
 
 def _integrate_turgor(state: PlantState, dt: float, demand: DemandProfile,
                       clock0: float, params: GrowthParams) -> float:
-    # Split [0, dt] (offsets from the step start) at recovery-window edges and
-    # at every demand-window edge, then integrate each piece in closed form.
-    # Without demand nothing drains, so a step of any length needs no demand
-    # cuts: the monitor grows its plant for weeks in one zero-demand step.
-    cuts = {0.0, dt}
-    rec_lo = rec_hi = None
+    # Offsets from the step start: drain over [0, lo], recovery toward 1 over [lo, hi]
+    # (the recovery window clipped to the step, empty without one), drain over [hi, dt].
+    lo = hi = dt
     if state.recovery_deadline_min is not None:
         rec_lo = state.recovery_deadline_min - state.age_min
-        rec_hi = rec_lo + params.recovery_duration_min
-        for x in (rec_lo, rec_hi):
-            if 0.0 < x < dt:
-                cuts.add(x)
-    if demand.peak_loss_rate > 0.0:
-        first_day = math.floor(clock0 / MINUTES_PER_DAY)
-        last_day = math.floor((clock0 + dt) / MINUTES_PER_DAY)
-        for day in range(int(first_day), int(last_day) + 1):
-            for edge in (demand.window_start_min, demand.window_end_min):
-                x = day * MINUTES_PER_DAY + edge - clock0
-                if 0.0 < x < dt:
-                    cuts.add(x)
-
-    xs = sorted(cuts)
-    turgor = state.turgor
-    for a, b in zip(xs, xs[1:]):
-        mid = 0.5 * (a + b)
-        in_recovery = rec_lo is not None and rec_lo <= mid < rec_hi
-        if in_recovery:
-            turgor = 1.0 - (1.0 - turgor) * math.exp(-(b - a) / params.recovery_tau_min)
-        else:
-            drained = demand.loss_integral(clock0 + a, clock0 + b)
-            if drained > 0.0:
-                turgor *= math.exp(-drained)
+        lo = min(max(rec_lo, 0.0), dt)
+        hi = min(max(rec_lo + params.recovery_duration_min, 0.0), dt)
+    turgor = state.turgor * math.exp(-demand.loss_integral(clock0, clock0 + lo))
+    if hi > lo:
+        turgor = 1.0 - (1.0 - turgor) * math.exp(-(hi - lo) / params.recovery_tau_min)
+    if hi < dt:
+        turgor *= math.exp(-demand.loss_integral(clock0 + hi, clock0 + dt))
     return min(1.0, max(0.0, turgor))

@@ -308,11 +308,9 @@ def run_monitoring_trace(cfg: Config, out_dir: str | Path) -> MonitorResult:
     start_day = cfg["monitor.start_day"]
     run = _Run(cfg, cfg.demand("monitor.peak_loss_rate"), cfg.schedule())
 
-    # Grow the representative plant (a population of one) to session age under no demand.
-    plant = make_seedling(run.gp, EcBand.NORMAL, np.ones(1))
-    if start_day > 0:
-        no_demand = replace(run.demand, peak_loss_rate=0.0)
-        plant = advance(plant, start_day * MINUTES_PER_DAY, no_demand, params=run.gp)
+    # The representative plant (a population of one) at session age, fully turgid.
+    plant = replace(make_seedling(run.gp, EcBand.NORMAL, np.ones(1)),
+                    age_min=start_day * MINUTES_PER_DAY)
 
     frames_dir = out / "frames" if cfg["output.dump_frames"] else None
     if frames_dir:

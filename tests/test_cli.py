@@ -341,7 +341,7 @@ CONFIGS = st.sets(st.sampled_from(list(_KEYS))).flatmap(
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(values=CONFIGS)
 @example(values=dict(parse_config(NO_PLANT_COMPARE).values))
-@example(values={**SIZE_CAPS, "monitor.start_day": 10**8})  # a months-long zero-demand step
+@example(values={**SIZE_CAPS, "monitor.start_day": 10**8})  # a plant built 10**8 days old
 def test_every_parsed_config_runs_or_exits_with_one_message(values):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "fuzz.cfg"

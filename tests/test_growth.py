@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fertisim.config import ConfigError, default_config, parse_config
 from fertisim.growth import (
@@ -52,18 +52,34 @@ class TestGrowthLaw:
         assert after.turgor == before.turgor == 1.0
         assert sizes(after, GP)[0] > sizes(before, GP)[0]
 
-    def test_split_advance_matches_single_advance(self):
-        demand = demand_of(0.002)
-        base = make_seedling(GP)
-        base = advance(base, 30 * 1440.0 + 600.0, NO_DEMAND, GP)  # a grown plant, clock at 10:00
+    @given(age=st.floats(0.0, 49 * 1440.0), turgor=st.floats(0.0, 1.0),
+           deadline=st.sampled_from(["none", "past", "pending", "straddling"]),
+           u=st.floats(0.0, 1.0), peak=st.floats(0.0, 0.02),
+           window=st.sampled_from([(480.0, 1020.0), (0.0, 1440.0)]),
+           dt=st.floats(1e-3, 3 * 1440.0), split=st.floats(0.0, 1.0))
+    @example(age=30 * 1440.0 + 600.0, turgor=1.0, deadline="none", u=0.0, peak=0.002,
+             window=(480.0, 1020.0), dt=10.0, split=0.5)  # a grown plant, 10:00, 5 + 5 min
+    @settings(max_examples=200, deadline=None)
+    def test_split_advance_matches_single_advance(self, age, turgor, deadline, u, peak,
+                                                  window, dt, split):
+        first = dt * split
+        assume(0.0 < first < dt)
+        # ``u`` places the recovery deadline: before the step, anywhere up to one
+        # step past its end, or with the recovery window over the split point
+        at = {"none": None, "past": age - 3 * GP.recovery_duration_min * u,
+              "pending": age + 2 * dt * u,
+              "straddling": age + first - GP.recovery_duration_min * u}[deadline]
+        demand = replace(NO_DEMAND, window_start_min=window[0], window_end_min=window[1],
+                         peak_loss_rate=peak)
+        base = replace(make_seedling(GP), age_min=age, turgor=turgor, recovery_deadline_min=at)
 
-        one = advance(base, 10.0, demand, GP)
-        two = advance(advance(base, 5.0, demand, GP), 5.0, demand, GP)
+        one = advance(base, dt, demand, GP)
+        two = advance(advance(base, first, demand, GP), dt - first, demand, GP)
         (h1, w1), (h2, w2) = sizes(one, GP), sizes(two, GP)
         assert h1 > sizes(base, GP)[0]
-        assert abs(h1 - h2) < 1e-9
-        assert abs(w1 - w2) < 1e-9
         assert abs(one.turgor - two.turgor) < 1e-12
+        assert h2 == pytest.approx(h1, rel=1e-12)
+        assert w2 == pytest.approx(w1, rel=1e-12)
 
     def test_non_positive_dt_rejected(self):
         plant = make_seedling(GP)
@@ -255,8 +271,10 @@ def mean_rate(demand, a, b):
 
 
 def sine_rate(peak, m, start=480.0, end=1020.0):
-    """Reference half-sine loss rate at clock minute ``m`` of the default window."""
-    return peak * math.sin(math.pi * (m - start) / (end - start)) if start <= m <= end else 0.0
+    """Reference half-sine loss rate at unwrapped minutes ``m`` (an array), default window."""
+    clock = np.mod(m, 1440.0)
+    inside = (start <= clock) & (clock <= end)
+    return np.where(inside, peak * np.sin(math.pi * (clock - start) / (end - start)), 0.0)
 
 
 class TestDemandProfile:
@@ -273,19 +291,19 @@ class TestDemandProfile:
         for a, b in ((480.0, 1020.0), (480.0, 481.0), (600.0, 900.0), (1019.0, 1020.0)):
             assert 0.0 <= demand.loss_integral(a, b) <= 0.01 * (b - a)
 
-    @given(a=st.floats(0.0, 1440.0), width=st.floats(0.0, 400.0),
+    @given(a=st.floats(0.0, 1440.0), width=st.floats(0.0, 3 * 1440.0),
            peak=st.floats(0.0, 0.02))
     @settings(max_examples=60, deadline=None)
     def test_integral_matches_quadrature(self, a, width, peak):
         demand = demand_of(peak)
-        b = min(a + width, 1440.0)
+        whole_day = 2.0 * peak * (demand.window_end_min - demand.window_start_min) / math.pi
+        assert demand.loss_integral(a, a + 1440.0) == pytest.approx(whole_day, rel=1e-12, abs=1e-15)
+        b = a + width
         if b <= a:
             return
-        n = 4000
-        h = (b - a) / n
-        grid = [a + i * h for i in range(n + 1)]
-        rates = [sine_rate(peak, m) for m in grid]
-        numeric = h * (sum(rates) - 0.5 * (rates[0] + rates[-1]))
+        # trapezoid rule on a fine grid: under 1e-7 of error over three days
+        rates = sine_rate(peak, np.linspace(a, b, 400_001))
+        numeric = (b - a) / 400_000 * (rates.sum() - 0.5 * (rates[0] + rates[-1]))
         assert demand.loss_integral(a, b) == pytest.approx(numeric, abs=1e-6)
 
     def test_bad_shape_rejected(self):

@@ -1,5 +1,6 @@
 """Pinned output bytes: the default seed-42 runs of every scenario, one noisy monitor,
-a 300-plant comparison at seed 7, and the ``--dump-defaults`` document.
+a 300-plant comparison at seed 7, a comparison whose control window opens at 09:00,
+and the ``--dump-defaults`` document.
 
 Each run goes through the CLI into a fresh directory, and the whole
 output tree is hashed: SHA-256 over each file's relative path and bytes, in
@@ -62,6 +63,22 @@ def test_population_compare_outputs_match_pinned_digest(tmp_path, capsys):
     out = tmp_path / "compare"
     assert main(["compare", "--config", str(cfg), "--seed", "7", "--out", str(out)]) == 0
     assert tree_digest(out) == POPULATION_DIGEST
+
+
+# A control window opening at 09:00, an hour after the demand window: the overnight
+# steps to the 09:00 samples cross the 17:00 end of one demand window and the 08:00
+# start of the next, integrated without a cut at either.
+WINDOW_540 = "control.window_start_min = 540\n"
+WINDOW_540_DIGEST = "faf5edae9dfb838d2438a563e5fe4dfd8d25e43a7be445a99b4bcee177431e44"
+
+
+def test_late_window_compare_outputs_match_pinned_digest(tmp_path, capsys):
+    cfg = tmp_path / "window.cfg"
+    cfg.write_text(WINDOW_540)
+    out = tmp_path / "compare"
+    assert main(["compare", "--config", str(cfg), "--seed", "42", "--out", str(out)]) == 0
+    assert "savings 86.2%" in capsys.readouterr().out
+    assert tree_digest(out) == WINDOW_540_DIGEST
 
 
 DUMP_DEFAULTS_DIGEST = "da93b70fc0cb1a26e6f41fbb91098867b90133f6edbe58a95c47c11fd4fd4cf2"
