@@ -69,10 +69,15 @@ class Schedule:
 
 @dataclass(frozen=True)
 class ControllerState:
+    """The rule's memory, plus the last sample's wilt degree and gradient sign: 1 if the
+    width shrank since the previous sample, -1 if it grew, 0 if it held or was the day's first."""
+
     reference_width_cm: float | None = None
     previous_width_cm: float | None = None
     pump_off_deadline_min: float | None = None
     last_sample_day: int | None = None
+    wilt_degree: float = 0.0
+    gradient_sign: int = 0
 
 
 def spa_tick(state: ControllerState, width_cm: float, now_min: float,
@@ -87,24 +92,24 @@ def spa_tick(state: ControllerState, width_cm: float, now_min: float,
     if state.last_sample_day != day:
         # First sample of the day anchors the morning reference.
         anchored = replace(state, reference_width_cm=width_cm, previous_width_cm=width_cm,
-                           last_sample_day=day)
+                           last_sample_day=day, wilt_degree=0.0, gradient_sign=0)
         return anchored, PumpCommand(Action.HOLD)
 
+    degree = wilt_degree(state.reference_width_cm, width_cm)
+    shrank, grew = state.previous_width_cm > width_cm, state.previous_width_cm < width_cm
     pump_running = (state.pump_off_deadline_min is not None
                     and now_min < state.pump_off_deadline_min)
     deadline = state.pump_off_deadline_min
     if pump_running:
         command = PumpCommand(Action.HOLD)
+    elif degree > wilt_threshold and shrank:
+        command = PumpCommand(Action.ON, schedule.timer_on_min)
+        deadline = now_min + schedule.timer_on_min
     else:
-        degree = wilt_degree(state.reference_width_cm, width_cm)
-        if degree > wilt_threshold and state.previous_width_cm > width_cm:
-            command = PumpCommand(Action.ON, schedule.timer_on_min)
-            deadline = now_min + schedule.timer_on_min
-        else:
-            command = PumpCommand(Action.OFF)
+        command = PumpCommand(Action.OFF)
 
-    updated = replace(state, previous_width_cm=width_cm,
-                      pump_off_deadline_min=deadline, last_sample_day=day)
+    updated = replace(state, previous_width_cm=width_cm, pump_off_deadline_min=deadline,
+                      last_sample_day=day, wilt_degree=degree, gradient_sign=shrank - grew)
     return updated, command
 
 

@@ -51,44 +51,41 @@ class RowMask:
     ``first[i]`` and the last in column ``last[i]``. An empty row has count
     0 and its first column past its last, placed so that ``first.min()``
     and ``last.max()`` still bound the mask's columns. ``extents`` are the
-    bounding-box height and width and the pixel count (all 0 if empty). A
-    projected silhouette is one run of columns per row down to the frame's
-    last row; a mask reduced from a bitmap keeps that bitmap and its place in
-    the frame for ``to_array``. ``size`` is the pixel count of the frame.
+    bounding-box height and width and the pixel count (all 0 if empty).
+    ``size`` is the pixel count of the frame.
+
+    A projected silhouette runs down to the frame's last row, and each of
+    its rows is one run centred on the frame's centre line: a row of
+    half-width ``n`` has ``first = 320 - n``, ``last = 319 + n`` and
+    ``count = 2n`` (``n = 0`` for an empty row). The one exception is the
+    sub-pixel mark, the single pixel at column 320 of the last row.
     """
 
     size = FRAME_H * FRAME_W
 
     def __init__(self, top: int, first: np.ndarray, last: np.ndarray, count: np.ndarray,
-                 extents: tuple[int, int, int], bitmap: tuple[np.ndarray, int, int] | None = None):
+                 extents: tuple[int, int, int]):
         self.top = top
         self.first = first
         self.last = last
         self.count = count
         self.extents = extents
-        self._bitmap = bitmap
 
     @classmethod
-    def from_array(cls, mask: np.ndarray, top: int = 0, left: int = 0) -> RowMask:
-        """The rows of a boolean bitmap, scanned only within its bounding box.
-
-        The bitmap covers the whole frame or, placed with its first pixel at
-        frame row ``top`` and column ``left``, part of it; the frame is empty
-        outside it.
-        """
-        bitmap = (mask, top, left)
+    def from_array(cls, mask: np.ndarray) -> RowMask:
+        """The rows of a (480, 640) boolean bitmap, scanned only within its bounding box."""
         rows = np.flatnonzero(mask.any(axis=1))
         if not rows.size:
-            return cls(FRAME_H, _NO_ROWS, _NO_ROWS, _NO_ROWS, (0, 0, 0), bitmap)
+            return EMPTY_MASK
         plant = mask[rows[0]:rows[-1] + 1]
         cols = np.flatnonzero(plant.any(axis=0))
         box = plant[:, cols[0]:cols[-1] + 1]
         count = np.add.reduce(box.view(np.uint8), axis=1, dtype=np.uint16)
         has = count > 0
-        first = np.where(has, left + cols[0] + box.argmax(axis=1), FRAME_W)
-        last = np.where(has, left + cols[-1] - box[:, ::-1].argmax(axis=1), -1)
+        first = np.where(has, cols[0] + box.argmax(axis=1), FRAME_W)
+        last = np.where(has, cols[-1] - box[:, ::-1].argmax(axis=1), -1)
         extents = (int(rows[-1] - rows[0] + 1), int(cols[-1] - cols[0] + 1), int(count.sum()))
-        return cls(top + int(rows[0]), first, last, count, extents, bitmap)
+        return cls(int(rows[0]), first, last, count, extents)
 
     def box(self) -> tuple[np.ndarray, int]:
         """Each row filled from its first to its last column, as a bitmap over the
@@ -101,23 +98,9 @@ class RowMask:
         last = self.last.astype(np.int16)[:, None]
         return (cols >= first) & (cols <= last), c0
 
-    def to_array(self) -> np.ndarray:
-        """The mask as a (480, 640) boolean bitmap."""
-        full = np.zeros((FRAME_H, FRAME_W), dtype=bool)
-        if self._bitmap is not None:
-            bitmap, top, left = self._bitmap
-        elif self.count.size:
-            bitmap, left = self.box()
-            top = self.top
-        else:
-            return full
-        if bitmap.shape == full.shape:
-            return bitmap
-        full[top:top + bitmap.shape[0], left:left + bitmap.shape[1]] = bitmap
-        return full
-
 
 _NO_ROWS = np.zeros(0, dtype=np.intp)
+EMPTY_MASK = RowMask(FRAME_H, _NO_ROWS, _NO_ROWS, _NO_ROWS, (0, 0, 0))
 
 
 class Frame:

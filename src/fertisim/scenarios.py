@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import Config
-from .control import Action, ControllerState, Schedule, spa_tick, timer_tick, wilt_degree
+from .control import Action, ControllerState, Schedule, spa_tick, timer_tick
 from .growth import (
     MINUTES_PER_DAY,
     DemandProfile,
@@ -114,13 +114,6 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(row) for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _gradient_sign(state: ControllerState, day: int, width: float) -> int:
-    previous = state.previous_width_cm if state.last_sample_day == day else None
-    if previous is None or previous == width:
-        return 0
-    return 1 if previous > width else -1
 
 
 @dataclass
@@ -209,15 +202,14 @@ class _Run:
                 morpho = self.measure_frame(runs, day, (now, 0), ppm_path)
                 if morpho is None:
                     continue
-                before, width_cm = self.state, morpho.width_cm
-                self.state, cmd = spa_tick(before, width_cm, now, self.schedule,
+                self.state, cmd = spa_tick(self.state, morpho.width_cm, now, self.schedule,
                                            self.cfg["control.wilt_threshold"])
                 self.ledger.accrue(cmd, now, self.flow_l_per_min, regime="auto")
                 self.rows.append(TraceRow(
-                    timestamp_min=now, plant_id=0, height_cm=morpho.height_cm, width_cm=width_cm,
-                    wilt_degree=wilt_degree(self.state.reference_width_cm, width_cm),
-                    gradient_sign=_gradient_sign(before, day, width_cm),
-                    command=cmd.action.value, liters_to_date=self.ledger.total_liters()))
+                    timestamp_min=now, plant_id=0, height_cm=morpho.height_cm,
+                    width_cm=morpho.width_cm, wilt_degree=self.state.wilt_degree,
+                    gradient_sign=self.state.gradient_sign, command=cmd.action.value,
+                    liters_to_date=self.ledger.total_liters()))
                 if cmd.action is Action.ON:
                     self.events.append(PumpEvent(index, now, now - start_min))
                     pop = self.irrigate(pop, now)

@@ -4,9 +4,10 @@ Segmentation is a red-dominance test (background iff red exceeds both green
 and blue by a configurable margin). A rendered frame is a silhouette held as
 row runs in the renderer's two fixed colours plus uniform camera noise of a
 known amplitude. When no noise of that amplitude can move either colour to
-the other class, its mask is the runs themselves, and no pixel is tested or
-even drawn; otherwise, and for a whole frame, every pixel is tested. A mask
-is a ``RowMask``: each row's first and last plant column and pixel count, so
+the other class, its mask is the runs themselves (majority-filtered, if
+asked, on their rows' half-widths), and no pixel is tested or even drawn;
+otherwise, and for a whole frame, every pixel is tested. A mask is a
+``RowMask``: each row's first and last plant column and pixel count, so
 measurement reads the bounding box and the count from at most 480 rows, and
 converts pixel extents to centimeters through the known camera distance, so
 measurements taken at different distances stay comparable.
@@ -19,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .render import BACKGROUND, PLANT_COLOR, CameraConfig, Frame, RowMask
+from .render import BACKGROUND, EMPTY_MASK, FRAME_W, PLANT_COLOR, CameraConfig, Frame, RowMask
 
 
 class NoPlantDetected(RuntimeError):
@@ -36,25 +37,21 @@ class Morphometry:
 
 
 def segment(frame: Frame, red_dominance_margin: int, cleanup: bool = False) -> RowMask:
-    """The plant mask of a frame, row by row (``RowMask.to_array`` gives the bitmap).
+    """The plant mask of a frame, row by row.
 
     A rendered frame whose two colours keep their classes under its noise
     (``_keeps_classes``) has its own runs as its per-pixel mask. Without
-    ``cleanup`` the mask is the runs; with it, the majority filter runs over
-    the runs' bounding box only: a pixel outside the box has at most three
-    plant neighbours, so the filter clears it. Every other frame is tested
-    pixel by pixel, filtered if asked, and reduced to its rows. Both paths
-    give the same mask.
+    ``cleanup`` the mask is the runs; with it, the majority filter is
+    computed on the runs' half-widths (``_majority_filter_runs``). Every
+    other frame is tested pixel by pixel, filtered if asked, and reduced to
+    its rows. Both paths give the same mask.
 
     ``cleanup`` applies a 3x3 majority filter; leave it off for noiseless
     frames so the mask matches the rasterized silhouette exactly.
     """
     runs = frame.runs
     if runs is not None and _keeps_classes(frame.noise_amplitude, red_dominance_margin):
-        if not cleanup:
-            return runs
-        plant, c0 = runs.box()
-        return RowMask.from_array(_majority_filter(plant), runs.top, c0)
+        return _majority_filter_runs(runs) if cleanup else runs
     mask = _plant_pixels(frame.pixels, red_dominance_margin)
     if cleanup:
         mask = _majority_filter(mask)
@@ -112,6 +109,28 @@ def _majority_filter(mask: np.ndarray) -> np.ndarray:
     counts[1:] += across[:-1]
     counts[:-1] += across[1:]
     return counts >= 5
+
+
+def _majority_filter_runs(runs: RowMask) -> RowMask:
+    """``_majority_filter`` of a projected silhouette, from its rows' half-widths alone.
+
+    A pixel ``k >= 1`` columns out in a row of half-width ``n`` sees ``clip(n - k + 2, 0, 3)``
+    plant pixels of its row's three, taking ``n = -1`` for an empty row, the rows above and
+    below the silhouette and the sub-pixel mark (one pixel: it filters to nothing). With a
+    row's and its neighbours' half-widths sorted as ``c <= b <= a``, a count of 5 (3+2, 3+1+1
+    or 2+2+1) reaches out to ``max(min(a - 1, b), min(a - 1, c + 1), min(b, c + 1))``.
+    """
+    n = np.full(runs.count.size + 2, -1)  # plus the row above (it filters to nothing) and below
+    np.floor_divide(runs.count, 2, out=n[1:-1], where=runs.count > 1)
+    c, b, a = np.sort([n[:-2], n[1:-1], n[2:]], axis=0)
+    half = np.maximum(np.maximum(np.minimum(a - 1, b), np.minimum(a - 1, c + 1)),
+                      np.minimum(b, c + 1))
+    kept = np.flatnonzero(half > 0)
+    if not kept.size:
+        return EMPTY_MASK
+    half = np.maximum(half[kept[0]:kept[-1] + 1], 0)
+    return RowMask(runs.top + int(kept[0]), FRAME_W // 2 - half, FRAME_W // 2 - 1 + half,
+                   2 * half, (half.size, 2 * int(half.max()), 2 * int(half.sum())))
 
 
 def measure(mask: RowMask, distance_cm: float, cam: CameraConfig,

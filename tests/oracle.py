@@ -1,9 +1,12 @@
-"""Reference bitmap rasterizer for the renderer's row runs, and the plant sizes tests draw.
+"""Reference bitmap rasterizer for the renderer's row runs, the plant sizes tests draw,
+and the bitmap and row list of a ``RowMask``.
 
 ``rasterize`` is the per-pixel silhouette test the renderer once evaluated
 over the plant's whole bounding box: a pixel belongs to the plant when its
 centre lies in the stem rectangle, in the canopy ellipse or on the ellipse's
 equator chord. The tests hold the renderer's runs to it bit for bit.
+``paint`` draws a mask of one run per row as a bitmap; ``rows`` lists a
+mask's non-empty rows, for masks with several runs in a row.
 """
 
 import math
@@ -11,7 +14,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from fertisim.render import FRAME_H, FRAME_W, CameraConfig
+from fertisim.render import FRAME_H, FRAME_W, CameraConfig, RowMask
 
 # Projected extents in pixels: sub-pixel, anything that fits, and exactly
 # touching the frame top (480) or sides (640).
@@ -50,3 +53,21 @@ def rasterize(cam: CameraConfig, height_px: float, width_px: float) -> np.ndarra
     # Sub-pixel plant: a one-pixel mark at the base.
     full[FRAME_H - 1, min(FRAME_W - 1, int(cx))] = True
     return full
+
+
+def paint(mask: RowMask) -> np.ndarray:
+    """The mask as a (480, 640) boolean bitmap, each row filled from its first to its last
+    column; ValueError if a row's count is not the length of that run."""
+    full = np.zeros((FRAME_H, FRAME_W), dtype=bool)
+    for row, (first, last, count) in enumerate(zip(mask.first, mask.last, mask.count), mask.top):
+        if count != max(last - first + 1, 0):
+            raise ValueError(f"row {row} is not one run")
+        full[row, first:last + 1] = True
+    return full
+
+
+def rows(mask: RowMask) -> list[tuple[int, int, int, int]]:
+    """(row, first column, last column, pixel count) of each non-empty row of the mask."""
+    return [(row, int(first), int(last), int(count))
+            for row, (first, last, count) in enumerate(zip(mask.first, mask.last, mask.count),
+                                                       mask.top) if count]

@@ -183,6 +183,19 @@ class TestTraceInvariants:
                 last_on = now
             previous = width
 
+    @settings(max_examples=60, deadline=None)
+    @given(widths=st.lists(st.sampled_from([95.0, 96.0, 97.0, 100.0]) | st.floats(50.0, 110.0),
+                           min_size=1, max_size=36))
+    def test_each_sample_reports_its_degree_and_sign(self, widths):
+        # Also while the pump runs (fast samples): the trace reads every sample's.
+        fast = replace(SCHEDULE, sample_interval_min=1)
+        state = ControllerState()
+        for i, width in enumerate(widths):
+            state, _ = spa_tick(state, width, DAY0_0800 + i, fast, THRESHOLD)
+            assert state.wilt_degree == wilt_degree(widths[0], width)
+            previous = widths[i - 1] if i else width
+            assert state.gradient_sign == (0 if previous == width else 1 if previous > width else -1)
+
     @settings(max_examples=40, deadline=None)
     @given(widths=st.lists(st.floats(50.0, 110.0), min_size=2, max_size=24))
     def test_deadline_accounting(self, widths):

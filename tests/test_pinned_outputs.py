@@ -1,6 +1,6 @@
 """Pinned output bytes: the default seed-42 runs of every scenario, one noisy monitor,
-a 300-plant comparison at seed 7, a comparison whose control window opens at 09:00,
-and the ``--dump-defaults`` document.
+one noisy comparison, a 300-plant comparison at seed 7, a comparison whose control
+window opens at 09:00, and the ``--dump-defaults`` document.
 
 Each run goes through the CLI into a fresh directory, and the whole
 output tree is hashed: SHA-256 over each file's relative path and bytes, in
@@ -12,7 +12,9 @@ import hashlib
 
 import pytest
 
+from fertisim import scenarios
 from fertisim.cli import main
+from fertisim.growth import sizes
 
 PINNED = {
     "growth": "1ae1b5486789ce03b7a0dc501ff805cb92506536e21bbd79c84d234bfe8fff26",
@@ -51,6 +53,20 @@ def test_noisy_monitor_outputs_match_pinned_digest(tmp_path, capsys):
     assert tree_digest(out) == NOISY_MONITOR_DIGEST
 
 
+# The default comparison with camera noise: every one of its 3,252 frames is
+# majority-filtered on its runs.
+NOISY_COMPARE = "camera.noise_amplitude = 20\n"
+NOISY_COMPARE_DIGEST = "3b23a1ad167223064e4f64b30ebd8cb48c57749a290ce2e2418d3a5a6a917633"
+
+
+def test_noisy_compare_outputs_match_pinned_digest(tmp_path, capsys):
+    cfg = tmp_path / "noisy.cfg"
+    cfg.write_text(NOISY_COMPARE)
+    out = tmp_path / "compare"
+    assert main(["compare", "--config", str(cfg), "--seed", "42", "--out", str(out)]) == 0
+    assert tree_digest(out) == NOISY_COMPARE_DIGEST
+
+
 # The benchmark's population_stepping config at a seed no other pin covers: one
 # capture of 300 plants projects in 19 passes of 16.
 POPULATION = "compare.plants = 300\ncompare.capture_every_days = 49\n"
@@ -79,6 +95,22 @@ def test_late_window_compare_outputs_match_pinned_digest(tmp_path, capsys):
     assert main(["compare", "--config", str(cfg), "--seed", "42", "--out", str(out)]) == 0
     assert "savings 86.2%" in capsys.readouterr().out
     assert tree_digest(out) == WINDOW_540_DIGEST
+
+
+# Every plant size off by a relative 1e-9, millions of times a last-bit
+# difference in ``exp``, moves no default output byte, so a libm that rounds
+# differently reproduces the pins. (At 1e-5 the compare bytes move.)
+@pytest.mark.parametrize("factor", [1 - 1e-9, 1 + 1e-9])
+def test_default_outputs_survive_a_relative_size_error(factor, monkeypatch, tmp_path, capsys):
+    def scaled(*args, **kwargs):
+        height, width = sizes(*args, **kwargs)
+        return height * factor, width * factor
+
+    monkeypatch.setattr(scenarios, "sizes", scaled)
+    for scenario in sorted(PINNED):
+        out = tmp_path / scenario
+        assert main([scenario, "--seed", "42", "--out", str(out)]) == 0
+        assert tree_digest(out) == PINNED[scenario], scenario
 
 
 DUMP_DEFAULTS_DIGEST = "da93b70fc0cb1a26e6f41fbb91098867b90133f6edbe58a95c47c11fd4fd4cf2"

@@ -27,7 +27,7 @@ from fertisim.render import (
 )
 from fertisim.seeding import key_hash
 from fertisim.vision import measure, segment
-from oracle import HEIGHT_PX, WIDTH_PX, rasterize
+from oracle import HEIGHT_PX, WIDTH_PX, paint, rasterize
 
 
 CFG = default_config()
@@ -99,7 +99,7 @@ class TestRender:
         scale = camera.focal_px / 90.0
         expected = rasterize(camera, plant.seedling_height_cm * scale,
                              sizes(plant, GP)[1] * scale)
-        assert (frame.runs.to_array() == expected).all()
+        assert (paint(frame.runs) == expected).all()
 
         is_plant = (frame.pixels == np.array(PLANT_COLOR, np.uint8)).all(axis=2)
         is_background = (frame.pixels == np.array(BACKGROUND, np.uint8)).all(axis=2)
@@ -240,7 +240,7 @@ def test_runs_equal_the_bitmap_oracle(plants, canopy_fraction, stem_fraction):
     # The last plant through the whole frame path, as a population of one.
     frame, extents = shoot(population[-1], cam, 100.0)
     assert extents == want
-    assert (frame.runs.to_array() == expected).all()
+    assert (paint(frame.runs) == expected).all()
     m = measure(segment(frame, CFG["vision.red_margin"]), 100.0, cam, min_plant_pixels=1)
     assert (m.height_px, m.width_px, m.plant_pixel_count) == want
     assert RowMask.from_array(expected).extents == want

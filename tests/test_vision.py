@@ -22,12 +22,13 @@ from fertisim.vision import (
     Morphometry,
     NoPlantDetected,
     _majority_filter,
+    _majority_filter_runs,
     _noisy_class,
     _plant_pixels,
     measure,
     segment,
 )
-from oracle import HEIGHT_PX, WIDTH_PX
+from oracle import HEIGHT_PX, WIDTH_PX, paint, rows
 
 CFG = default_config()
 GP = CFG.growth_params()
@@ -52,34 +53,31 @@ def uniform_frame(colour):
 class TestSegment:
     def test_noiseless_mask_matches_silhouette_exactly(self, camera):
         frame, (_, _, count) = shoot(60.0, 30.0, camera, 100.0)
-        mask = segment(frame, MARGIN).to_array()
+        mask = paint(segment(frame, MARGIN))
         drawn = (frame.pixels == np.array(PLANT_COLOR, np.uint8)).all(axis=2)
         assert (mask == drawn).all()
         assert int(mask.sum()) == count
 
     def test_pure_red_frame_is_all_background(self):
-        assert not segment(uniform_frame(BACKGROUND), MARGIN).to_array().any()
+        assert not paint(segment(uniform_frame(BACKGROUND), MARGIN)).any()
 
     def test_noisy_mask_close_to_ground_truth(self, camera):
         cam_noisy = replace(camera, noise_amplitude=20, noise_seed=3)
-        clean_mask = segment(shoot(60.0, 30.0, camera, 100.0)[0], MARGIN).to_array()
-        noisy_mask = segment(shoot(60.0, 30.0, cam_noisy, 100.0)[0], MARGIN,
-                             cleanup=True).to_array()
+        clean_mask = paint(segment(shoot(60.0, 30.0, camera, 100.0)[0], MARGIN))
+        noisy_mask = paint(segment(shoot(60.0, 30.0, cam_noisy, 100.0)[0], MARGIN, cleanup=True))
         differing = int((clean_mask != noisy_mask).sum())
         assert differing < 0.005 * int(clean_mask.sum())
 
     def test_mask_shape_matches_frame(self):
         mask = segment(uniform_frame(BACKGROUND), MARGIN)
         assert mask.size == 480 * 640
-        assert mask.to_array().shape == (480, 640)
-        assert mask.to_array().dtype == bool
 
     def test_fixed_colours_class_as_background_and_plant_at_every_margin(self, camera):
         # What lets segment return a run frame's own runs without testing a colour.
         frame, _ = shoot(60.0, 30.0, camera, 100.0)
         whole = Frame(pixels=frame.pixels, distance_cm=100.0)
         for margin in range(256):
-            assert (segment(whole, margin).to_array() == frame.runs.to_array()).all(), margin
+            assert (paint(segment(whole, margin)) == paint(frame.runs)).all(), margin
 
 
 _RGB = st.tuples(*[st.integers(0, 255)] * 3)
@@ -94,7 +92,7 @@ def test_uniform_frame_is_one_class(colour, margin):
     # The whole-frame path measure-image takes for any PPM, without cleanup.
     r, g, b = colour
     is_plant = not (r - g >= margin and r - b >= margin)
-    mask = segment(uniform_frame(colour), margin).to_array()
+    mask = paint(segment(uniform_frame(colour), margin))
     assert (mask == is_plant).all()
 
 
@@ -115,8 +113,7 @@ def test_patch_frame_matches_whole_frame(height_px, width_px, distance, margin, 
     mask = segment(frame, margin, cleanup)
     whole_mask = segment(whole, margin, cleanup)
     assert mask.size == whole_mask.size == 480 * 640
-    assert mask.to_array().shape == (480, 640)
-    assert (mask.to_array() == whole_mask.to_array()).all()
+    assert (paint(mask) == paint(whole_mask)).all()
 
     def measured(m):
         try:
@@ -150,6 +147,14 @@ def _measured(mask, distance, cam):
          margin=60, cleanup=False)
 @example(height_px=480.0, width_px=640.0, amplitude=20, noise_seed=42, minute=43680, plant=0,
          margin=60, cleanup=True)  # a plant touching the frame's top and sides
+# Noisy frames filtered on their runs: the sub-pixel mark, a plant 2 px wide, and a
+# plant 5 px wide whose stem, under one pixel, leaves its lowest rows empty.
+@example(height_px=0.5, width_px=0.5, amplitude=20, noise_seed=0, minute=0, plant=0,
+         margin=60, cleanup=True)
+@example(height_px=300.0, width_px=2.0, amplitude=20, noise_seed=0, minute=0, plant=0,
+         margin=60, cleanup=True)
+@example(height_px=300.0, width_px=5.0, amplitude=20, noise_seed=0, minute=0, plant=0,
+         margin=60, cleanup=True)
 def test_noisy_run_frame_matches_its_pixels(height_px, width_px, amplitude, noise_seed, minute,
                                             plant, margin, cleanup, camera):
     # Segmenting a noisy render, which may skip drawing its noise, gives the
@@ -164,7 +169,8 @@ def test_noisy_run_frame_matches_its_pixels(height_px, width_px, amplitude, nois
         assume(False)
     mask = segment(frame, margin, cleanup)
     whole_mask = segment(Frame(pixels=frame.pixels, distance_cm=distance), margin, cleanup)
-    assert (mask.to_array() == whole_mask.to_array()).all()
+    # Where noise moves a colour's class, a row of the pixel-tested mask can hold several runs.
+    assert rows(mask) == rows(whole_mask)
     assert _measured(mask, distance, cam) == _measured(whole_mask, distance, cam)
 
 
@@ -198,6 +204,39 @@ def test_majority_filter_counts_each_neighbourhood(shape, density, seed):
     want = np.array([[padded[r:r + 3, c:c + 3].sum() >= 5 for c in range(shape[1])]
                      for r in range(shape[0])], dtype=bool).reshape(shape)
     assert (_majority_filter(mask) == want).all()
+
+
+def _centred(top, half_widths):
+    """A silhouette of centred runs: row ``top + i`` is ``half_widths[i]`` pixels each side."""
+    n = np.array(half_widths)
+    has = np.flatnonzero(n)
+    extents = ((int(has[-1] - has[0] + 1), 2 * int(n.max()), 2 * int(n.sum())) if has.size
+               else (0, 0, 0))
+    return RowMask(top, 320 - n, 319 + n, 2 * n, extents)
+
+
+# Half-widths, narrow ones (and empty rows) often; a profile ends on the frame's last row.
+_PROFILE = st.lists(st.one_of(st.integers(0, 3), st.integers(0, 320)), min_size=1, max_size=480)
+
+
+@settings(deadline=None, max_examples=150)
+@given(half_widths=_PROFILE)
+@example(half_widths=[0] * 479 + [1])  # two pixels: nothing survives
+@example(half_widths=[5, 5, 0, 5, 5] + [0] * 475)  # from row 0, with an empty row between
+@example(half_widths=[320] * 480)  # the whole frame
+@example(half_widths=[320, 1, 320, 2, 3, 2, 1, 0, 0, 1])
+def test_run_filter_matches_the_pixel_filter(half_widths):
+    # The majority filter computed on half-widths, row for row against the
+    # per-pixel filter over the painted silhouette, reduced to rows.
+    runs = _centred(480 - len(half_widths), half_widths)
+    filtered = _majority_filter(paint(runs))
+    got = _majority_filter_runs(runs)
+    want = RowMask.from_array(filtered)
+    assert got.extents == want.extents
+    assert rows(got) == rows(want)
+    if want.extents[2]:
+        assert (got.top, got.count.size) == (want.top, want.count.size)
+    assert (paint(got) == filtered).all()
 
 
 def _full_scan(mask, distance, cam, min_plant_pixels):
