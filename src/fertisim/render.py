@@ -13,8 +13,8 @@ draws a population's silhouettes; ``render`` frames one of them.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -109,30 +109,42 @@ class Frame:
     A whole frame (``Frame(pixels=...)``: a PPM read) holds its
     (480, 640, 3) uint8 RGB buffer. A render holds only what it drew:
     ``runs``, the silhouette as a ``RowMask`` of one run per row, in
-    ``PLANT_COLOR`` on ``BACKGROUND``, plus its camera noise as an amplitude
-    and a generator seed. ``runs`` is None for a whole frame.
+    ``PLANT_COLOR`` on ``BACKGROUND``, plus its camera noise as an amplitude,
+    the camera's noise seed and the capture's ``noise_key`` (minute, plant).
+    ``runs`` is None for a whole frame.
 
     ``pixels`` (the full (480, 640, 3) buffer) is built from the runs and the
     noise on first access and cached, so a frame whose pixels are never read
-    never draws its noise.
+    never hashes its noise seed or draws its noise. The cache takes no lock:
+    frames are drawn on several threads at once (``scenarios._FrameDump``),
+    and two threads that read one frame's pixels together may both draw
+    them, to the same bytes.
     """
 
     def __init__(self, pixels: np.ndarray | None = None, distance_cm: float = 0.0,
                  *, runs: RowMask | None = None, noise_amplitude: int = 0,
-                 noise_seed: int = 0):
+                 noise_seed: int = 0, noise_key: tuple[int, int] = (0, 0)):
         if (pixels is None) == (runs is None):
             raise ValueError("give exactly one of pixels and runs")
         if pixels is not None:
             if pixels.shape != (FRAME_H, FRAME_W, 3) or pixels.dtype != np.uint8:
                 raise ValueError("frame buffer must be 480x640x3 uint8")
-            self.pixels = pixels
+        self._pixels = pixels
         self.runs = runs
         self.noise_amplitude = noise_amplitude
         self.noise_seed = noise_seed
+        self.noise_key = noise_key
         self.distance_cm = distance_cm
 
-    @cached_property
+    @property
     def pixels(self) -> np.ndarray:
+        # Not functools.cached_property: on Python 3.11 it draws under one lock
+        # shared by every frame, so no two frames could be drawn at once.
+        if self._pixels is None:
+            self._pixels = self._draw()
+        return self._pixels
+
+    def _draw(self) -> np.ndarray:
         plant, c0 = self.runs.box()
         box = (slice(self.runs.top, self.runs.top + plant.shape[0]),
                slice(c0, c0 + plant.shape[1]))
@@ -149,7 +161,7 @@ class Frame:
         # background on the silhouette, formed in the int16 noise buffer; a
         # per-channel add skips the zero channels and is several times faster
         # than a broadcast one.
-        noisy = np.random.default_rng(self.noise_seed).integers(
+        noisy = np.random.default_rng(key_hash(self.noise_seed, *self.noise_key)).integers(
             -a, a + 1, size=(FRAME_H, FRAME_W, 3), dtype=np.int16)
         for ch in range(3):
             if BACKGROUND[ch]:
@@ -157,7 +169,26 @@ class Frame:
             if PLANT_COLOR[ch] != BACKGROUND[ch]:
                 region = noisy[box + (ch,)]
                 np.add(region, PLANT_COLOR[ch] - BACKGROUND[ch], out=region, where=plant)
-        return np.clip(noisy, 0, 255, out=noisy).astype(np.uint8)
+        return _narrow(np.clip(noisy, 0, 255, out=noisy))
+
+
+def _narrow(wide: np.ndarray) -> np.ndarray:
+    """A C-contiguous int16 array of values in 0..255 as uint8, in the front of its own buffer.
+
+    Each value's low byte moves forward to its place, in chunks that double
+    in length: chunk ``[s, 2s)`` reads from byte ``2s`` on, so no chunk past
+    the first overlaps its source and numpy copies it without a temporary.
+    This saves the uint8 copy that ``astype`` would hold beside the int16 one.
+    """
+    n = wide.size
+    raw = wide.reshape(n).view(np.uint8)
+    low = raw[sys.byteorder == "big"::2]  # value i's low byte
+    out = raw[:n]
+    start, stop = 0, 1
+    while start < n:
+        out[start:stop] = low[start:stop]
+        start, stop = stop, 2 * stop
+    return out.reshape(wide.shape)
 
 
 def capture_distance(age_days: float) -> float:
@@ -197,10 +228,11 @@ def render(runs: RowMask, cam: CameraConfig,
     """One plant's frame from its silhouette (``project``), and the silhouette's extents.
 
     With camera noise, the frame's noise generator is seeded from ``noise_key``,
-    the capture's (minute, plant index), and ``cam.noise_seed``.
+    the capture's (minute, plant index), and ``cam.noise_seed``, when its
+    pixels are first read.
     """
-    noise_seed = key_hash(cam.noise_seed, *noise_key) if cam.noise_amplitude else 0
-    frame = Frame(runs=runs, noise_amplitude=cam.noise_amplitude, noise_seed=noise_seed)
+    frame = Frame(runs=runs, noise_amplitude=cam.noise_amplitude, noise_seed=cam.noise_seed,
+                  noise_key=noise_key)
     return frame, runs.extents
 
 

@@ -24,6 +24,7 @@ plus seed reproduces byte-identical output files.
 from __future__ import annotations
 
 import logging
+from collections import deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -45,7 +46,7 @@ from .growth import (
 )
 from .ledger import WaterLedger, savings
 from .ppm import write_ppm
-from .render import RowMask, capture_distance, overlap_flag, project, render
+from .render import Frame, RowMask, capture_distance, overlap_flag, project, render
 from .vision import Morphometry, NoPlantDetected, measure, segment
 
 log = logging.getLogger(__name__)
@@ -54,6 +55,7 @@ log = logging.getLogger(__name__)
 # the growth experiment's groups take the index of their band in ``EcBand``.
 _COMPARE_GROUP_INDEX = 3
 _WINDOW = 16  # wilt-rule sample instants projected at once: one ``render.project`` pass
+_DUMP_THREADS = 2  # threads drawing and writing dumped frames; also the frames in flight
 
 
 @dataclass(frozen=True)
@@ -116,6 +118,60 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+class _FrameDump:
+    """Writes a run's frames to ``frames_dir`` as ``sample_KKK.ppm``, each drawn and written on
+    one of ``_DUMP_THREADS`` worker threads, frame ``k`` on thread ``k % _DUMP_THREADS``.
+
+    The control loop reads a frame's pixels only when its colours may change
+    class under the noise; otherwise they are read only to be written, so
+    their draw (mostly numpy code that releases the GIL) and write run off
+    the loop. ``save`` first waits for the oldest frame if ``_DUMP_THREADS``
+    are waiting, so each thread holds one frame's buffer at a time, and
+    draws and frees it itself. A frame is written only after the frame
+    before it was, so after a failed draw or write no later frame reaches
+    the disk, as in a serial run; the first failure is raised by ``save`` or
+    ``close``. ``close`` waits for every frame and stops the threads.
+    """
+
+    def __init__(self, frames_dir: Path):
+        from concurrent.futures import ThreadPoolExecutor  # only a run that dumps frames needs it
+
+        # numpy loads ``np.random`` on first use. Load it on this thread: on a
+        # worker, the import's allocations would stay in that thread's malloc
+        # arena beside its frame buffers and raise the peak RSS.
+        np.random  # noqa: B018
+
+        frames_dir.mkdir(exist_ok=True)
+        self.frames_dir = frames_dir
+        self._threads = [ThreadPoolExecutor(1, thread_name_prefix="fertisim-dump")
+                         for _ in range(_DUMP_THREADS)]
+        self._waiting = deque()  # each waiting frame's future, oldest first
+
+    def save(self, frame: Frame, k: int) -> None:
+        if len(self._waiting) == _DUMP_THREADS:
+            self._waiting.popleft().result()
+        path = str(self.frames_dir / f"sample_{k:03d}.ppm")
+        previous = self._waiting[-1] if self._waiting else None
+
+        def draw_and_write() -> bool:
+            """True once written; False, writing nothing, if an earlier frame was not."""
+            frame.pixels  # drawn before the wait, alongside the earlier frame
+            if previous is not None and (previous.exception() or not previous.result()):
+                return False
+            write_ppm(frame, path)  # the name bound in this module
+            return True
+
+        self._waiting.append(self._threads[k % _DUMP_THREADS].submit(draw_and_write))
+
+    def close(self) -> None:
+        try:
+            while self._waiting:
+                self._waiting.popleft().result()
+        finally:
+            for thread in self._threads:
+                thread.shutdown()
+
+
 @dataclass
 class _Run:
     """One scenario run: its settings plus the controller state, ledger and trace it builds.
@@ -124,6 +180,8 @@ class _Run:
     steps on them: ``step_to`` a later instant, ``wilt_samples`` (a day's
     camera samples under the wilt rule) and ``capture`` (project every plant
     at the end of a day in one ``render.project`` call, then measure each).
+    A monitoring run that dumps frames saves each wilt sample's frame through
+    ``frames``.
     """
 
     cfg: Config
@@ -134,6 +192,7 @@ class _Run:
     rows: list[TraceRow] = field(default_factory=list)
     events: list[PumpEvent] = field(default_factory=list)
     skipped: int = 0
+    frames: _FrameDump | None = None
 
     def __post_init__(self):
         self.seed = self.cfg["sim.seed"]
@@ -157,13 +216,14 @@ class _Run:
         return apply_irrigation(pop, now, irrigation_lag(self.seed, now, self.gp))
 
     def measure_frame(self, runs: RowMask, day: int, key: tuple[float, int],
-                      ppm_path: Path | None = None) -> Morphometry | None:
-        """Frame a silhouette (noise keyed by ``key``: minute, plant), save it if asked, measure
-        it; None for a skipped sample (too few plant pixels), which is counted and logged."""
+                      sample: int | None = None) -> Morphometry | None:
+        """Frame a silhouette (noise keyed by ``key``: minute, plant) and measure it; None for a
+        skipped sample (too few plant pixels), which is counted and logged. A ``sample`` frame
+        is then handed to ``frames``, if the run dumps frames, as frame ``sample``."""
         frame, _ = render(runs, self.cam, key)
-        if ppm_path is not None:
-            write_ppm(frame, str(ppm_path))
         mask = segment(frame, self.cfg["vision.red_margin"], cleanup=self.cam.noise_amplitude > 0)
+        if sample is not None and self.frames is not None:
+            self.frames.save(frame, sample)
         try:
             return measure(mask, capture_distance(day), self.cam,
                            self.cfg["vision.min_plant_pixels"])
@@ -173,11 +233,11 @@ class _Run:
             return None
 
     def wilt_samples(self, pop: PlantState, times: range, start_min: float,
-                     frames_dir: Path | None = None, by_sample: bool = False) -> PlantState:
+                     by_sample: bool = False) -> PlantState:
         """Run the wilt rule at one day's sample ``times``; returns the population.
 
-        Each sample frames plant 0 (frame k saved in ``frames_dir`` if given) and ticks the
-        rule; an ON irrigates and logs a pump event ``now - start_min`` minutes into the
+        Each sample frames plant 0 (frame k goes to ``frames``, if the run dumps them) and ticks
+        the rule; an ON irrigates and logs a pump event ``now - start_min`` minutes into the
         session, numbered by its sample if ``by_sample``, else by its trace row. Up to
         ``_WINDOW`` instants are stepped as if the pump stays off and projected in one pass;
         an ON drops the rest. A window that raises ValueError is redone one instant at a time.
@@ -197,9 +257,9 @@ class _Run:
                 span = 1
                 continue
             for now, pop, runs in zip(instants, track, silhouettes):
-                ppm_path = frames_dir / f"sample_{k:03d}.ppm" if frames_dir else None
-                index, k = (k if by_sample else len(self.rows)), k + 1
-                morpho = self.measure_frame(runs, day, (now, 0), ppm_path)
+                sample, k = k, k + 1
+                index = sample if by_sample else len(self.rows)
+                morpho = self.measure_frame(runs, day, (now, 0), sample)
                 if morpho is None:
                     continue
                 self.state, cmd = spa_tick(self.state, morpho.width_cm, now, self.schedule,
@@ -294,7 +354,13 @@ def run_growth_experiment(cfg: Config, out_dir: str | Path) -> GrowthResult:
 # ---------------------------------------------------------------------------
 
 def run_monitoring_trace(cfg: Config, out_dir: str | Path) -> MonitorResult:
-    """Sample one plant through a monitoring session and drive the wilt rule."""
+    """Sample one plant through a monitoring session and drive the wilt rule.
+
+    With ``output.dump_frames`` every sample's frame is written to ``frames/``
+    (``_FrameDump``: drawn and written on two worker threads, in order). Every
+    frame in flight is written before the session returns or raises, and the
+    first failed write is raised as by a serial run, with no later frame on disk.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     start_day = cfg["monitor.start_day"]
@@ -304,11 +370,14 @@ def run_monitoring_trace(cfg: Config, out_dir: str | Path) -> MonitorResult:
     plant = replace(make_seedling(run.gp, EcBand.NORMAL, np.ones(1)),
                     age_min=start_day * MINUTES_PER_DAY)
 
-    frames_dir = out / "frames" if cfg["output.dump_frames"] else None
-    if frames_dir:
-        frames_dir.mkdir(exist_ok=True)
+    if cfg["output.dump_frames"]:
+        run.frames = _FrameDump(out / "frames")
     times = run.schedule.sample_times(start_day)[:cfg["monitor.sample_count"]]
-    run.wilt_samples(plant, times, times.start, frames_dir, by_sample=True)
+    try:
+        run.wilt_samples(plant, times, times.start, by_sample=True)
+    finally:
+        if run.frames is not None:
+            run.frames.close()
 
     _write_trace_csv(out / "trace.csv", run.rows)
     _write_events_csv(out / "pump_events.csv", run.events)

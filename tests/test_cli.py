@@ -157,6 +157,22 @@ def test_monitor_runs_are_reproducible(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_frame_write_error_is_one_line_and_stops_the_session(tmp_path, capsys):
+    # Frames are drawn and written on worker threads; a failed write must
+    # still end the run as a serial one would: no trace, no later frame.
+    cfg = tmp_path / "dump.cfg"
+    cfg.write_text("camera.noise_amplitude = 20\noutput.dump_frames = true\n")
+    blocked = tmp_path / "run" / "frames" / "sample_005.ppm"
+    blocked.mkdir(parents=True)
+    assert main(["monitor", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"fertisim: error: [Errno 21] Is a directory: '{blocked}'"]
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["frames"]
+    frames = sorted((tmp_path / "run" / "frames").iterdir())
+    assert [p.name for p in frames] == [f"sample_{k:03d}.ppm" for k in range(6)]
+    assert all(p.stat().st_size == 921615 for p in frames[:5])
+
+
 def test_compare_runs_are_reproducible(tmp_path):
     cfg = tmp_path / "short.cfg"
     cfg.write_text(

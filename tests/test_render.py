@@ -1,10 +1,13 @@
 """Silhouette rendering and the camera distance schedule."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from fertisim.config import ConfigError, default_config, parse_config
 from fertisim.growth import (
@@ -15,11 +18,13 @@ from fertisim.growth import (
     plant_rate_scale,
     sizes,
 )
+from fertisim import render as render_module
 from fertisim.render import (
     BACKGROUND,
     PLANT_COLOR,
     FrameFitError,
     RowMask,
+    _narrow,
     capture_distance,
     overlap_flag,
     project,
@@ -147,12 +152,17 @@ class TestRender:
             -120, 121, size=(480, 640, 3), dtype=np.int16)
         assert (noisy.pixels == np.clip(clean.pixels + noise, 0, 255)).all()
 
-    def test_noise_is_drawn_only_when_pixels_are_read(self, camera):
+    def test_noise_is_drawn_only_when_pixels_are_read(self, camera, monkeypatch):
+        # Not even the generator's seed is hashed before the pixels are read.
+        hashed = []
+        monkeypatch.setattr(render_module, "key_hash",
+                            lambda *parts: hashed.append(parts) or key_hash(*parts))
         cam = replace(camera, noise_amplitude=20, noise_seed=9)
         frame, _ = shoot(plant_of(40.0, 20.0), cam, 100.0, (600, 3))
         segment(frame, CFG["vision.red_margin"], cleanup=True)
-        assert "pixels" not in vars(frame)
+        assert hashed == []
         assert frame.pixels is frame.pixels  # drawn once, then cached
+        assert hashed == [(9, 600, 3)]
 
     def test_plant_exceeding_frame_rejected(self, camera):
         with pytest.raises(FrameFitError):
@@ -295,3 +305,56 @@ def test_camera_config_validation(camera):
         parse_config("camera.focal_px = 0\n")
     with pytest.raises(ConfigError, match="camera.noise_amplitude"):
         parse_config("camera.noise_amplitude = 300\n")
+
+
+@pytest.mark.parametrize("amplitude", [1, 20, 255])
+def test_concurrent_draws_equal_serial_draws(camera, amplitude):
+    # At 255 the clip binds at both ends, on the plant and on the background.
+    cam = replace(camera, noise_amplitude=amplitude, noise_seed=11)
+    runs = project([40.0], [20.0], cam, 100.0)[0]
+    keys = [(43200 + k, k % 3) for k in range(64)]
+    serial = [render(runs, cam, key)[0].pixels for key in keys]
+    frames = [render(runs, cam, key)[0] for key in keys]
+    with ThreadPoolExecutor(2) as pool:
+        drawn = list(pool.map(lambda frame: frame.pixels, frames))
+    for key, a, b in zip(keys, serial, drawn):
+        for pixels in (a, b):
+            assert pixels.shape == (480, 640, 3) and pixels.dtype == np.uint8, key
+            assert pixels.flags.c_contiguous, key
+        assert a.tobytes() == b.tobytes(), key
+
+
+def test_many_threads_reading_one_frame_get_one_image(camera):
+    # The pixel cache takes no lock: threads that race on one frame may each
+    # draw it, but every one of them must see the same bytes.
+    cam = replace(camera, noise_amplitude=20, noise_seed=11)
+    runs = project([40.0], [20.0], cam, 100.0)[0]
+    want = [render(runs, cam, (k, 0))[0].pixels.tobytes() for k in range(4)]
+    frames = [render(runs, cam, (k, 0))[0] for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            got = list(pool.map(lambda i: frames[i % 4].pixels.tobytes(), range(32)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want[i % 4] for i in range(32)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.int16, array_shapes(max_dims=3, max_side=40), elements=st.integers(0, 255)))
+def test_narrowing_in_place_equals_astype(wide):
+    want = wide.astype(np.uint8)
+    buffer = wide.copy()
+    narrow = _narrow(buffer)
+    assert narrow.dtype == np.uint8 and narrow.shape == wide.shape
+    assert narrow.flags.c_contiguous and np.shares_memory(narrow, buffer)
+    assert np.array_equal(narrow, want)
+
+
+def test_narrowing_reads_the_low_byte_of_big_endian_values(monkeypatch):
+    values = np.random.default_rng(5).integers(0, 256, size=(48, 64, 3)).astype(np.int16)
+    monkeypatch.setattr(sys, "byteorder", "big")
+    # Stored big-endian, so the low bytes sit where a big-endian host keeps them.
+    narrow = _narrow(values.astype(">i2"))
+    assert np.array_equal(narrow, values.astype(np.uint8))

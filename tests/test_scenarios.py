@@ -1,6 +1,7 @@
 """End-to-end behavior of the three bundled experiments."""
 
 import importlib.util
+import threading
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from fertisim import scenarios
 from fertisim.config import Config, ConfigError, default_config, parse_config
 from fertisim.ppm import read_ppm
-from fertisim.render import capture_distance
+from fertisim.render import FrameFitError, capture_distance
 from fertisim.scenarios import (
     run_fertigation_comparison,
     run_growth_experiment,
@@ -238,6 +239,31 @@ def test_wilt_window_renders_and_writes_each_noisy_frame_once(tmp_path, monkeypa
         trees[window] = tree_bytes(tmp_path / str(window))
     assert len(trees[1]) == 40 + 3
     assert trees[scenarios._WINDOW] == trees[1]
+
+
+def test_a_failure_on_the_control_loop_writes_every_earlier_frame(tmp_path, monkeypatch):
+    # The third projection, and every one after it, fails: the first failing
+    # sample is the third window's first, sample 32. Frames 30 and 31 are
+    # still with the writer threads when the error is raised.
+    cfg = parse_config("monitor.sample_interval_min = 1\nmonitor.sample_count = 48\n"
+                       "camera.noise_amplitude = 20\noutput.dump_frames = true\n")
+    calls, project = [], scenarios.project
+
+    def failing(*args):
+        calls.append(len(args[0]))
+        if len(calls) >= 3:
+            raise FrameFitError("the third window does not fit")
+        return project(*args)
+
+    monkeypatch.setattr(scenarios, "project", failing)
+    with pytest.raises(FrameFitError, match="the third window does not fit"):
+        run_monitoring_trace(cfg, tmp_path)
+    assert calls == [16, 16, 16, 1]  # the failing window, then its first sample alone
+    frames = sorted((tmp_path / "frames").iterdir())
+    assert [p.name for p in frames] == [f"sample_{k:03d}.ppm" for k in range(32)]
+    assert all(p.stat().st_size == 921615 for p in frames)
+    assert not (tmp_path / "trace.csv").exists()
+    assert not [t for t in threading.enumerate() if t.name.startswith("fertisim-dump")]
 
 
 def test_every_traced_name_is_bound_in_scenarios():
