@@ -60,6 +60,8 @@ def _warn_skipped(result, cfg: Config) -> None:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="fertisim", description=__doc__)
+    parser.add_argument("--dump-defaults", action="store_true",
+                        help="print the default config file and exit")
     sub = parser.add_subparsers(dest="command")
 
     for name, help_text in (
@@ -89,10 +91,6 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: list[str]) -> int:
-    if argv and argv[0] == "--dump-defaults":
-        print(dump_defaults(), end="")
-        return EXIT_OK
-
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -100,6 +98,9 @@ def main(argv: list[str]) -> int:
         print(parser.format_usage(), file=sys.stderr, end="")
         print(f"fertisim: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    if args.dump_defaults:
+        print(dump_defaults(), end="")
+        return EXIT_OK
     if args.command is None:
         print(parser.format_usage(), file=sys.stderr, end="")
         return EXIT_ERROR

@@ -87,17 +87,6 @@ class RowMask:
         extents = (int(rows[-1] - rows[0] + 1), int(cols[-1] - cols[0] + 1), int(count.sum()))
         return cls(int(rows[0]), first, last, count, extents)
 
-    def box(self) -> tuple[np.ndarray, int]:
-        """Each row filled from its first to its last column, as a bitmap over the
-        mask's rows and bounding columns; returns the bitmap and its first column.
-        """
-        c0 = int(self.first.min())
-        # int16 compares: several times faster than intp ones at this size.
-        cols = np.arange(c0, int(self.last.max()) + 1, dtype=np.int16)
-        first = self.first.astype(np.int16)[:, None]
-        last = self.last.astype(np.int16)[:, None]
-        return (cols >= first) & (cols <= last), c0
-
 
 _NO_ROWS = np.zeros(0, dtype=np.intp)
 EMPTY_MASK = RowMask(FRAME_H, _NO_ROWS, _NO_ROWS, _NO_ROWS, (0, 0, 0))
@@ -115,7 +104,9 @@ class Frame:
 
     ``pixels`` (the full (480, 640, 3) buffer) is built from the runs and the
     noise on first access and cached, so a frame whose pixels are never read
-    never hashes its noise seed or draws its noise. The cache takes no lock:
+    never hashes its noise seed or draws its noise. Every render is drawn the
+    same way: the noise (all zeros at amplitude 0), plus the background, plus
+    the plant's difference from it, clipped to 0..255. The cache takes no lock:
     frames are drawn on several threads at once (``scenarios._FrameDump``),
     and two threads that read one frame's pixels together may both draw
     them, to the same bytes.
@@ -145,22 +136,20 @@ class Frame:
         return self._pixels
 
     def _draw(self) -> np.ndarray:
-        plant, c0 = self.runs.box()
-        box = (slice(self.runs.top, self.runs.top + plant.shape[0]),
-               slice(c0, c0 + plant.shape[1]))
+        # Each row filled from its first to its last column, as a bitmap over the
+        # mask's rows and bounding columns. Built before the noise is drawn, so its
+        # temporaries never sit beside the noise buffer and raise the peak RSS.
+        runs = self.runs
+        c0 = int(runs.first.min())
+        # int16 compares: several times faster than intp ones at this size.
+        cols = np.arange(c0, int(runs.last.max()) + 1, dtype=np.int16)
+        first = runs.first.astype(np.int16)[:, None]
+        last = runs.last.astype(np.int16)[:, None]
+        plant = (cols >= first) & (cols <= last)
+        box = (slice(runs.top, runs.top + plant.shape[0]), slice(c0, c0 + plant.shape[1]))
+        # The colours are added in the int16 noise buffer; a per-channel add skips
+        # the zero channels and is several times faster than a broadcast one.
         a = self.noise_amplitude
-        if a == 0:
-            full = np.empty((FRAME_H, FRAME_W, 3), dtype=np.uint8)
-            # One strided fill and one masked copy per channel: several times
-            # faster than a broadcast fill or a boolean-indexed assignment.
-            for ch in range(3):
-                full[:, :, ch] = BACKGROUND[ch]
-                np.copyto(full[box + (ch,)], PLANT_COLOR[ch], where=plant)
-            return full
-        # Noise plus the background, plus the plant's difference from the
-        # background on the silhouette, formed in the int16 noise buffer; a
-        # per-channel add skips the zero channels and is several times faster
-        # than a broadcast one.
         noisy = np.random.default_rng(key_hash(self.noise_seed, *self.noise_key)).integers(
             -a, a + 1, size=(FRAME_H, FRAME_W, 3), dtype=np.int16)
         for ch in range(3):
@@ -301,10 +290,3 @@ _ROW_CENTRES = np.arange(FRAME_H) + 0.5
 _OFFSETS = np.arange(_HALF_W) + 0.5  # pixel centres' distances from the centre line
 # A sub-pixel plant leaves a minimum one-pixel mark at the base.
 _MARK = RowMask(FRAME_H - 1, np.array([_HALF_W]), np.array([_HALF_W]), np.ones(1, int), (1, 1, 1))
-
-
-def overlap_flag(widths_cm: np.ndarray, spacing_cm: float) -> bool:
-    """True when any visible canopy width exceeds the row spacing: neighbors overlap in frame."""
-    if spacing_cm <= 0.0:
-        raise ValueError("spacing_cm must be > 0")
-    return bool(np.any(widths_cm > spacing_cm))

@@ -46,7 +46,7 @@ from .growth import (
 )
 from .ledger import WaterLedger, savings
 from .ppm import write_ppm
-from .render import Frame, RowMask, capture_distance, overlap_flag, project, render
+from .render import Frame, RowMask, capture_distance, project, render
 from .vision import Morphometry, NoPlantDetected, measure, segment
 
 log = logging.getLogger(__name__)
@@ -127,10 +127,11 @@ class _FrameDump:
     their draw (mostly numpy code that releases the GIL) and write run off
     the loop. ``save`` first waits for the oldest frame if ``_DUMP_THREADS``
     are waiting, so each thread holds one frame's buffer at a time, and
-    draws and frees it itself. A frame is written only after the frame
-    before it was, so after a failed draw or write no later frame reaches
-    the disk, as in a serial run; the first failure is raised by ``save`` or
-    ``close``. ``close`` waits for every frame and stops the threads.
+    draws and frees it itself. A frame's task draws it, then waits for the
+    frame before it, whose failure it re-raises unwritten; so after a failed
+    draw or write every later task fails the same way and no later frame
+    reaches the disk, as in a serial run. ``save`` and ``close`` raise that
+    failure. ``close`` waits for every frame and stops the threads.
     """
 
     def __init__(self, frames_dir: Path):
@@ -153,13 +154,11 @@ class _FrameDump:
         path = str(self.frames_dir / f"sample_{k:03d}.ppm")
         previous = self._waiting[-1] if self._waiting else None
 
-        def draw_and_write() -> bool:
-            """True once written; False, writing nothing, if an earlier frame was not."""
+        def draw_and_write() -> None:
             frame.pixels  # drawn before the wait, alongside the earlier frame
-            if previous is not None and (previous.exception() or not previous.result()):
-                return False
+            if previous is not None:
+                previous.result()  # an earlier frame's failure fails this one, unwritten
             write_ppm(frame, path)  # the name bound in this module
-            return True
 
         self._waiting.append(self._threads[k % _DUMP_THREADS].submit(draw_and_write))
 
@@ -215,18 +214,17 @@ class _Run:
     def irrigate(self, pop: PlantState, now: float) -> PlantState:
         return apply_irrigation(pop, now, irrigation_lag(self.seed, now, self.gp))
 
-    def measure_frame(self, runs: RowMask, day: int, key: tuple[float, int],
+    def measure_frame(self, runs: RowMask, day: int, distance: float, key: tuple[float, int],
                       sample: int | None = None) -> Morphometry | None:
-        """Frame a silhouette (noise keyed by ``key``: minute, plant) and measure it; None for a
-        skipped sample (too few plant pixels), which is counted and logged. A ``sample`` frame
-        is then handed to ``frames``, if the run dumps frames, as frame ``sample``."""
+        """Frame a silhouette projected from ``distance`` (noise keyed by ``key``: minute, plant)
+        and measure it; None for a skipped sample (too few plant pixels), counted and logged. A
+        ``sample`` frame then goes to ``frames`` as frame ``sample``, if the run dumps frames."""
         frame, _ = render(runs, self.cam, key)
         mask = segment(frame, self.cfg["vision.red_margin"], cleanup=self.cam.noise_amplitude > 0)
         if sample is not None and self.frames is not None:
             self.frames.save(frame, sample)
         try:
-            return measure(mask, capture_distance(day), self.cam,
-                           self.cfg["vision.min_plant_pixels"])
+            return measure(mask, distance, self.cam, self.cfg["vision.min_plant_pixels"])
         except NoPlantDetected as exc:
             self.skipped += 1
             log.info("day %d minute %d plant %d: sample skipped (%s)", day, *key, exc)
@@ -259,7 +257,7 @@ class _Run:
             for now, pop, runs in zip(instants, track, silhouettes):
                 sample, k = k, k + 1
                 index = sample if by_sample else len(self.rows)
-                morpho = self.measure_frame(runs, day, (now, 0), sample)
+                morpho = self.measure_frame(runs, day, distance, (now, 0), sample)
                 if morpho is None:
                     continue
                 self.state, cmd = spa_tick(self.state, morpho.width_cm, now, self.schedule,
@@ -278,10 +276,10 @@ class _Run:
 
     def capture(self, pop: PlantState, day: int) -> tuple[float, float]:
         """Mean measured height and width of ``pop``'s measured plants; NoPlantDetected if none."""
-        minute = (day + 1) * MINUTES_PER_DAY
-        silhouettes = project(*sizes(pop, self.gp), self.cam, capture_distance(day))
+        minute, distance = (day + 1) * MINUTES_PER_DAY, capture_distance(day)
+        silhouettes = project(*sizes(pop, self.gp), self.cam, distance)
         measured = [m for i, runs in enumerate(silhouettes)
-                    if (m := self.measure_frame(runs, day, (minute, i))) is not None]
+                    if (m := self.measure_frame(runs, day, distance, (minute, i))) is not None]
         if not measured:
             raise NoPlantDetected(
                 f"capture day {day} measured no plant: every frame had fewer than "
@@ -315,7 +313,8 @@ def run_growth_experiment(cfg: Config, out_dir: str | Path) -> GrowthResult:
 
     for day in range(0, total_days, every):
         pops = [run.step_to(pop, (day + 1) * MINUTES_PER_DAY) for pop in pops]
-        if any(overlap_flag(sizes(pop, run.gp)[1], spacing) for pop in pops):
+        # Canopies wider than the row spacing overlap in frame: no plant is captured alone.
+        if any(np.any(sizes(pop, run.gp)[1] > spacing) for pop in pops):
             overlap_stop_day = day
             log.info("individual capture stopped at day %d: canopies wider than %.0f cm spacing",
                      day, spacing)

@@ -4,7 +4,8 @@ The matrix: seeds 0-19 and 42 on the default compare, the same compare with
 ``camera.noise_amplitude = 20``, the benchmark's 300-plant
 ``population_stepping`` compare, a compare whose control window opens at
 09:00, growth with ``growth_exp.peak_loss_rate = 0.004`` and the default
-monitor; and the benchmark's noisy 540-frame monitor at seeds 3, 7 and 42.
+monitor dumping its noiseless frames; and the benchmark's noisy 540-frame
+monitor at seeds 3, 7 and 42.
 Each run goes through the CLI into a fresh temporary directory (``TMPDIR``),
 is hashed with ``tree_digest`` and deleted at once: a noisy monitor writes
 about 500 MB of frames.
@@ -43,7 +44,7 @@ VARIANTS = {
     "population_stepping": ("compare", POPULATION, ("sim.seed",)),
     "compare_window_540": ("compare", WINDOW_540, ("sim.seed",)),
     "growth_peak_0.004": ("growth", "growth_exp.peak_loss_rate = 0.004\n", ("sim.seed",)),
-    "monitor": ("monitor", "", ("sim.seed",)),
+    "monitor": ("monitor", "output.dump_frames = true\n", ("sim.seed",)),
     "monitor_noisy_frames": ("monitor", "monitor.sample_interval_min = 1\nmonitor.sample_count = 540\n"
                              "camera.noise_amplitude = 20\noutput.dump_frames = true\n",
                              ("sim.seed", "camera.noise_seed")),

@@ -26,6 +26,13 @@ def test_dump_defaults_round_trips(capsys):
     assert parse_config(printed) == default_config()
 
 
+def test_help_lists_dump_defaults(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    assert "--dump-defaults" in capsys.readouterr().out
+
+
 def test_unknown_subcommand_prints_usage(capsys):
     assert main(["prune"]) == 1
     err = capsys.readouterr().err

@@ -64,6 +64,8 @@ PARAMETER_RANGES = [
     ("demand.peak_loss_rate = -0.001", "demand.peak_loss_rate"),
     ("monitor.peak_loss_rate = -0.001", "monitor.peak_loss_rate"),
     ("growth_exp.peak_loss_rate = -0.001", "growth_exp.peak_loss_rate"),
+    # the growth experiment's row spacing, which its overlap rule compares widths with
+    ("growth_exp.spacing_cm = 0", "growth_exp.spacing_cm"),
     # the pump's flow rate
     ("pump.flow_l_per_min = 0", "pump.flow_l_per_min"),
 ]

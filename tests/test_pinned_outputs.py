@@ -1,6 +1,7 @@
-"""Pinned output bytes: the default seed-42 runs of every scenario, one noisy monitor,
-one noisy comparison, a 300-plant comparison at seed 7, a comparison whose control
-window opens at 09:00, and the ``--dump-defaults`` document.
+"""Pinned output bytes: the default seed-42 runs of every scenario, one noiseless and one
+noisy monitor that dump their frames, one noisy comparison, a 300-plant comparison at
+seed 7, a comparison whose control window opens at 09:00, the default ``render-frame``
+PPM and the ``--dump-defaults`` document.
 
 Each run goes through the CLI into a fresh directory, and the whole
 output tree is hashed: SHA-256 over each file's relative path and bytes, in
@@ -37,6 +38,29 @@ def test_default_outputs_match_pinned_digest(scenario, tmp_path, capsys):
     out = tmp_path / scenario
     assert main([scenario, "--seed", "42", "--out", str(out)]) == 0
     assert tree_digest(out) == PINNED[scenario]
+
+
+# The default monitor dumping every frame: its 26 PPMs pin the noiseless frame build.
+FRAMES_MONITOR_DIGEST = "1792c2b72823c1c921e9ec3bd23ff7c49ffd4218e9d001ffebfc538d2e1a01cb"
+
+
+def test_noiseless_monitor_frames_match_pinned_digest(tmp_path, capsys):
+    cfg = tmp_path / "frames.cfg"
+    cfg.write_text("output.dump_frames = true\n")
+    out = tmp_path / "monitor"
+    assert main(["monitor", "--config", str(cfg), "--seed", "42", "--out", str(out)]) == 0
+    assert len(list((out / "frames").iterdir())) == 26
+    assert tree_digest(out) == FRAMES_MONITOR_DIGEST
+
+
+# ``render-frame`` with its default arguments: one noiseless PPM.
+RENDER_FRAME_DIGEST = "6ba68508ea641ab7b11fd317cef7b46d748c9303113b434df1d15f45b035fd44"
+
+
+def test_default_render_frame_matches_pinned_digest(tmp_path, capsys):
+    path = tmp_path / "frame.ppm"
+    assert main(["render-frame", "--file", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == RENDER_FRAME_DIGEST
 
 
 # The default monitor with camera noise, dumping every frame: its PPMs pin

@@ -10,14 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from fertisim.config import ConfigError, default_config, parse_config
-from fertisim.growth import (
-    EcBand,
-    PlantState,
-    advance,
-    make_seedling,
-    plant_rate_scale,
-    sizes,
-)
+from fertisim.growth import PlantState, sizes
 from fertisim import render as render_module
 from fertisim.render import (
     BACKGROUND,
@@ -26,7 +19,6 @@ from fertisim.render import (
     RowMask,
     _narrow,
     capture_distance,
-    overlap_flag,
     project,
     render,
 )
@@ -266,34 +258,6 @@ def test_population_names_its_first_plant_that_does_not_fit(camera):
         project(heights, widths, camera, 100.0)
     with pytest.raises(FrameFitError, match=r"^plant projects to 240\.0x672\.0 px at 100 cm;"):
         project(heights[21:], widths[21:], camera, 100.0)
-
-
-class TestOverlapFlag:
-    def test_all_narrower_than_spacing(self):
-        assert overlap_flag(np.full(5, 30.0), 40.0) is False
-
-    def test_one_wide_plant_trips(self):
-        assert overlap_flag(np.array([30.0, 45.0]), 40.0) is True
-
-    def test_bad_spacing_rejected(self):
-        with pytest.raises(ValueError):
-            overlap_flag(np.array([30.0]), 0.0)
-
-    def test_default_calibration_first_trips_between_day_40_and_50(self, growth_params,
-                                                                    no_demand):
-        groups = [make_seedling(growth_params, band,
-                                np.array([plant_rate_scale(42, gi, i, growth_params)
-                                          for i in range(20)]))
-                  for gi, band in enumerate(EcBand)]
-        first = None
-        for day in range(56):
-            t_cap = (day + 1) * 1440.0
-            groups = [advance(g, t_cap - g.age_min, no_demand, params=growth_params)
-                      for g in groups]
-            if any(overlap_flag(sizes(g, growth_params)[1], 40.0) for g in groups):
-                first = day
-                break
-        assert first is not None and 40 < first < 50, f"overlap first tripped at day {first}"
 
 
 def test_camera_config_validation(camera):

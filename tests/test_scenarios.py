@@ -4,10 +4,12 @@ import importlib.util
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fertisim import scenarios
 from fertisim.config import Config, ConfigError, default_config, parse_config
+from fertisim.growth import EcBand, advance, make_seedling, plant_rate_scale, sizes
 from fertisim.ppm import read_ppm
 from fertisim.render import FrameFitError, capture_distance
 from fertisim.scenarios import (
@@ -36,6 +38,28 @@ class TestGrowthExperiment:
         assert result.capture_days == list(range(0, 43, 3))
         assert result.ordering_ok
         assert result.skipped_samples == 0
+
+    def test_overlapping_canopies_stop_individual_capture(self, tmp_path):
+        # Past the default 43 days, a canopy first outgrows the 40 cm row spacing on day 45.
+        result = run_growth_experiment(parse_config("growth_exp.days = 56\n"), tmp_path)
+        assert result.capture_days == list(range(0, 43, 3))
+        assert "overlap_stop_day = 45\n" in (tmp_path / "summary.txt").read_text()
+
+    def test_default_calibration_first_trips_between_day_40_and_50(self, growth_params,
+                                                                    no_demand):
+        groups = [make_seedling(growth_params, band,
+                                np.array([plant_rate_scale(42, gi, i, growth_params)
+                                          for i in range(20)]))
+                  for gi, band in enumerate(EcBand)]
+        first = None
+        for day in range(56):
+            t_cap = (day + 1) * 1440.0
+            groups = [advance(g, t_cap - g.age_min, no_demand, params=growth_params)
+                      for g in groups]
+            if any(np.any(sizes(g, growth_params)[1] > 40.0) for g in groups):
+                first = day
+                break
+        assert first is not None and 40 < first < 50, f"overlap first tripped at day {first}"
 
     def test_csv_written(self, growth_default):
         _, out = growth_default
