@@ -45,6 +45,26 @@ class TestGrowthExperiment:
         assert result.capture_days == list(range(0, 43, 3))
         assert "overlap_stop_day = 45\n" in (tmp_path / "summary.txt").read_text()
 
+    def test_all_canopies_narrower_than_spacing_keep_capturing(self, growth_default):
+        result, out = growth_default
+        assert len(result.capture_days) == 15
+        assert "overlap_stop_day = none\n" in (out / "summary.txt").read_text()
+
+    def test_one_canopy_wider_than_spacing_stops_capture(self, tmp_path):
+        # A spacing between the two widest canopies on day 0 trips the rule on that plant alone.
+        cfg = default_config()
+        run = scenarios._Run(cfg, cfg.demand("growth_exp.peak_loss_rate"), cfg.schedule())
+        widths = np.sort(np.concatenate([
+            sizes(run.step_to(run.population(band, gi, cfg["growth_exp.group_size"]), 1440.0),
+                  run.gp)[1]
+            for gi, band in enumerate(EcBand)]))
+        assert widths[-1] > widths[-2]
+        spacing = float((widths[-1] + widths[-2]) / 2)
+        result = run_growth_experiment(
+            parse_config(f"growth_exp.spacing_cm = {spacing!r}\n"), tmp_path)
+        assert result.capture_days == []
+        assert "overlap_stop_day = 0\n" in (tmp_path / "summary.txt").read_text()
+
     def test_default_calibration_first_trips_between_day_40_and_50(self, growth_params,
                                                                     no_demand):
         groups = [make_seedling(growth_params, band,
