@@ -13,7 +13,6 @@ draws a population's silhouettes; ``render`` frames one of them.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,8 +104,9 @@ class Frame:
     ``pixels`` (the full (480, 640, 3) buffer) is built from the runs and the
     noise on first access and cached, so a frame whose pixels are never read
     never hashes its noise seed or draws its noise. Every render is drawn the
-    same way: the noise (all zeros at amplitude 0), plus the background, plus
-    the plant's difference from it, clipped to 0..255. The cache takes no lock:
+    same way: the int16 noise (all zeros at amplitude 0), plus the background
+    row, plus the plant's difference from it, clipped and cast to uint8 in one
+    pass into the front of the noise buffer. The cache takes no lock:
     frames are drawn on several threads at once (``scenarios._FrameDump``),
     and two threads that read one frame's pixels together may both draw
     them, to the same bytes.
@@ -147,37 +147,26 @@ class Frame:
         last = runs.last.astype(np.int16)[:, None]
         plant = (cols >= first) & (cols <= last)
         box = (slice(runs.top, runs.top + plant.shape[0]), slice(c0, c0 + plant.shape[1]))
-        # The colours are added in the int16 noise buffer; a per-channel add skips
-        # the zero channels and is several times faster than a broadcast one.
+        # The colours are added in the int16 noise buffer: the background as one
+        # whole row, the plant per channel on its box (skipping equal channels).
         a = self.noise_amplitude
         noisy = np.random.default_rng(key_hash(self.noise_seed, *self.noise_key)).integers(
             -a, a + 1, size=(FRAME_H, FRAME_W, 3), dtype=np.int16)
+        rows = noisy.reshape(FRAME_H, FRAME_W * 3)
+        rows += _BACKGROUND_ROW
         for ch in range(3):
-            if BACKGROUND[ch]:
-                noisy[:, :, ch] += BACKGROUND[ch]
             if PLANT_COLOR[ch] != BACKGROUND[ch]:
                 region = noisy[box + (ch,)]
                 np.add(region, PLANT_COLOR[ch] - BACKGROUND[ch], out=region, where=plant)
-        return _narrow(np.clip(noisy, 0, 255, out=noisy))
-
-
-def _narrow(wide: np.ndarray) -> np.ndarray:
-    """A C-contiguous int16 array of values in 0..255 as uint8, in the front of its own buffer.
-
-    Each value's low byte moves forward to its place, in chunks that double
-    in length: chunk ``[s, 2s)`` reads from byte ``2s`` on, so no chunk past
-    the first overlaps its source and numpy copies it without a temporary.
-    This saves the uint8 copy that ``astype`` would hold beside the int16 one.
-    """
-    n = wide.size
-    raw = wide.reshape(n).view(np.uint8)
-    low = raw[sys.byteorder == "big"::2]  # value i's low byte
-    out = raw[:n]
-    start, stop = 0, 1
-    while start < n:
-        out[start:stop] = low[start:stop]
-        start, stop = stop, 2 * stop
-    return out.reshape(wide.shape)
+        # Clipped and cast to uint8 into the front of the same buffer, in row blocks
+        # that double: uint8 rows [r, 2r) land on bytes int16 rows [r, 2r) have left,
+        # so only row 0 overlaps its source (numpy buffers that one row itself).
+        out = rows.reshape(-1).view(np.uint8)[:rows.size].reshape(rows.shape)
+        start, stop = 0, 1
+        while start < FRAME_H:
+            np.clip(rows[start:stop], 0, 255, out=out[start:stop], casting="unsafe")
+            start, stop = stop, 2 * stop
+        return out.reshape(FRAME_H, FRAME_W, 3)
 
 
 def capture_distance(age_days: float) -> float:
@@ -287,6 +276,7 @@ _PASS_PLANTS = 16  # plants per pass: keeps a pass's arrays to 16 x 480
 _EDGES = np.array([0.5, -0.5])[:, None, None]  # the pixel beyond a run, and its outermost
 _HALF_W = FRAME_W // 2  # columns on each side of the frame's centre line
 _ROW_CENTRES = np.arange(FRAME_H) + 0.5
+_BACKGROUND_ROW = np.tile(np.array(BACKGROUND, dtype=np.int16), FRAME_W)  # one frame row's colours
 _OFFSETS = np.arange(_HALF_W) + 0.5  # pixel centres' distances from the centre line
 # A sub-pixel plant leaves a minimum one-pixel mark at the base.
 _MARK = RowMask(FRAME_H - 1, np.array([_HALF_W]), np.array([_HALF_W]), np.ones(1, int), (1, 1, 1))

@@ -143,6 +143,9 @@ class _FrameDump:
         np.random  # noqa: B018
 
         frames_dir.mkdir(exist_ok=True)
+        for stale in frames_dir.glob("sample_*.ppm"):  # an earlier run's frames
+            if stale.is_file():
+                stale.unlink()
         self.frames_dir = frames_dir
         self._threads = [ThreadPoolExecutor(1, thread_name_prefix="fertisim-dump")
                          for _ in range(_DUMP_THREADS)]

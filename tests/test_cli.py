@@ -180,6 +180,17 @@ def test_frame_write_error_is_one_line_and_stops_the_session(tmp_path, capsys):
     assert all(p.stat().st_size == 921615 for p in frames[:5])
 
 
+def test_a_reused_out_holds_only_the_last_runs_frames(tmp_path):
+    run = tmp_path / "run"
+    for count in (30, 5):
+        cfg = tmp_path / f"dump_{count}.cfg"
+        cfg.write_text(f"monitor.sample_count = {count}\noutput.dump_frames = true\n")
+        assert main(["monitor", "--config", str(cfg), "--out", str(run)]) == 0
+    assert "samples = 5\n" in (run / "summary.txt").read_text()
+    names = sorted(p.name for p in (run / "frames").iterdir())
+    assert names == [f"sample_{k:03d}.ppm" for k in range(5)]
+
+
 def test_compare_runs_are_reproducible(tmp_path):
     cfg = tmp_path / "short.cfg"
     cfg.write_text(

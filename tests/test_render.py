@@ -1,13 +1,13 @@
 """Silhouette rendering and the camera distance schedule."""
 
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
-from hypothesis.extra.numpy import array_shapes, arrays
 
 from fertisim.config import ConfigError, default_config, parse_config
 from fertisim.growth import PlantState, sizes
@@ -17,7 +17,6 @@ from fertisim.render import (
     PLANT_COLOR,
     FrameFitError,
     RowMask,
-    _narrow,
     capture_distance,
     project,
     render,
@@ -135,13 +134,19 @@ class TestRender:
         assert noisy_bytes(cam, (600, 4)) != base
         assert noisy_bytes(replace(cam, noise_seed=10), (600, 3)) != base
 
-    def test_noise_is_added_to_the_noiseless_frame(self, camera):
-        # The key's int16 noise plus the two-colour frame, clipped to 0..255.
-        cam = replace(camera, noise_amplitude=120, noise_seed=9)
-        noisy, _ = shoot(plant_of(40.0, 20.0, 0.9), cam, 100.0, (600, 3))
-        clean, _ = shoot(plant_of(40.0, 20.0, 0.9), camera, 100.0, (600, 3))
+    @pytest.mark.parametrize("amplitude", [0, 1, 20, 120, 255])
+    @pytest.mark.parametrize("plant, box_px", [(plant_of(40.0, 20.0, 0.9), (192, 96)),
+                                               (plant_of(100.0, 400 / 3), (480, 640))],
+                             ids=["plant", "whole-frame"])
+    def test_noise_is_added_to_the_noiseless_frame(self, camera, amplitude, plant, box_px):
+        # The key's int16 noise plus the two-colour frame, clipped to 0..255. At
+        # 100 cm the second plant is 480 x 640 px, so its colour reaches every edge.
+        cam = replace(camera, noise_amplitude=amplitude, noise_seed=9)
+        noisy, _ = shoot(plant, cam, 100.0, (600, 3))
+        clean, extents = shoot(plant, camera, 100.0, (600, 3))
+        assert extents[:2] == box_px
         noise = np.random.default_rng(key_hash(9, 600, 3)).integers(
-            -120, 121, size=(480, 640, 3), dtype=np.int16)
+            -amplitude, amplitude + 1, size=(480, 640, 3), dtype=np.int16)
         assert (noisy.pixels == np.clip(clean.pixels + noise, 0, 255)).all()
 
     def test_noise_is_drawn_only_when_pixels_are_read(self, camera, monkeypatch):
@@ -305,20 +310,16 @@ def test_many_threads_reading_one_frame_get_one_image(camera):
     assert got == [want[i % 4] for i in range(32)]
 
 
-@settings(max_examples=200, deadline=None)
-@given(arrays(np.int16, array_shapes(max_dims=3, max_side=40), elements=st.integers(0, 255)))
-def test_narrowing_in_place_equals_astype(wide):
-    want = wide.astype(np.uint8)
-    buffer = wide.copy()
-    narrow = _narrow(buffer)
-    assert narrow.dtype == np.uint8 and narrow.shape == wide.shape
-    assert narrow.flags.c_contiguous and np.shares_memory(narrow, buffer)
-    assert np.array_equal(narrow, want)
-
-
-def test_narrowing_reads_the_low_byte_of_big_endian_values(monkeypatch):
-    values = np.random.default_rng(5).integers(0, 256, size=(48, 64, 3)).astype(np.int16)
-    monkeypatch.setattr(sys, "byteorder", "big")
-    # Stored big-endian, so the low bytes sit where a big-endian host keeps them.
-    narrow = _narrow(values.astype(">i2"))
-    assert np.array_equal(narrow, values.astype(np.uint8))
+def test_a_noisy_draw_holds_no_second_frame_sized_copy(camera):
+    # The int16 noise buffer (1,843,200 B) is narrowed into its own front half:
+    # a uint8 copy beside it (``astype``) would peak near 2.7 MiB.
+    cam = replace(camera, noise_amplitude=20, noise_seed=9)
+    shoot(plant_of(40.0, 20.0), cam, 100.0, (600, 2))[0].pixels  # imports np.random, untraced
+    frame, _ = shoot(plant_of(40.0, 20.0), cam, 100.0, (600, 3))
+    tracemalloc.start()
+    try:
+        frame.pixels
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 480 * 640 * 3 * 2
