@@ -3,7 +3,7 @@
 Subcommands: the three scenarios (``growth``, ``monitor``, ``compare``),
 plus ``render-frame`` and ``measure-image`` for working with single frames.
 Exit codes: 0 success, 1 operational/config error, 2 scenario ran but one
-of its built-in result assertions failed.
+of its built-in checks failed (each scenario in ``scenarios`` builds its own).
 """
 
 from __future__ import annotations
@@ -50,12 +50,12 @@ _size_cm = _number(lambda x: math.isfinite(x) and x > 0.0, "a finite size > 0 cm
 _turgor = _number(lambda x: 0.0 <= x <= 1.0, "a turgor fraction in [0, 1]")
 
 
-def _warn_skipped(result, cfg: Config) -> None:
-    """One stderr line for a run's skipped samples; the log has each at INFO."""
-    if result.skipped_samples:
-        print(f"fertisim: warning: {result.skipped_samples} sample(s) skipped, each with fewer "
-              f"than vision.min_plant_pixels = {cfg['vision.min_plant_pixels']} plant pixels",
-              file=sys.stderr)
+# Scenario subcommand: (help text, run function)
+_SCENARIOS = {
+    "growth": ("three-band growth experiment", run_growth_experiment),
+    "monitor": ("real-time monitoring session with the wilt rule", run_monitoring_trace),
+    "compare": ("timer vs wilt-triggered water-usage comparison", run_fertigation_comparison),
+}
 
 
 def _build_parser() -> _Parser:
@@ -64,11 +64,7 @@ def _build_parser() -> _Parser:
                         help="print the default config file and exit")
     sub = parser.add_subparsers(dest="command")
 
-    for name, help_text in (
-        ("growth", "three-band growth experiment"),
-        ("monitor", "real-time monitoring session with the wilt rule"),
-        ("compare", "timer vs wilt-triggered water-usage comparison"),
-    ):
+    for name, (help_text, _) in _SCENARIOS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", help="path to a config file")
         sp.add_argument("--seed", type=int, help="set sim.seed, checked like any config key")
@@ -114,39 +110,16 @@ def main(argv: list[str]) -> int:
         return EXIT_ERROR
 
     try:
-        if args.command == "growth":
-            result = run_growth_experiment(cfg, args.out)
-            _warn_skipped(result, cfg)
-            print(f"growth experiment: {len(result.capture_days)} capture days, "
-                  f"outputs in {args.out}")
-            if not result.ordering_ok:
-                print("fertisim: group mean heights violate over > normal > under",
-                      file=sys.stderr)
-                return EXIT_ASSERTION
-            return EXIT_OK
-
-        if args.command == "monitor":
-            result = run_monitoring_trace(cfg, args.out)
-            _warn_skipped(result, cfg)
-            offsets = ", ".join(str(int(e.offset_min)) for e in result.events) or "none"
-            print(f"monitoring session: {len(result.rows)} samples, "
-                  f"{len(result.events)} pump event(s) at minute(s): {offsets}")
-            return EXIT_OK
-
-        if args.command == "compare":
-            result = run_fertigation_comparison(cfg, args.out)
-            _warn_skipped(result, cfg)
-            print(f"comparison: timer {result.timer_mean_l_per_day:.1f} L/day, "
-                  f"auto {result.auto_mean_l_per_day:.1f} L/day, "
-                  f"savings {result.savings_fraction * 100.0:.1f}%")
-            if not (result.savings_ok and result.growth_ok):
-                if not result.savings_ok:
-                    print("fertisim: savings did not exceed 80%", file=sys.stderr)
-                if not result.growth_ok:
-                    print("fertisim: growth not maintained within 10% of the timer control",
-                          file=sys.stderr)
-                return EXIT_ASSERTION
-            return EXIT_OK
+        if args.command in _SCENARIOS:
+            result = _SCENARIOS[args.command][1](cfg, args.out)
+            if result.skipped_samples:  # one stderr line; the log has each at INFO
+                print(f"fertisim: warning: {result.skipped_samples} sample(s) skipped, each with "
+                      f"fewer than vision.min_plant_pixels = {cfg['vision.min_plant_pixels']} "
+                      "plant pixels", file=sys.stderr)
+            print(result.report)
+            for failure in result.failures:
+                print(f"fertisim: {failure}", file=sys.stderr)
+            return EXIT_ASSERTION if result.failures else EXIT_OK
 
         if args.command == "render-frame":
             plant = PlantState(age_min=0.0, seedling_height_cm=args.height_cm,

@@ -95,7 +95,7 @@ def spa_tick(state: ControllerState, width_cm: float, now_min: float,
                            last_sample_day=day, wilt_degree=0.0, gradient_sign=0)
         return anchored, PumpCommand(Action.HOLD)
 
-    degree = wilt_degree(state.reference_width_cm, width_cm)
+    degree = (state.reference_width_cm - width_cm) / state.reference_width_cm
     shrank, grew = state.previous_width_cm > width_cm, state.previous_width_cm < width_cm
     pump_running = (state.pump_off_deadline_min is not None
                     and now_min < state.pump_off_deadline_min)
@@ -116,10 +116,3 @@ def spa_tick(state: ControllerState, width_cm: float, now_min: float,
 def timer_tick(schedule: Schedule) -> PumpCommand:
     """Baseline regime: the command at each of the timer's instants, ``Schedule.timer_times``."""
     return PumpCommand(Action.ON, schedule.timer_on_min)
-
-
-def wilt_degree(reference_width_cm: float, width_cm: float) -> float:
-    """Fractional shrink of ``width_cm`` relative to the morning reference."""
-    if reference_width_cm <= 0.0:
-        raise ValueError("reference width must be > 0")
-    return (reference_width_cm - width_cm) / reference_width_cm

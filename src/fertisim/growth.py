@@ -133,7 +133,9 @@ def make_seedling(params: GrowthParams, band: EcBand = EcBand.NORMAL,
     Its growth rate is the band's rate times ``rate_scale``, the plant's jitter.
     An array ``rate_scale`` makes a population of ``len(rate_scale)`` seedlings.
     """
-    rate = params.normal_rate_per_day * params.band_multiplier(band) * rate_scale / MINUTES_PER_DAY
+    with np.errstate(over="ignore"):  # an infinite rate is reported where ``sizes`` reads it
+        rate = (params.normal_rate_per_day * params.band_multiplier(band) * rate_scale
+                / MINUTES_PER_DAY)
     return PlantState(age_min=0.0, seedling_height_cm=params.initial_height_cm,
                       seedling_width_cm=params.initial_width_cm, turgor=1.0, rate_per_min=rate)
 

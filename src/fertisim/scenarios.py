@@ -77,12 +77,16 @@ class PumpEvent:
     offset_min: float  # minutes since session start
 
 
+# Each scenario's result carries its report: ``report``, the one line the CLI prints to
+# stdout, and ``failures``, the messages of the built-in checks that failed, in order.
+
 @dataclass
 class GrowthResult:
     capture_days: list[int]
     means: dict[str, list[float]]  # per band, in EcBand order
-    ordering_ok: bool
     skipped_samples: int
+    report: str
+    failures: list[str]
 
 
 @dataclass
@@ -90,6 +94,8 @@ class MonitorResult:
     rows: list[TraceRow]
     events: list[PumpEvent]
     skipped_samples: int
+    report: str
+    failures: list[str] = field(default_factory=list)  # the monitor has no built-in check
 
 
 @dataclass
@@ -102,14 +108,21 @@ class CompareResult:
     control_increment_cm: float
     events: list[PumpEvent]
     rows: list[TraceRow]
-    savings_ok: bool
-    growth_ok: bool
     auto_activations: int
     skipped_samples: int
+    report: str
+    failures: list[str]
 
 
 def _fmt(x: float) -> str:
     return f"{x:.6f}"
+
+
+def _check(summary: list[str], checks: dict[str, tuple[bool, str]]) -> list[str]:
+    """Append a ``key = true|false`` summary line per check (key: (passed, failure message));
+    return the failed checks' messages, in order."""
+    summary.extend(f"{key} = {str(ok).lower()}" for key, (ok, _) in checks.items())
+    return [message for ok, message in checks.values() if not ok]
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
@@ -310,7 +323,6 @@ def run_growth_experiment(cfg: Config, out_dir: str | Path) -> GrowthResult:
     labels = [band.value for band in EcBand]
     means: dict[str, list[float]] = {label: [] for label in labels}
     capture_days: list[int] = []
-    ordering_ok = True
     overlap_stop_day = None
     rows: list[list[str]] = []
 
@@ -327,9 +339,6 @@ def run_growth_experiment(cfg: Config, out_dir: str | Path) -> GrowthResult:
         capture_days.append(day)
         for label, value in zip(labels, day_means):
             means[label].append(value)
-        under, normal, over = day_means
-        if not (over > normal > under):
-            ordering_ok = False
         rows.append([str(day), _fmt(capture_distance(day))] + [_fmt(v) for v in day_means])
 
     _write_csv(out / "growth_means.csv",
@@ -339,15 +348,18 @@ def run_growth_experiment(cfg: Config, out_dir: str | Path) -> GrowthResult:
         f"capture_days = {len(capture_days)}",
         f"overlap_stop_day = {overlap_stop_day if overlap_stop_day is not None else 'none'}",
         f"skipped_samples = {run.skipped}",
-        f"ordering_ok = {str(ordering_ok).lower()}",
     ]
+    ordered = all(over > normal > under for under, normal, over in zip(*means.values()))
+    failures = _check(summary, {
+        "ordering_ok": (ordered, "group mean heights violate over > normal > under")})
     (out / "summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
 
     return GrowthResult(
         capture_days=capture_days,
         means=means,
-        ordering_ok=ordering_ok,
         skipped_samples=run.skipped,
+        report=f"growth experiment: {len(capture_days)} capture days, outputs in {out_dir}",
+        failures=failures,
     )
 
 
@@ -383,14 +395,18 @@ def run_monitoring_trace(cfg: Config, out_dir: str | Path) -> MonitorResult:
 
     _write_trace_csv(out / "trace.csv", run.rows)
     _write_events_csv(out / "pump_events.csv", run.events)
+    offsets = [str(int(e.offset_min)) for e in run.events]
     summary = [
         f"samples = {len(run.rows)}",
         f"pump_events = {len(run.events)}",
-        "event_offsets_min = " + (";".join(str(int(e.offset_min)) for e in run.events) or "none"),
+        f"event_offsets_min = {';'.join(offsets) or 'none'}",
         f"liters_total = {_fmt(run.ledger.total_liters())}",
     ]
     (out / "summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
-    return MonitorResult(rows=run.rows, events=run.events, skipped_samples=run.skipped)
+    return MonitorResult(
+        rows=run.rows, events=run.events, skipped_samples=run.skipped,
+        report=f"monitoring session: {len(run.rows)} samples, "
+               f"{len(run.events)} pump event(s) at minute(s): {', '.join(offsets) or 'none'}")
 
 
 def _write_trace_csv(path: Path, rows: list[TraceRow]) -> None:
@@ -426,9 +442,12 @@ def run_fertigation_comparison(cfg: Config, out_dir: str | Path) -> CompareResul
     auto_mean = ledger.mean_liters_per_day("auto")
     saved = savings(timer_mean, auto_mean)
 
-    auto_inc, ctrl_inc = _auto_period_increments(cfg, heights, control_heights)
-    growth_ok = abs(auto_inc - ctrl_inc) <= 0.10 * abs(ctrl_inc) if ctrl_inc else auto_inc == 0.0
-    savings_ok = saved > 0.80
+    # The captures closest to the wilt-controlled period's bounds: capture ages are day + 1,
+    # the period spans ages [auto_start - 1, auto_end], and both runs capture on the same days.
+    ages = [day + 1 for day, _, _ in heights]
+    lo = max((i for i, a in enumerate(ages) if a <= cfg["compare.auto_start_day"] - 1), default=0)
+    hi = max(i for i, a in enumerate(ages) if a <= cfg["compare.auto_end_day"])
+    auto_inc, ctrl_inc = (series[hi][1] - series[lo][1] for series in (heights, control_heights))
 
     _write_csv(out / "heights.csv",
                ["capture_day", "mean_height_cm", "mean_width_cm"],
@@ -452,9 +471,12 @@ def run_fertigation_comparison(cfg: Config, out_dir: str | Path) -> CompareResul
         f"auto_activations_total = {auto_activations}",
         f"auto_growth_increment_cm = {_fmt(auto_inc)}",
         f"control_growth_increment_cm = {_fmt(ctrl_inc)}",
-        f"savings_above_0.80 = {str(savings_ok).lower()}",
-        f"growth_within_band = {str(growth_ok).lower()}",
     ]
+    growth_ok = abs(auto_inc - ctrl_inc) <= 0.10 * abs(ctrl_inc) if ctrl_inc else auto_inc == 0.0
+    failures = _check(summary, {
+        "savings_above_0.80": (saved > 0.80, "savings did not exceed 80%"),
+        "growth_within_band": (growth_ok, "growth not maintained within 10% of the timer control"),
+    })
     (out / "summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
 
     return CompareResult(
@@ -466,10 +488,11 @@ def run_fertigation_comparison(cfg: Config, out_dir: str | Path) -> CompareResul
         control_increment_cm=ctrl_inc,
         events=main.events,
         rows=main.rows,
-        savings_ok=savings_ok,
-        growth_ok=growth_ok,
         auto_activations=auto_activations,
         skipped_samples=main.skipped,
+        report=f"comparison: timer {timer_mean:.1f} L/day, auto {auto_mean:.1f} L/day, "
+               f"savings {saved * 100.0:.1f}%",
+        failures=failures,
     )
 
 
@@ -509,24 +532,3 @@ def _simulate_population(cfg: Config,
             heights.append((day, *run.capture(pop, day)))
 
     return run, heights
-
-
-def _auto_period_increments(cfg: Config, heights: list[tuple[int, float, float]],
-                            control_heights: list[tuple[int, float, float]]) -> tuple[float, float]:
-    """Mean-height increment across the wilt-controlled period, in both runs.
-
-    Uses the captures closest to the period boundaries (capture ages are
-    day + 1; the period spans ages [auto_start - 1, auto_end]).
-    """
-    auto_start = cfg["compare.auto_start_day"]
-    auto_end = cfg["compare.auto_end_day"]
-    start_age = auto_start - 1
-    end_age = auto_end
-
-    def increment(series: list[tuple[int, float, float]]) -> float:
-        ages = [d + 1 for d, _, _ in series]
-        lo = max((i for i, a in enumerate(ages) if a <= start_age), default=0)
-        hi = max((i for i, a in enumerate(ages) if a <= end_age), default=len(series) - 1)
-        return series[hi][1] - series[lo][1]
-
-    return increment(heights), increment(control_heights)

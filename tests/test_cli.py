@@ -251,24 +251,32 @@ def test_seed_flag_is_the_config_key(tmp_path, command):
     assert _tree(flag) != _tree(default)  # seed 7 is not the default 42
 
 
-def test_compare_savings_failure_exits_2(tmp_path, capsys):
-    # against a lean 2-hour timer baseline the wilt regime cannot save 80%
-    cfg = tmp_path / "lean_timer.cfg"
-    cfg.write_text(
-        "control.timer_period_min = 120\n"
-        "compare.total_days = 12\ncompare.auto_start_day = 3\ncompare.auto_end_day = 10\n")
-    code = main(["compare", "--config", str(cfg), "--out", str(tmp_path / "run")])
-    assert code == 2
-    assert "savings" in capsys.readouterr().err
+# Against a lean 2-hour timer baseline the wilt regime cannot save 80%.
+LEAN_TIMER = ("control.timer_period_min = 120\n"
+              "compare.total_days = 12\ncompare.auto_start_day = 3\ncompare.auto_end_day = 10\n")
+# Inverting the band multipliers breaks the ordering check.
+INVERTED_BANDS = "growth.under_multiplier = 1.3\ngrowth.over_multiplier = 0.7\n"
 
 
-def test_growth_assertion_failure_exits_2(tmp_path, capsys):
-    # inverting the band multipliers breaks the ordering assertion
-    cfg = tmp_path / "inverted.cfg"
-    cfg.write_text("growth.under_multiplier = 1.3\ngrowth.over_multiplier = 0.7\n")
-    code = main(["growth", "--config", str(cfg), "--out", str(tmp_path / "run")])
-    assert code == 2
-    assert "over > normal > under" in capsys.readouterr().err
+@pytest.mark.parametrize("command, config, out_line, err_lines, code", [
+    ("growth", "", "growth experiment: 15 capture days, outputs in {out}", [], 0),
+    ("monitor", "", "monitoring session: 26 samples, 1 pump event(s) at minute(s): 255", [], 0),
+    ("compare", "", "comparison: timer 101.6 L/day, auto 17.3 L/day, savings 82.9%", [], 0),
+    ("growth", INVERTED_BANDS, "growth experiment: 13 capture days, outputs in {out}",
+     ["fertisim: group mean heights violate over > normal > under"], 2),
+    ("compare", LEAN_TIMER, "comparison: timer 28.2 L/day, auto 16.2 L/day, savings 42.5%",
+     ["fertisim: savings did not exceed 80%"], 2),
+], ids=["growth", "monitor", "compare", "growth-inverted-bands", "compare-lean-timer"])
+def test_scenario_report(tmp_path, capsys, command, config, out_line, err_lines, code):
+    # The whole report: one stdout line, then each failed check on stderr and exit 2.
+    # The growth line repeats --out as given, so its trailing slash must stay.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    out = f"{tmp_path / 'run'}/"
+    assert main([command, "--config", str(cfg), "--out", out]) == code
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [out_line.format(out=out)]
+    assert captured.err.splitlines() == err_lines
 
 
 NO_PLANT_COMPARE = (
@@ -309,12 +317,16 @@ def test_skipped_samples_give_one_stderr_line_in_a_real_process(tmp_path, comman
     assert "vision.min_plant_pixels = 1000000000" in lines[0]
 
 
-@pytest.mark.parametrize("command, age_min", [("compare", 1440), ("growth", 1440),
-                                              ("monitor", 43680)])
-def test_size_overflow_is_one_error_line_in_a_real_process(tmp_path, command, age_min):
+@pytest.mark.parametrize("command, age_min, rate", [
+    ("compare", 1440, "1000000"), ("growth", 1440, "1000000"), ("monitor", 43680, "1000000"),
+    # The rate itself overflows when make_seedling multiplies in a plant's jitter.
+    ("compare", 1440, "1.75e308"), ("growth", 1440, "1.75e308"),
+], ids=["compare-1440", "growth-1440", "monitor-43680", "compare-rate-overflow",
+        "growth-rate-overflow"])
+def test_size_overflow_is_one_error_line_in_a_real_process(tmp_path, command, age_min, rate):
     # Sizes are read in closed form where the camera looks; the first read names its age.
     cfg = tmp_path / "overflow.cfg"
-    cfg.write_text("growth.normal_rate_per_day = 1000000\n")
+    cfg.write_text(f"growth.normal_rate_per_day = {rate}\n")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(
@@ -376,6 +388,7 @@ CONFIGS = st.sets(st.sampled_from(list(_KEYS))).flatmap(
 @given(values=CONFIGS)
 @example(values=dict(parse_config(NO_PLANT_COMPARE).values))
 @example(values={**SIZE_CAPS, "monitor.start_day": 10**8})  # a plant built 10**8 days old
+@example(values={**SIZE_CAPS, "growth.normal_rate_per_day": 1.75e308})  # a rate overflows
 def test_every_parsed_config_runs_or_exits_with_one_message(values):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "fuzz.cfg"

@@ -12,7 +12,6 @@ from fertisim.control import (
     SchedulingError,
     spa_tick,
     timer_tick,
-    wilt_degree,
 )
 
 CFG = default_config()
@@ -88,7 +87,7 @@ class TestWiltRule:
         day2 = 1440.0 + DAY0_0800
         state, _ = spa_tick(state, 96.0, day2, SCHEDULE, THRESHOLD)  # day-2 anchor
         state, cmd = spa_tick(state, 94.5, day2 + 30, SCHEDULE, THRESHOLD)
-        assert wilt_degree(96.0, 94.5) < 0.02
+        assert state.wilt_degree < 0.02
         assert cmd.action is Action.OFF  # 1.6% against the day-2 reference
 
     def test_hold_while_pump_runs(self):
@@ -192,7 +191,7 @@ class TestTraceInvariants:
         state = ControllerState()
         for i, width in enumerate(widths):
             state, _ = spa_tick(state, width, DAY0_0800 + i, fast, THRESHOLD)
-            assert state.wilt_degree == wilt_degree(widths[0], width)
+            assert state.wilt_degree == (widths[0] - width) / widths[0]
             previous = widths[i - 1] if i else width
             assert state.gradient_sign == (0 if previous == width else 1 if previous > width else -1)
 

