@@ -132,16 +132,13 @@ def main(argv: list[str]) -> int:
             return EXIT_OK
 
         if args.command == "measure-image":
-            frame = read_ppm(args.image, distance_cm=args.distance)
+            frame = read_ppm(args.image)
             cam = cfg.camera()
             mask = segment(frame, cfg["vision.red_margin"], cleanup=cam.noise_amplitude > 0)
             morpho = measure(mask, args.distance, cam, cfg["vision.min_plant_pixels"])
             print(f"height_cm={morpho.height_cm:.6f} width_cm={morpho.width_cm:.6f}")
             return EXIT_OK
 
-    except ConfigError as exc:
-        print(f"fertisim: config error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except (FrameFitError, PpmFormatError, NoPlantDetected, OSError, ValueError) as exc:
         print(f"fertisim: error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -94,8 +94,9 @@ EMPTY_MASK = RowMask(FRAME_H, _NO_ROWS, _NO_ROWS, _NO_ROWS, (0, 0, 0))
 class Frame:
     """One captured image (plus, for a PPM read, the distance it was given).
 
-    A whole frame (``Frame(pixels=...)``: a PPM read) holds its
-    (480, 640, 3) uint8 RGB buffer. A render holds only what it drew:
+    A frame is given exactly one of the two. A whole frame
+    (``Frame(pixels=...)``: a PPM read) holds its (480, 640, 3) uint8 RGB
+    buffer, which ``read_ppm`` has checked. A render holds only what it drew:
     ``runs``, the silhouette as a ``RowMask`` of one run per row, in
     ``PLANT_COLOR`` on ``BACKGROUND``, plus its camera noise as an amplitude,
     the camera's noise seed and the capture's ``noise_key`` (minute, plant).
@@ -115,11 +116,6 @@ class Frame:
     def __init__(self, pixels: np.ndarray | None = None, distance_cm: float = 0.0,
                  *, runs: RowMask | None = None, noise_amplitude: int = 0,
                  noise_seed: int = 0, noise_key: tuple[int, int] = (0, 0)):
-        if (pixels is None) == (runs is None):
-            raise ValueError("give exactly one of pixels and runs")
-        if pixels is not None:
-            if pixels.shape != (FRAME_H, FRAME_W, 3) or pixels.dtype != np.uint8:
-                raise ValueError("frame buffer must be 480x640x3 uint8")
         self._pixels = pixels
         self.runs = runs
         self.noise_amplitude = noise_amplitude

@@ -59,59 +59,28 @@ _DUMP_THREADS = 2  # threads drawing and writing dumped frames; also the frames 
 
 
 @dataclass(frozen=True)
-class TraceRow:
-    timestamp_min: float
-    plant_id: int
-    height_cm: float
-    width_cm: float
-    wilt_degree: float
-    gradient_sign: int
-    command: str
-    liters_to_date: float
-
-
-@dataclass(frozen=True)
 class PumpEvent:
     sample_index: int
     timestamp_min: float
     offset_min: float  # minutes since session start
 
 
-# Each scenario's result carries its report: ``report``, the one line the CLI prints to
-# stdout, and ``failures``, the messages of the built-in checks that failed, in order.
-
 @dataclass
-class GrowthResult:
-    capture_days: list[int]
-    means: dict[str, list[float]]  # per band, in EcBand order
-    skipped_samples: int
+class ScenarioResult:
+    """What a scenario returns; everything else it found is in its output files.
+
+    ``report`` is the one line the CLI prints to stdout, ``failures`` the
+    messages of the built-in checks that failed, in order, and
+    ``skipped_samples`` the samples skipped for too few plant pixels.
+    ``events`` are the wilt rule's pump events (none in the growth
+    experiment); ``savings_fraction`` is the comparison's alone.
+    """
+
     report: str
     failures: list[str]
-
-
-@dataclass
-class MonitorResult:
-    rows: list[TraceRow]
-    events: list[PumpEvent]
     skipped_samples: int
-    report: str
-    failures: list[str] = field(default_factory=list)  # the monitor has no built-in check
-
-
-@dataclass
-class CompareResult:
-    savings_fraction: float
-    timer_mean_l_per_day: float
-    auto_mean_l_per_day: float
-    heights: list[tuple[int, float, float]]  # (capture_day, mean_height_cm, mean_width_cm)
-    auto_increment_cm: float
-    control_increment_cm: float
-    events: list[PumpEvent]
-    rows: list[TraceRow]
-    auto_activations: int
-    skipped_samples: int
-    report: str
-    failures: list[str]
+    events: list[PumpEvent] = field(default_factory=list)
+    savings_fraction: float | None = None
 
 
 def _fmt(x: float) -> str:
@@ -204,7 +173,7 @@ class _Run:
     schedule: Schedule
     state: ControllerState = field(default_factory=ControllerState)
     ledger: WaterLedger = field(default_factory=WaterLedger)
-    rows: list[TraceRow] = field(default_factory=list)
+    rows: list[list[str]] = field(default_factory=list)  # trace.csv's rows, as cells
     events: list[PumpEvent] = field(default_factory=list)
     skipped: int = 0
     frames: _FrameDump | None = None
@@ -279,11 +248,10 @@ class _Run:
                 self.state, cmd = spa_tick(self.state, morpho.width_cm, now, self.schedule,
                                            self.cfg["control.wilt_threshold"])
                 self.ledger.accrue(cmd, now, self.flow_l_per_min, regime="auto")
-                self.rows.append(TraceRow(
-                    timestamp_min=now, plant_id=0, height_cm=morpho.height_cm,
-                    width_cm=morpho.width_cm, wilt_degree=self.state.wilt_degree,
-                    gradient_sign=self.state.gradient_sign, command=cmd.action.value,
-                    liters_to_date=self.ledger.total_liters()))
+                self.rows.append([  # plant 0
+                    str(int(now)), "0", _fmt(morpho.height_cm), _fmt(morpho.width_cm),
+                    _fmt(self.state.wilt_degree), str(self.state.gradient_sign),
+                    cmd.action.value, _fmt(self.ledger.total_liters())])
                 if cmd.action is Action.ON:
                     self.events.append(PumpEvent(index, now, now - start_min))
                     pop = self.irrigate(pop, now)
@@ -308,7 +276,7 @@ class _Run:
 # Growth experiment
 # ---------------------------------------------------------------------------
 
-def run_growth_experiment(cfg: Config, out_dir: str | Path) -> GrowthResult:
+def run_growth_experiment(cfg: Config, out_dir: str | Path) -> ScenarioResult:
     """Grow three treatment groups and record per-group mean measured heights."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -321,9 +289,8 @@ def run_growth_experiment(cfg: Config, out_dir: str | Path) -> GrowthResult:
     pops = [run.population(band, gi, group_size) for gi, band in enumerate(EcBand)]
 
     labels = [band.value for band in EcBand]
-    means: dict[str, list[float]] = {label: [] for label in labels}
-    capture_days: list[int] = []
     overlap_stop_day = None
+    ordered = True
     rows: list[list[str]] = []
 
     for day in range(0, total_days, every):
@@ -335,39 +302,32 @@ def run_growth_experiment(cfg: Config, out_dir: str | Path) -> GrowthResult:
                      day, spacing)
             break
 
-        day_means = [run.capture(pop, day)[0] for pop in pops]
-        capture_days.append(day)
-        for label, value in zip(labels, day_means):
-            means[label].append(value)
+        under, normal, over = day_means = [run.capture(pop, day)[0] for pop in pops]
+        ordered = ordered and over > normal > under
         rows.append([str(day), _fmt(capture_distance(day))] + [_fmt(v) for v in day_means])
 
     _write_csv(out / "growth_means.csv",
                ["capture_day", "distance_cm"] + [f"{label}_mean_cm" for label in labels],
                rows)
     summary = [
-        f"capture_days = {len(capture_days)}",
+        f"capture_days = {len(rows)}",
         f"overlap_stop_day = {overlap_stop_day if overlap_stop_day is not None else 'none'}",
         f"skipped_samples = {run.skipped}",
     ]
-    ordered = all(over > normal > under for under, normal, over in zip(*means.values()))
     failures = _check(summary, {
         "ordering_ok": (ordered, "group mean heights violate over > normal > under")})
     (out / "summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
 
-    return GrowthResult(
-        capture_days=capture_days,
-        means=means,
-        skipped_samples=run.skipped,
-        report=f"growth experiment: {len(capture_days)} capture days, outputs in {out_dir}",
-        failures=failures,
-    )
+    return ScenarioResult(
+        report=f"growth experiment: {len(rows)} capture days, outputs in {out_dir}",
+        failures=failures, skipped_samples=run.skipped)
 
 
 # ---------------------------------------------------------------------------
 # Real-time monitoring trace
 # ---------------------------------------------------------------------------
 
-def run_monitoring_trace(cfg: Config, out_dir: str | Path) -> MonitorResult:
+def run_monitoring_trace(cfg: Config, out_dir: str | Path) -> ScenarioResult:
     """Sample one plant through a monitoring session and drive the wilt rule.
 
     With ``output.dump_frames`` every sample's frame is written to ``frames/``
@@ -403,19 +363,17 @@ def run_monitoring_trace(cfg: Config, out_dir: str | Path) -> MonitorResult:
         f"liters_total = {_fmt(run.ledger.total_liters())}",
     ]
     (out / "summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
-    return MonitorResult(
-        rows=run.rows, events=run.events, skipped_samples=run.skipped,
+    return ScenarioResult(
         report=f"monitoring session: {len(run.rows)} samples, "
-               f"{len(run.events)} pump event(s) at minute(s): {', '.join(offsets) or 'none'}")
+               f"{len(run.events)} pump event(s) at minute(s): {', '.join(offsets) or 'none'}",
+        failures=[], skipped_samples=run.skipped, events=run.events)  # no built-in check
 
 
-def _write_trace_csv(path: Path, rows: list[TraceRow]) -> None:
+def _write_trace_csv(path: Path, rows: list[list[str]]) -> None:
     _write_csv(path,
                ["timestamp_min", "plant_id", "height_cm", "width_cm", "wilt_degree",
                 "gradient_sign", "command", "liters_to_date"],
-               [[str(int(r.timestamp_min)), str(r.plant_id), _fmt(r.height_cm),
-                 _fmt(r.width_cm), _fmt(r.wilt_degree), str(r.gradient_sign),
-                 r.command, _fmt(r.liters_to_date)] for r in rows])
+               rows)
 
 
 def _write_events_csv(path: Path, events: list[PumpEvent]) -> None:
@@ -429,7 +387,7 @@ def _write_events_csv(path: Path, events: list[PumpEvent]) -> None:
 # Fertigation comparison
 # ---------------------------------------------------------------------------
 
-def run_fertigation_comparison(cfg: Config, out_dir: str | Path) -> CompareResult:
+def run_fertigation_comparison(cfg: Config, out_dir: str | Path) -> ScenarioResult:
     """Timer vs wilt-triggered regimes over one 60-plant population, plus an all-timer control."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -479,21 +437,11 @@ def run_fertigation_comparison(cfg: Config, out_dir: str | Path) -> CompareResul
     })
     (out / "summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
 
-    return CompareResult(
-        savings_fraction=saved,
-        timer_mean_l_per_day=timer_mean,
-        auto_mean_l_per_day=auto_mean,
-        heights=heights,
-        auto_increment_cm=auto_inc,
-        control_increment_cm=ctrl_inc,
-        events=main.events,
-        rows=main.rows,
-        auto_activations=auto_activations,
-        skipped_samples=main.skipped,
+    return ScenarioResult(
         report=f"comparison: timer {timer_mean:.1f} L/day, auto {auto_mean:.1f} L/day, "
                f"savings {saved * 100.0:.1f}%",
-        failures=failures,
-    )
+        failures=failures, skipped_samples=main.skipped, events=main.events,
+        savings_fraction=saved)
 
 
 def _simulate_population(cfg: Config,

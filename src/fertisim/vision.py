@@ -29,8 +29,6 @@ class NoPlantDetected(RuntimeError):
 
 @dataclass(frozen=True)
 class Morphometry:
-    height_px: int
-    width_px: int
     height_cm: float
     width_cm: float
     plant_pixel_count: int
@@ -135,15 +133,10 @@ def _majority_filter_runs(runs: RowMask) -> RowMask:
 
 def measure(mask: RowMask, distance_cm: float, cam: CameraConfig,
             min_plant_pixels: int) -> Morphometry:
-    """Bounding-box extents of the mask in pixels and centimeters, read from its rows."""
+    """Bounding-box extents of the mask in centimeters and its pixel count, read from its rows."""
     height_px, width_px, count = mask.extents
     if count < min_plant_pixels:
         raise NoPlantDetected(f"{count} plant pixels, need at least {min_plant_pixels}")
     px_to_cm = distance_cm / cam.focal_px
-    return Morphometry(
-        height_px=height_px,
-        width_px=width_px,
-        height_cm=height_px * px_to_cm,
-        width_cm=width_px * px_to_cm,
-        plant_pixel_count=count,
-    )
+    return Morphometry(height_cm=height_px * px_to_cm, width_cm=width_px * px_to_cm,
+                       plant_pixel_count=count)

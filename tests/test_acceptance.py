@@ -30,6 +30,7 @@ from fertisim.scenarios import (
     run_monitoring_trace,
 )
 from fertisim.vision import measure, segment
+from outputs import csv_rows, summary
 
 
 def _report(criterion, text):
@@ -61,14 +62,13 @@ def growth_run(tmp_path_factory):
 
 
 def test_criterion_1_water_savings(compare_run):
-    result, _, elapsed = compare_run
+    result, out, elapsed = compare_run
+    auto_mean = float(summary(out)["auto_mean_l_per_day"])
     assert 0.80 <= result.savings_fraction <= 0.90, \
         f"savings {result.savings_fraction:.4f} outside [0.80, 0.90]"
-    assert abs(result.auto_mean_l_per_day - 17.3) <= 4.0, \
-        f"auto usage {result.auto_mean_l_per_day:.2f} L/day outside 17.3 +/- 4"
+    assert abs(auto_mean - 17.3) <= 4.0, f"auto usage {auto_mean:.2f} L/day outside 17.3 +/- 4"
     assert elapsed < 30.0, f"comparison took {elapsed:.1f}s"
-    _report(1, f"savings {result.savings_fraction:.3f}, "
-               f"auto {result.auto_mean_l_per_day:.2f} L/day, {elapsed:.1f}s")
+    _report(1, f"savings {result.savings_fraction:.3f}, auto {auto_mean:.2f} L/day, {elapsed:.1f}s")
 
 
 def test_criterion_2_timer_arithmetic(cfg, schedule):
@@ -88,11 +88,11 @@ def test_criterion_2_timer_arithmetic(cfg, schedule):
 
 
 def test_criterion_3_monitoring_event(monitor_run):
-    result, _ = monitor_run
-    assert len(result.rows) == 26
-    times = [row.timestamp_min for row in result.rows]
+    result, out = monitor_run
+    times = [int(row["timestamp_min"]) for row in csv_rows(out / "trace.csv")]
+    assert len(times) == 26
     assert [b - a for a, b in zip(times, times[1:])] == [15] * 25
-    assert result.rows[-1].timestamp_min - result.rows[0].timestamp_min == 375
+    assert times[-1] - times[0] == 375
     assert len(result.events) == 1, f"{len(result.events)} pump events, expected 1"
     event = result.events[0]
     assert event.sample_index == 17 and event.offset_min == 255.0
@@ -186,9 +186,10 @@ def test_criterion_5_vision_oracle():
             frame, extents = render(runs[0], cam, (0, 0))
             m = measure(segment(frame, margin), d, cam, min_pixels)
             # pixel extents recovered exactly
-            assert (m.height_px, m.width_px, m.plant_pixel_count) == extents
-            # physical extents within one rasterization pixel
             cm_per_px = d / cam.focal_px
+            assert (m.height_cm, m.width_cm) == (extents[0] * cm_per_px, extents[1] * cm_per_px)
+            assert m.plant_pixel_count == extents[2]
+            # physical extents within one rasterization pixel
             assert abs(m.height_cm - height) <= cm_per_px * (1.0 + 1e-9)
             assert abs(m.width_cm - sizes(plant, gp)[1]) <= cm_per_px * (1.0 + 1e-9)
             measured.append(m)
@@ -203,15 +204,16 @@ def test_criterion_5_vision_oracle():
 
 
 def test_criterion_6_growth_ordering_ten_seeds(growth_run, tmp_path):
-    results = [growth_run[0]]
+    runs = [growth_run]
     for seed in range(9):
-        results.append(run_growth_experiment(parse_config(f"sim.seed = {seed}\n"),
-                                             tmp_path / str(seed)))
-    for result in results:
-        assert len(result.capture_days) == 15
+        out = tmp_path / str(seed)
+        runs.append((run_growth_experiment(parse_config(f"sim.seed = {seed}\n"), out), out))
+    for result, out in runs:
+        rows = csv_rows(out / "growth_means.csv")
+        assert len(rows) == 15
         assert result.failures == []
-        for label in result.means:
-            series = result.means[label]
+        for label in ("under", "normal", "over"):
+            series = [float(row[f"{label}_mean_cm"]) for row in rows]
             increments = [b - a for a, b in zip(series, series[1:])]
             assert all(later >= earlier
                        for earlier, later in zip(increments, increments[1:])), \
@@ -220,13 +222,14 @@ def test_criterion_6_growth_ordering_ten_seeds(growth_run, tmp_path):
 
 
 def test_criterion_7_growth_maintained(compare_run):
-    result, _, _ = compare_run
-    assert result.control_increment_cm > 0.0
-    deviation = abs(result.auto_increment_cm - result.control_increment_cm) \
-        / result.control_increment_cm
+    _, out, _ = compare_run
+    written = summary(out)
+    auto = float(written["auto_growth_increment_cm"])
+    control = float(written["control_growth_increment_cm"])
+    assert control > 0.0
+    deviation = abs(auto - control) / control
     assert deviation <= 0.10, f"auto-period growth deviates {deviation:.2%} from control"
-    _report(7, f"auto increment {result.auto_increment_cm:.2f} cm vs "
-               f"control {result.control_increment_cm:.2f} cm ({deviation:.2%})")
+    _report(7, f"auto increment {auto:.2f} cm vs control {control:.2f} cm ({deviation:.2%})")
 
 
 def _tree_bytes(root):

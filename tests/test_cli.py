@@ -112,7 +112,7 @@ def test_measure_image_on_a_red_dominant_plant(tmp_path, capsys, camera):
     assert err == ["fertisim: error: 0 plant pixels, need at least 25"]
 
 
-@pytest.mark.parametrize("distance", ["0", "-5", "nan", "inf"])
+@pytest.mark.parametrize("distance", ["0", "-5", "nan", "inf", "abc"])
 @pytest.mark.parametrize("command", ["render-frame", "measure-image"])
 def test_bad_distance_rejected(tmp_path, capsys, command, distance):
     frame = tmp_path / "frame.ppm"
@@ -143,8 +143,13 @@ def test_render_frame_rejects_invalid_plant_states(tmp_path, capsys):
 
 def test_measure_image_rejects_bad_ppm(tmp_path, capsys):
     bad = tmp_path / "bad.ppm"
-    bad.write_bytes(b"P3\n640 480\n255\n")
-    assert main(["measure-image", str(bad), "--distance", "100"]) == 1
+    for header, why in ((b"P3\n640 480\n255\n", "expected P6 magic, got b'P3'"),
+                        (b"P6\n640 x\n255\n", "bad header token b'x'"),
+                        (b"P6\n640 480\n", "truncated header")):
+        bad.write_bytes(header)
+        assert main(["measure-image", str(bad), "--distance", "100"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"fertisim: error: {why}\n"), header
 
 
 def test_monitor_reports_the_pump_event(tmp_path, capsys):
@@ -256,6 +261,10 @@ LEAN_TIMER = ("control.timer_period_min = 120\n"
               "compare.total_days = 12\ncompare.auto_start_day = 3\ncompare.auto_end_day = 10\n")
 # Inverting the band multipliers breaks the ordering check.
 INVERTED_BANDS = "growth.under_multiplier = 1.3\ngrowth.over_multiplier = 0.7\n"
+# A window opening at midnight puts the first sample, or timer instant, on the plants' own age.
+MIDNIGHT = "control.window_start_min = 0\n"
+SHORT_COMPARE = ("compare.plants = 2\ncompare.total_days = 8\n"
+                 "compare.auto_start_day = 3\ncompare.auto_end_day = 6\n")
 
 
 @pytest.mark.parametrize("command, config, out_line, err_lines, code", [
@@ -266,7 +275,12 @@ INVERTED_BANDS = "growth.under_multiplier = 1.3\ngrowth.over_multiplier = 0.7\n"
      ["fertisim: group mean heights violate over > normal > under"], 2),
     ("compare", LEAN_TIMER, "comparison: timer 28.2 L/day, auto 16.2 L/day, savings 42.5%",
      ["fertisim: savings did not exceed 80%"], 2),
-], ids=["growth", "monitor", "compare", "growth-inverted-bands", "compare-lean-timer"])
+    ("monitor", MIDNIGHT, "monitoring session: 26 samples, 0 pump event(s) at minute(s): none",
+     [], 0),
+    ("compare", MIDNIGHT + SHORT_COMPARE,
+     "comparison: timer 191.9 L/day, auto 12.7 L/day, savings 93.4%", [], 0),
+], ids=["growth", "monitor", "compare", "growth-inverted-bands", "compare-lean-timer",
+        "monitor-midnight-window", "compare-midnight-window"])
 def test_scenario_report(tmp_path, capsys, command, config, out_line, err_lines, code):
     # The whole report: one stdout line, then each failed check on stderr and exit 2.
     # The growth line repeats --out as given, so its trailing slash must stay.

@@ -122,6 +122,8 @@ def test_syntax_error_names_the_line():
 def test_unparseable_value_names_key_and_line():
     with pytest.raises(ConfigError, match="line 1.*sim.seed"):
         parse_config("sim.seed = pony\n")
+    with pytest.raises(ConfigError, match="line 1: key 'output.dump_frames': cannot parse 'maybe'"):
+        parse_config("output.dump_frames = maybe\n")
 
 
 def test_duplicate_key_rejected():
@@ -143,6 +145,8 @@ def test_comments_and_blanks_ignored():
 def test_cross_field_window_check():
     with pytest.raises(ConfigError, match="demand.window_end_min"):
         parse_config("demand.window_start_min = 900\ndemand.window_end_min = 600\n")
+    with pytest.raises(ConfigError, match="'growth.lag_high_min': must be >= growth.lag_low_min"):
+        parse_config("growth.lag_low_min = 20\ngrowth.lag_high_min = 15\n")
 
 
 def test_cross_field_timeline_check():

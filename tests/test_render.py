@@ -249,7 +249,9 @@ def test_runs_equal_the_bitmap_oracle(plants, canopy_fraction, stem_fraction):
     assert extents == want
     assert (paint(frame.runs) == expected).all()
     m = measure(segment(frame, CFG["vision.red_margin"]), 100.0, cam, min_plant_pixels=1)
-    assert (m.height_px, m.width_px, m.plant_pixel_count) == want
+    cm_per_px = 100.0 / cam.focal_px
+    assert (m.height_cm, m.width_cm, m.plant_pixel_count) == (
+        want[0] * cm_per_px, want[1] * cm_per_px, want[2])
     assert RowMask.from_array(expected).extents == want
 
 

@@ -18,6 +18,7 @@ from fertisim.scenarios import (
     run_monitoring_trace,
 )
 from fertisim.vision import measure, segment
+from outputs import csv_rows, summary
 
 
 @pytest.fixture(scope="module")
@@ -32,23 +33,34 @@ def compare_default(tmp_path_factory):
     return run_fertigation_comparison(default_config(), out), out
 
 
+def capture_days(out):
+    return [int(row["capture_day"]) for row in csv_rows(out / "growth_means.csv")]
+
+
+def band_means(out):
+    """Each band's mean heights in growth_means.csv, in EcBand order."""
+    rows = csv_rows(out / "growth_means.csv")
+    return {band.value: [float(row[f"{band.value}_mean_cm"]) for row in rows] for band in EcBand}
+
+
 class TestGrowthExperiment:
     def test_fifteen_capture_days(self, growth_default):
-        result, _ = growth_default
-        assert result.capture_days == list(range(0, 43, 3))
+        result, out = growth_default
+        assert capture_days(out) == list(range(0, 43, 3))
+        assert summary(out)["capture_days"] == "15"
         assert result.failures == []
         assert result.skipped_samples == 0
 
     def test_overlapping_canopies_stop_individual_capture(self, tmp_path):
         # Past the default 43 days, a canopy first outgrows the 40 cm row spacing on day 45.
-        result = run_growth_experiment(parse_config("growth_exp.days = 56\n"), tmp_path)
-        assert result.capture_days == list(range(0, 43, 3))
+        run_growth_experiment(parse_config("growth_exp.days = 56\n"), tmp_path)
+        assert capture_days(tmp_path) == list(range(0, 43, 3))
         assert "overlap_stop_day = 45\n" in (tmp_path / "summary.txt").read_text()
 
     def test_all_canopies_narrower_than_spacing_keep_capturing(self, growth_default):
-        result, out = growth_default
-        assert len(result.capture_days) == 15
-        assert "overlap_stop_day = none\n" in (out / "summary.txt").read_text()
+        _, out = growth_default
+        assert len(capture_days(out)) == 15
+        assert summary(out)["overlap_stop_day"] == "none"
 
     def test_one_canopy_wider_than_spacing_stops_capture(self, tmp_path):
         # A spacing between the two widest canopies on day 0 trips the rule on that plant alone.
@@ -60,10 +72,9 @@ class TestGrowthExperiment:
             for gi, band in enumerate(EcBand)]))
         assert widths[-1] > widths[-2]
         spacing = float((widths[-1] + widths[-2]) / 2)
-        result = run_growth_experiment(
-            parse_config(f"growth_exp.spacing_cm = {spacing!r}\n"), tmp_path)
-        assert result.capture_days == []
-        assert "overlap_stop_day = 0\n" in (tmp_path / "summary.txt").read_text()
+        run_growth_experiment(parse_config(f"growth_exp.spacing_cm = {spacing!r}\n"), tmp_path)
+        assert capture_days(tmp_path) == []
+        assert summary(tmp_path)["overlap_stop_day"] == "0"
 
     def test_default_calibration_first_trips_between_day_40_and_50(self, growth_params,
                                                                     no_demand):
@@ -91,24 +102,24 @@ class TestGrowthExperiment:
         # band multipliers of 1 grow all three groups at the normal rate
         same = parse_config("growth.under_multiplier = 1.0\ngrowth.over_multiplier = 1.0\n"
                             "sim.seed = 5\n")
-        result = run_growth_experiment(same, tmp_path)
-        assert result.capture_days == list(range(0, 43, 3))
-        for i in range(len(result.capture_days)):
-            values = [series[i] for series in result.means.values()]
+        run_growth_experiment(same, tmp_path)
+        days = capture_days(tmp_path)
+        assert days == list(range(0, 43, 3))
+        for day, values in zip(days, zip(*band_means(tmp_path).values())):
             spread = (max(values) - min(values)) / min(values)
-            assert spread < 0.08, f"groups diverged {spread:.2%} on day {result.capture_days[i]}"
+            assert spread < 0.08, f"groups diverged {spread:.2%} on day {day}"
 
     def test_seed_changes_curves_but_not_ordering(self, growth_default, tmp_path):
-        base, _ = growth_default
+        _, base = growth_default
         other = run_growth_experiment(parse_config("sim.seed = 43\n"), tmp_path)
         assert other.failures == []
-        assert other.means != base.means
+        assert band_means(tmp_path) != band_means(base)
 
 
 class TestMonitoringTrace:
     def test_single_event_at_minute_255(self, cfg, tmp_path):
         result = run_monitoring_trace(cfg, tmp_path)
-        assert len(result.rows) == 26
+        assert len(csv_rows(tmp_path / "trace.csv")) == 26
         assert [e.offset_min for e in result.events] == [255.0]
         assert [e.sample_index for e in result.events] == [17]
         events_csv = (tmp_path / "pump_events.csv").read_text().splitlines()
@@ -118,7 +129,7 @@ class TestMonitoringTrace:
         quiet = parse_config("monitor.peak_loss_rate = 0\n")
         result = run_monitoring_trace(quiet, tmp_path)
         assert result.events == []
-        assert all(row.wilt_degree <= 0.0 for row in result.rows)
+        assert all(float(row["wilt_degree"]) <= 0.0 for row in csv_rows(tmp_path / "trace.csv"))
 
     def test_doubled_demand_fires_earlier(self, cfg, tmp_path):
         doubled = parse_config(f"monitor.peak_loss_rate = {cfg['monitor.peak_loss_rate'] * 2}\n")
@@ -126,11 +137,14 @@ class TestMonitoringTrace:
         assert result.events and result.events[0].offset_min < 255.0
 
     def test_trace_wilt_column_tracks_reference(self, cfg, tmp_path):
-        result = run_monitoring_trace(cfg, tmp_path)
-        reference = result.rows[0].width_cm
-        for row in result.rows:
-            assert row.wilt_degree == pytest.approx(
-                (reference - row.width_cm) / reference)
+        run_monitoring_trace(cfg, tmp_path)
+        cm_per_px = capture_distance(cfg["monitor.start_day"]) / cfg.camera().focal_px
+        rows = csv_rows(tmp_path / "trace.csv")
+        # A width is a whole number of pixels: each is recovered exactly from its 6 decimals.
+        widths = [round(float(row["width_cm"]) / cm_per_px) * cm_per_px for row in rows]
+        reference = widths[0]
+        for row, width in zip(rows, widths):
+            assert row["wilt_degree"] == f"{(reference - width) / reference:.6f}"
 
     def test_byte_identical_outputs(self, cfg, tmp_path):
         dump = parse_config("output.dump_frames = true\n")
@@ -149,11 +163,11 @@ class TestMonitoringTrace:
         # whichever path segment took on the rendered frame (at margin 60 the
         # rendered colours keep their classes up to amplitude 97).
         cfg = parse_config(f"camera.noise_amplitude = {amplitude}\noutput.dump_frames = true\n")
-        result = run_monitoring_trace(cfg, tmp_path)
+        run_monitoring_trace(cfg, tmp_path)
         cam = cfg.camera()
         distance = capture_distance(cfg["monitor.start_day"])
         rows = (tmp_path / "trace.csv").read_text().splitlines()[1:]
-        assert len(rows) == len(result.rows) == cfg["monitor.sample_count"]
+        assert len(rows) == cfg["monitor.sample_count"]
         for k, row in enumerate(rows):
             frame = read_ppm(str(tmp_path / "frames" / f"sample_{k:03d}.ppm"))
             mask = segment(frame, cfg["vision.red_margin"], cleanup=amplitude > 0)
@@ -161,12 +175,20 @@ class TestMonitoringTrace:
             assert row.split(",")[2:4] == [f"{m.height_cm:.6f}", f"{m.width_cm:.6f}"], k
 
 
+def increments(out):
+    """The wilt-controlled period's growth increments in summary.txt: (auto, control)."""
+    written = summary(out)
+    return (float(written["auto_growth_increment_cm"]),
+            float(written["control_growth_increment_cm"]))
+
+
 class TestComparison:
     def test_savings_and_usage_bands(self, compare_default):
-        result, _ = compare_default
-        assert result.timer_mean_l_per_day == pytest.approx(101.6, abs=0.1)
+        result, out = compare_default
+        written = summary(out)
+        assert float(written["timer_mean_l_per_day"]) == pytest.approx(101.6, abs=0.1)
         assert 0.80 < result.savings_fraction < 0.90
-        assert abs(result.auto_mean_l_per_day - 17.3) <= 4.0
+        assert abs(float(written["auto_mean_l_per_day"]) - 17.3) <= 4.0
         assert result.failures == []
 
     def test_regime_timeline_coverage(self, compare_default):
@@ -185,22 +207,23 @@ class TestComparison:
         assert len(timer_liters) == 1  # deterministic schedule, identical days
 
     def test_representative_plant_contract(self, compare_default):
-        result, _ = compare_default
+        _, out = compare_default
+        rows = csv_rows(out / "trace.csv")
         # exactly one trace row per in-window auto sample: 14 days x 18 samples
-        assert len(result.rows) == 14 * 18
-        assert {row.plant_id for row in result.rows} == {0}
+        assert len(rows) == 14 * 18
+        assert {row["plant_id"] for row in rows} == {"0"}
 
     def test_growth_maintained_vs_control(self, compare_default):
-        result, _ = compare_default
-        assert result.control_increment_cm > 0
-        assert abs(result.auto_increment_cm - result.control_increment_cm) \
-            <= 0.10 * result.control_increment_cm
+        _, out = compare_default
+        auto, control = increments(out)
+        assert control > 0
+        assert abs(auto - control) <= 0.10 * control
 
     def test_height_series_covers_49_days(self, compare_default):
-        result, _ = compare_default
-        days = [d for d, _, _ in result.heights]
-        assert days == list(range(0, 49, 2))
-        heights = [h for _, h, _ in result.heights]
+        _, out = compare_default
+        rows = csv_rows(out / "heights.csv")
+        assert [int(row["capture_day"]) for row in rows] == list(range(0, 49, 2))
+        heights = [float(row["mean_height_cm"]) for row in rows]
         assert all(b > a for a, b in zip(heights, heights[1:]))
 
     def test_growth_outside_the_band_fails_its_check(self, monkeypatch, tmp_path):
@@ -216,7 +239,8 @@ class TestComparison:
         cfg = parse_config("compare.plants = 2\ncompare.total_days = 8\n"
                            "compare.auto_start_day = 3\ncompare.auto_end_day = 6\n")
         result = run_fertigation_comparison(cfg, tmp_path)
-        assert result.control_increment_cm > 1.5 * result.auto_increment_cm > 0
+        auto, control = increments(tmp_path)
+        assert control > 1.5 * auto > 0
         assert result.failures == ["growth not maintained within 10% of the timer control"]
         summary = (tmp_path / "summary.txt").read_text().splitlines()
         assert summary[-2:] == ["savings_above_0.80 = true", "growth_within_band = false"]
@@ -229,8 +253,9 @@ class TestComparison:
             "compare.auto_end_day = 6\n"
         )
         result = run_fertigation_comparison(cfg, tmp_path)
-        assert result.auto_activations == 0
-        assert result.auto_mean_l_per_day == 0.0
+        written = summary(tmp_path)
+        assert written["auto_activations_total"] == "0"
+        assert float(written["auto_mean_l_per_day"]) == 0.0
         assert result.savings_fraction == 1.0
 
     def test_timeline_misconfiguration_fails_before_simulation(self):
@@ -247,11 +272,11 @@ class TestComparison:
             "compare.auto_start_day = 3\n"
             "compare.auto_end_day = 6\n"
         )
-        result = run_fertigation_comparison(cfg, tmp_path)
-        default, _ = compare_default
-        assert default.timer_mean_l_per_day == pytest.approx(101.6, abs=1e-9)
-        assert result.timer_mean_l_per_day == pytest.approx(default.timer_mean_l_per_day,
-                                                            abs=1e-9)
+        run_fertigation_comparison(cfg, tmp_path)
+        default = float(summary(compare_default[1])["timer_mean_l_per_day"])
+        assert default == pytest.approx(101.6, abs=1e-9)
+        assert float(summary(tmp_path)["timer_mean_l_per_day"]) == pytest.approx(default,
+                                                                                 abs=1e-9)
 
 
 def tree_bytes(root):

@@ -249,8 +249,7 @@ def _full_scan(mask, distance, cam, min_plant_pixels):
     height_px = int(rows[-1] - rows[0] + 1)
     width_px = int(cols[-1] - cols[0] + 1)
     px_to_cm = distance / cam.focal_px
-    return Morphometry(height_px=height_px, width_px=width_px,
-                       height_cm=height_px * px_to_cm, width_cm=width_px * px_to_cm,
+    return Morphometry(height_cm=height_px * px_to_cm, width_cm=width_px * px_to_cm,
                        plant_pixel_count=count)
 
 
@@ -289,7 +288,8 @@ class TestMeasure:
         mask = np.zeros((480, 640), bool)
         mask[100:340, 200:320] = True  # 240 x 120 px
         m = measure(RowMask.from_array(mask), 100.0, camera, MIN_PIXELS)
-        assert (m.height_px, m.width_px) == (240, 120)
+        cm_per_px = 100.0 / camera.focal_px
+        assert (m.height_cm, m.width_cm) == (240 * cm_per_px, 120 * cm_per_px)
         assert m.height_cm == pytest.approx(50.0)
         assert m.width_cm == pytest.approx(25.0)
         assert m.plant_pixel_count == 240 * 120
@@ -298,7 +298,8 @@ class TestMeasure:
         for turgor in (1.0, 0.8, 0.4):
             frame, extents = shoot(57.3, 28.1, camera, 110.0, turgor)
             m = measure(segment(frame, MARGIN), 110.0, camera, MIN_PIXELS)
-            assert (m.height_px, m.width_px, m.plant_pixel_count) == extents
+            cm_per_px = 110.0 / camera.focal_px
+            assert m == Morphometry(extents[0] * cm_per_px, extents[1] * cm_per_px, extents[2])
 
     def test_physical_extents_within_one_pixel(self, camera):
         distance = 110.0
@@ -334,7 +335,7 @@ class TestMeasure:
         heights = set()
         for turgor in (1.0, 0.4):
             frame, _ = shoot(60.0, 30.0, camera, 100.0, turgor)
-            heights.add(measure(segment(frame, MARGIN), 100.0, camera, MIN_PIXELS).height_px)
+            heights.add(measure(segment(frame, MARGIN), 100.0, camera, MIN_PIXELS).height_cm)
         assert len(heights) == 1
 
 
