@@ -58,13 +58,6 @@ _WINDOW = 16  # wilt-rule sample instants projected at once: one ``render.projec
 _DUMP_THREADS = 2  # threads drawing and writing dumped frames; also the frames in flight
 
 
-@dataclass(frozen=True)
-class PumpEvent:
-    sample_index: int
-    timestamp_min: float
-    offset_min: float  # minutes since session start
-
-
 @dataclass
 class ScenarioResult:
     """What a scenario returns; everything else it found is in its output files.
@@ -72,14 +65,15 @@ class ScenarioResult:
     ``report`` is the one line the CLI prints to stdout, ``failures`` the
     messages of the built-in checks that failed, in order, and
     ``skipped_samples`` the samples skipped for too few plant pixels.
-    ``events`` are the wilt rule's pump events (none in the growth
-    experiment); ``savings_fraction`` is the comparison's alone.
+    ``events`` are the wilt rule's pump events, as ``pump_events.csv``'s rows
+    of cells (none in the growth experiment); ``savings_fraction`` is the
+    comparison's alone.
     """
 
     report: str
     failures: list[str]
     skipped_samples: int
-    events: list[PumpEvent] = field(default_factory=list)
+    events: list[list[str]] = field(default_factory=list)
     savings_fraction: float | None = None
 
 
@@ -125,9 +119,6 @@ class _FrameDump:
         np.random  # noqa: B018
 
         frames_dir.mkdir(exist_ok=True)
-        for stale in frames_dir.glob("sample_*.ppm"):  # an earlier run's frames
-            if stale.is_file():
-                stale.unlink()
         self.frames_dir = frames_dir
         self._threads = [ThreadPoolExecutor(1, thread_name_prefix="fertisim-dump")
                          for _ in range(_DUMP_THREADS)]
@@ -174,7 +165,7 @@ class _Run:
     state: ControllerState = field(default_factory=ControllerState)
     ledger: WaterLedger = field(default_factory=WaterLedger)
     rows: list[list[str]] = field(default_factory=list)  # trace.csv's rows, as cells
-    events: list[PumpEvent] = field(default_factory=list)
+    events: list[list[str]] = field(default_factory=list)  # pump_events.csv's rows, as cells
     skipped: int = 0
     frames: _FrameDump | None = None
 
@@ -253,7 +244,7 @@ class _Run:
                     _fmt(self.state.wilt_degree), str(self.state.gradient_sign),
                     cmd.action.value, _fmt(self.ledger.total_liters())])
                 if cmd.action is Action.ON:
-                    self.events.append(PumpEvent(index, now, now - start_min))
+                    self.events.append([str(index), str(int(now)), str(int(now - start_min))])
                     pop = self.irrigate(pop, now)
                     break
         return pop
@@ -344,6 +335,9 @@ def run_monitoring_trace(cfg: Config, out_dir: str | Path) -> ScenarioResult:
     plant = replace(make_seedling(run.gp, EcBand.NORMAL, np.ones(1)),
                     age_min=start_day * MINUTES_PER_DAY)
 
+    for stale in (out / "frames").glob("sample_*.ppm"):  # an earlier run's frames
+        if stale.is_file():
+            stale.unlink()
     if cfg["output.dump_frames"]:
         run.frames = _FrameDump(out / "frames")
     times = run.schedule.sample_times(start_day)[:cfg["monitor.sample_count"]]
@@ -355,7 +349,7 @@ def run_monitoring_trace(cfg: Config, out_dir: str | Path) -> ScenarioResult:
 
     _write_trace_csv(out / "trace.csv", run.rows)
     _write_events_csv(out / "pump_events.csv", run.events)
-    offsets = [str(int(e.offset_min)) for e in run.events]
+    offsets = [offset for _, _, offset in run.events]
     summary = [
         f"samples = {len(run.rows)}",
         f"pump_events = {len(run.events)}",
@@ -376,11 +370,8 @@ def _write_trace_csv(path: Path, rows: list[list[str]]) -> None:
                rows)
 
 
-def _write_events_csv(path: Path, events: list[PumpEvent]) -> None:
-    _write_csv(path,
-               ["sample_index", "timestamp_min", "offset_min"],
-               [[str(e.sample_index), str(int(e.timestamp_min)), str(int(e.offset_min))]
-                for e in events])
+def _write_events_csv(path: Path, events: list[list[str]]) -> None:
+    _write_csv(path, ["sample_index", "timestamp_min", "offset_min"], events)
 
 
 # ---------------------------------------------------------------------------
@@ -391,28 +382,28 @@ def run_fertigation_comparison(cfg: Config, out_dir: str | Path) -> ScenarioResu
     """Timer vs wilt-triggered regimes over one 60-plant population, plus an all-timer control."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    total_days = cfg["compare.total_days"]
+    auto_start = cfg["compare.auto_start_day"] - 1  # the wilt-controlled period's first day
+    auto_end = cfg["compare.auto_end_day"]
 
-    main, heights = _simulate_population(cfg, all_timer=False)
-    _, control_heights = _simulate_population(cfg, all_timer=True)
+    # The main run ends before the control starts, so a run's first error is the main run's.
+    main, heights, ends = _run_spans(cfg, [("timer", range(auto_start)),
+                                           ("auto", range(auto_start, auto_end)),
+                                           ("timer", range(auto_end, total_days))])
+    _, control_heights, _ = _run_spans(cfg, [("timer", range(total_days))])
 
     ledger = main.ledger
     timer_mean = ledger.mean_liters_per_day("timer")
     auto_mean = ledger.mean_liters_per_day("auto")
     saved = savings(timer_mean, auto_mean)
 
-    # The captures closest to the wilt-controlled period's bounds: capture ages are day + 1,
-    # the period spans ages [auto_start - 1, auto_end], and both runs capture on the same days.
-    ages = [day + 1 for day, _, _ in heights]
-    lo = max((i for i, a in enumerate(ages) if a <= cfg["compare.auto_start_day"] - 1), default=0)
-    hi = max(i for i, a in enumerate(ages) if a <= cfg["compare.auto_end_day"])
+    # The last capture before the wilt-controlled period and its last; both runs share capture days.
+    lo, hi = max(ends[0] - 1, 0), ends[1] - 1
     auto_inc, ctrl_inc = (series[hi][1] - series[lo][1] for series in (heights, control_heights))
 
-    _write_csv(out / "heights.csv",
-               ["capture_day", "mean_height_cm", "mean_width_cm"],
-               [[str(d), _fmt(h), _fmt(w)] for d, h, w in heights])
-    _write_csv(out / "control_heights.csv",
-               ["capture_day", "mean_height_cm", "mean_width_cm"],
-               [[str(d), _fmt(h), _fmt(w)] for d, h, w in control_heights])
+    for name, series in (("heights.csv", heights), ("control_heights.csv", control_heights)):
+        _write_csv(out / name, ["capture_day", "mean_height_cm", "mean_width_cm"],
+                   [[str(d), _fmt(h), _fmt(w)] for d, h, w in series])
     _write_csv(out / "daily_usage.csv",
                ["day", "regime", "activations", "liters"],
                [[str(r.day), r.regime, str(r.activations), _fmt(r.liters)]
@@ -444,39 +435,33 @@ def run_fertigation_comparison(cfg: Config, out_dir: str | Path) -> ScenarioResu
         savings_fraction=saved)
 
 
-def _simulate_population(cfg: Config,
-                         all_timer: bool) -> tuple[_Run, list[tuple[int, float, float]]]:
-    """One compare population through the regime timeline; returns the run and its captures.
+def _run_spans(cfg: Config, spans: list[tuple[str, range]]
+               ) -> tuple[_Run, list[tuple[int, float, float]], list[int]]:
+    """A compare population run through ``spans`` of days, each ``(regime, days)``; returns
+    the run, its captures and how many captures it holds at the end of each span.
 
     Timer days step the population from timer instant to timer instant;
-    wilt-controlled days step it from camera sample to camera sample.
+    wilt-controlled ("auto") days step it from camera sample to camera sample,
+    and time pump events from the start of their span.
     """
-    total_days = cfg["compare.total_days"]
-    auto_start = cfg["compare.auto_start_day"]
-    auto_end = cfg["compare.auto_end_day"]
-    capture_every = cfg["compare.capture_every_days"]
     run = _Run(cfg, cfg.demand("demand.peak_loss_rate"),
                cfg.schedule(cfg["compare.sample_interval_min"]))
     schedule = run.schedule
     pop = run.population(EcBand.NORMAL, _COMPARE_GROUP_INDEX, cfg["compare.plants"])
-    heights: list[tuple[int, float, float]] = []
-    auto_start_min = (auto_start - 1) * MINUTES_PER_DAY
-
-    for day in range(total_days):
-        auto = (not all_timer) and auto_start <= day + 1 <= auto_end
-        regime = "auto" if auto else "timer"
-        run.ledger.register_day(day, regime)
-
-        if auto:
-            pop = run.wilt_samples(pop, schedule.sample_times(day), auto_start_min)
-        else:
-            for now in schedule.timer_times(day):
-                pop = run.step_to(pop, now)
-                run.ledger.accrue(timer_tick(schedule), now, run.flow_l_per_min, regime)
-                pop = run.irrigate(pop, now)
-
-        if day % capture_every == 0:
-            pop = run.step_to(pop, (day + 1) * MINUTES_PER_DAY)
-            heights.append((day, *run.capture(pop, day)))
-
-    return run, heights
+    heights, ends = [], []
+    for regime, days in spans:
+        for day in days:
+            run.ledger.register_day(day, regime)
+            if regime == "auto":
+                pop = run.wilt_samples(pop, schedule.sample_times(day),
+                                       days.start * MINUTES_PER_DAY)
+            else:
+                for now in schedule.timer_times(day):
+                    pop = run.step_to(pop, now)
+                    run.ledger.accrue(timer_tick(schedule), now, run.flow_l_per_min, regime)
+                    pop = run.irrigate(pop, now)
+            if day % cfg["compare.capture_every_days"] == 0:
+                pop = run.step_to(pop, (day + 1) * MINUTES_PER_DAY)
+                heights.append((day, *run.capture(pop, day)))
+        ends.append(len(heights))
+    return run, heights, ends

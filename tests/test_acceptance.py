@@ -30,7 +30,7 @@ from fertisim.scenarios import (
     run_monitoring_trace,
 )
 from fertisim.vision import measure, segment
-from outputs import csv_rows, summary
+from outputs import csv_rows, summary, tree
 
 
 def _report(criterion, text):
@@ -88,14 +88,14 @@ def test_criterion_2_timer_arithmetic(cfg, schedule):
 
 
 def test_criterion_3_monitoring_event(monitor_run):
-    result, out = monitor_run
+    _, out = monitor_run
     times = [int(row["timestamp_min"]) for row in csv_rows(out / "trace.csv")]
     assert len(times) == 26
     assert [b - a for a, b in zip(times, times[1:])] == [15] * 25
     assert times[-1] - times[0] == 375
-    assert len(result.events) == 1, f"{len(result.events)} pump events, expected 1"
-    event = result.events[0]
-    assert event.sample_index == 17 and event.offset_min == 255.0
+    events = csv_rows(out / "pump_events.csv")
+    assert len(events) == 1, f"{len(events)} pump events, expected 1"
+    assert events[0]["sample_index"] == "17" and events[0]["offset_min"] == "255"
     _report(3, "one pump event, sample 17, minute 255")
 
 
@@ -106,18 +106,18 @@ NOISE_TOLERANCE = 106
 
 
 def _monitor_event_offsets(amplitude, out):
-    result = run_monitoring_trace(parse_config(f"camera.noise_amplitude = {amplitude}\n"), out)
-    return [e.offset_min for e in result.events]
+    run_monitoring_trace(parse_config(f"camera.noise_amplitude = {amplitude}\n"), out)
+    return [int(row["offset_min"]) for row in csv_rows(out / "pump_events.csv")]
 
 
 def test_criterion_3_event_survives_camera_noise(tmp_path):
     for amplitude in range(NOISE_TOLERANCE + 1):
-        assert _monitor_event_offsets(amplitude, tmp_path / str(amplitude)) == [255.0], amplitude
+        assert _monitor_event_offsets(amplitude, tmp_path / str(amplitude)) == [255], amplitude
     _report(3, f"event at minute 255 for every noise amplitude 0..{NOISE_TOLERANCE}")
 
 
 def test_criterion_3_event_moves_past_the_noise_tolerance(tmp_path):
-    assert _monitor_event_offsets(NOISE_TOLERANCE + 1, tmp_path) != [255.0]
+    assert _monitor_event_offsets(NOISE_TOLERANCE + 1, tmp_path) != [255]
 
 
 def test_criterion_4_wilt_rule_sweep(cfg, schedule):
@@ -232,11 +232,6 @@ def test_criterion_7_growth_maintained(compare_run):
     _report(7, f"auto increment {auto:.2f} cm vs control {control:.2f} cm ({deviation:.2%})")
 
 
-def _tree_bytes(root):
-    files = sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
-    return {str(name): (root / name).read_bytes() for name in files}
-
-
 def test_criterion_8_determinism(compare_run, monitor_run, growth_run, tmp_path):
     reruns = [
         ("compare", compare_run[1],
@@ -250,8 +245,8 @@ def test_criterion_8_determinism(compare_run, monitor_run, growth_run, tmp_path)
     for name, first_out, rerun in reruns:
         second_out = tmp_path / name
         rerun(second_out)
-        first = _tree_bytes(first_out)
-        second = _tree_bytes(second_out)
+        first = tree(first_out)
+        second = tree(second_out)
         assert first.keys() == second.keys(), f"{name}: different file sets"
         assert any(k.endswith(".csv") for k in first)
         for key in first:

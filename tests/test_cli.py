@@ -16,6 +16,7 @@ from fertisim.cli import main
 from fertisim.config import _KEYS, default_config, parse_config
 from fertisim.render import BACKGROUND
 from oracle import rasterize
+from outputs import tree
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -187,13 +188,13 @@ def test_frame_write_error_is_one_line_and_stops_the_session(tmp_path, capsys):
 
 def test_a_reused_out_holds_only_the_last_runs_frames(tmp_path):
     run = tmp_path / "run"
-    for count in (30, 5):
+    for count, dump, frames in ((30, "true", 30), (5, "true", 5), (4, "false", 0)):
         cfg = tmp_path / f"dump_{count}.cfg"
-        cfg.write_text(f"monitor.sample_count = {count}\noutput.dump_frames = true\n")
+        cfg.write_text(f"monitor.sample_count = {count}\noutput.dump_frames = {dump}\n")
         assert main(["monitor", "--config", str(cfg), "--out", str(run)]) == 0
-    assert "samples = 5\n" in (run / "summary.txt").read_text()
-    names = sorted(p.name for p in (run / "frames").iterdir())
-    assert names == [f"sample_{k:03d}.ppm" for k in range(5)]
+        assert f"samples = {count}\n" in (run / "summary.txt").read_text()
+        names = sorted(p.name for p in (run / "frames").iterdir())
+        assert names == [f"sample_{k:03d}.ppm" for k in range(frames)]
 
 
 def test_compare_runs_are_reproducible(tmp_path):
@@ -211,11 +212,6 @@ def test_compare_runs_are_reproducible(tmp_path):
 
 SCENARIOS = ["growth", "monitor", "compare"]
 SHORT_COMPARE = "compare.total_days = 8\ncompare.auto_start_day = 3\ncompare.auto_end_day = 6\n"
-
-
-def _tree(root):
-    return {path.relative_to(root).as_posix(): path.read_bytes()
-            for path in sorted(root.rglob("*")) if path.is_file()}
 
 
 @pytest.mark.parametrize("command", SCENARIOS)
@@ -252,8 +248,8 @@ def test_seed_flag_is_the_config_key(tmp_path, command):
     assert main([command, "--config", str(plain), "--seed", "7", "--out", str(flag)]) == 0
     assert main([command, "--config", str(keyed), "--out", str(key)]) == 0
     assert main([command, "--config", str(plain), "--out", str(default)]) == 0
-    assert _tree(flag) == _tree(key)
-    assert _tree(flag) != _tree(default)  # seed 7 is not the default 42
+    assert tree(flag) == tree(key)
+    assert tree(flag) != tree(default)  # seed 7 is not the default 42
 
 
 # Against a lean 2-hour timer baseline the wilt regime cannot save 80%.

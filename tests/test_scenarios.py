@@ -18,7 +18,7 @@ from fertisim.scenarios import (
     run_monitoring_trace,
 )
 from fertisim.vision import measure, segment
-from outputs import csv_rows, summary
+from outputs import csv_rows, summary, tree
 
 
 @pytest.fixture(scope="module")
@@ -118,12 +118,11 @@ class TestGrowthExperiment:
 
 class TestMonitoringTrace:
     def test_single_event_at_minute_255(self, cfg, tmp_path):
-        result = run_monitoring_trace(cfg, tmp_path)
+        run_monitoring_trace(cfg, tmp_path)
         assert len(csv_rows(tmp_path / "trace.csv")) == 26
-        assert [e.offset_min for e in result.events] == [255.0]
-        assert [e.sample_index for e in result.events] == [17]
-        events_csv = (tmp_path / "pump_events.csv").read_text().splitlines()
-        assert events_csv[1].split(",")[2] == "255"
+        events = csv_rows(tmp_path / "pump_events.csv")
+        assert [(row["sample_index"], row["offset_min"]) for row in events] == [("17", "255")]
+        assert summary(tmp_path)["event_offsets_min"] == "255"
 
     def test_zero_demand_stays_quiet(self, tmp_path):
         quiet = parse_config("monitor.peak_loss_rate = 0\n")
@@ -133,8 +132,9 @@ class TestMonitoringTrace:
 
     def test_doubled_demand_fires_earlier(self, cfg, tmp_path):
         doubled = parse_config(f"monitor.peak_loss_rate = {cfg['monitor.peak_loss_rate'] * 2}\n")
-        result = run_monitoring_trace(doubled, tmp_path)
-        assert result.events and result.events[0].offset_min < 255.0
+        run_monitoring_trace(doubled, tmp_path)
+        events = csv_rows(tmp_path / "pump_events.csv")
+        assert events and int(events[0]["offset_min"]) < 255
 
     def test_trace_wilt_column_tracks_reference(self, cfg, tmp_path):
         run_monitoring_trace(cfg, tmp_path)
@@ -229,13 +229,15 @@ class TestComparison:
     def test_growth_outside_the_band_fails_its_check(self, monkeypatch, tmp_path):
         # No config reaches this check while growth ignores the water (ROADMAP item 2),
         # so the control run's heights are doubled: its increment is twice the auto run's.
-        simulate = scenarios._simulate_population
+        run_spans = scenarios._run_spans
 
-        def doubled_control(cfg, all_timer):
-            run, heights = simulate(cfg, all_timer)
-            return run, [(d, 2.0 * h, w) for d, h, w in heights] if all_timer else heights
+        def doubled_control(cfg, spans):
+            run, heights, ends = run_spans(cfg, spans)
+            if len(spans) == 1:  # the all-timer control
+                heights = [(d, 2.0 * h, w) for d, h, w in heights]
+            return run, heights, ends
 
-        monkeypatch.setattr(scenarios, "_simulate_population", doubled_control)
+        monkeypatch.setattr(scenarios, "_run_spans", doubled_control)
         cfg = parse_config("compare.plants = 2\ncompare.total_days = 8\n"
                            "compare.auto_start_day = 3\ncompare.auto_end_day = 6\n")
         result = run_fertigation_comparison(cfg, tmp_path)
@@ -278,9 +280,23 @@ class TestComparison:
         assert float(summary(tmp_path)["timer_mean_l_per_day"]) == pytest.approx(default,
                                                                                  abs=1e-9)
 
-
-def tree_bytes(root):
-    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+    @pytest.mark.parametrize("config", [
+        "control.wilt_threshold = 0.03", "compare.sample_interval_min = 15",
+        "compare.sample_interval_min = 45", "compare.auto_start_day = 29",
+        "compare.auto_end_day = 40"])
+    def test_control_run_does_not_follow_the_wilt_period(self, compare_default, tmp_path,
+                                                          config):
+        # Each key reaches the main run's wilt rule, and none reaches the all-timer control.
+        # Only the period's bounds move which days are timer days.
+        _, default = compare_default
+        run_fertigation_comparison(parse_config(config + "\n"), tmp_path)
+        changed, base = tree(tmp_path), tree(default)
+        assert changed["pump_events.csv"] != base["pump_events.csv"]
+        assert changed["control_heights.csv"] == base["control_heights.csv"]
+        if not config.startswith("compare.auto_"):
+            timer_days = [[row for row in csv_rows(out / "daily_usage.csv")
+                           if row["regime"] == "timer"] for out in (tmp_path, default)]
+            assert timer_days[0] == timer_days[1]
 
 
 # A lag of 40 to 60 minutes makes 45-minute samples re-irrigate while the
@@ -293,12 +309,13 @@ LONG_LAG = "growth.lag_low_min = 40\ngrowth.lag_high_min = 60\n"
 def test_wilt_window_matches_one_sample_at_a_time(tmp_path, monkeypatch, interval, seed):
     cfg = parse_config(f"sim.seed = {seed}\ncompare.sample_interval_min = {interval}\n"
                        f"compare.plants = 2\n{LONG_LAG}")
-    windowed = run_fertigation_comparison(cfg, tmp_path / "windowed")
+    run_fertigation_comparison(cfg, tmp_path / "windowed")
     monkeypatch.setattr(scenarios, "_WINDOW", 1)
     run_fertigation_comparison(cfg, tmp_path / "single")
-    assert tree_bytes(tmp_path / "windowed") == tree_bytes(tmp_path / "single")
+    assert tree(tmp_path / "windowed") == tree(tmp_path / "single")
     # ONs land inside windows, and at 45 minutes some re-irrigate within the lag
-    times = [e.timestamp_min for e in windowed.events]
+    events = csv_rows(tmp_path / "windowed" / "pump_events.csv")
+    times = [int(row["timestamp_min"]) for row in events]
     assert len(times) > 1
     assert interval == 5 or min(b - a for a, b in zip(times, times[1:])) < 60
 
@@ -320,10 +337,11 @@ def test_wilt_window_renders_and_writes_each_noisy_frame_once(tmp_path, monkeypa
         with monkeypatch.context() as patch:
             patch.setattr(scenarios, "_WINDOW", window)
             patch.setattr(scenarios, "render", counted)
-            result = run_monitoring_trace(cfg, tmp_path / str(window))
-        assert [e.sample_index for e in result.events] == [9]
+            run_monitoring_trace(cfg, tmp_path / str(window))
+        events = csv_rows(tmp_path / str(window) / "pump_events.csv")
+        assert [row["sample_index"] for row in events] == ["9"]
         assert sorted(renders) == [(720 + 30 * 1440 + k, 0) for k in range(40)]
-        trees[window] = tree_bytes(tmp_path / str(window))
+        trees[window] = tree(tmp_path / str(window))
     assert len(trees[1]) == 40 + 3
     assert trees[scenarios._WINDOW] == trees[1]
 
