@@ -157,15 +157,14 @@ def irrigation_lag(seed: int, now_min: float, params: GrowthParams) -> float:
     return params.lag_low_min + (params.lag_high_min - params.lag_low_min) * u
 
 
-def sizes(state: PlantState, params: GrowthParams,
-          count: int | None = None) -> tuple[float | np.ndarray, float | np.ndarray]:
-    """Heights and visible canopy widths of the first ``count`` plants (default all).
+def sizes(state: PlantState, params: GrowthParams) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """Heights and visible canopy widths of the plants.
 
-    A visible width is the turgid width less the turgor deficit. ``age_min``
-    and ``turgor`` may also be arrays of one plant's instants (``count=1``).
+    A visible width is the turgid width less the turgor deficit. ``age_min`` and
+    ``turgor`` may also be arrays of one plant's instants, with its ``rate_per_min``.
     An overflow raises ValueError naming the earliest age, before an inf enters a projection.
     """
-    rate = state.rate_per_min if count is None else state.rate_per_min[:count]
+    rate = state.rate_per_min
     with np.errstate(over="ignore"):  # an overflow is reported below, not warned about
         height = state.seedling_height_cm * np.exp(rate * state.age_min)
         width = state.seedling_width_cm * np.exp(params.width_exponent * rate * state.age_min)

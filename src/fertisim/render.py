@@ -46,33 +46,27 @@ class CameraConfig:
 class RowMask:
     """A plant mask held row by row.
 
-    Row ``top + i`` holds ``count[i]`` plant pixels, the first in column
-    ``first[i]`` and the last in column ``last[i]``. An empty row has count
-    0 and its first column past its last, placed so that ``first.min()``
-    and ``last.max()`` still bound the mask's columns. ``extents`` are the
+    Row ``top + i`` holds ``count[i]`` plant pixels. ``extents`` are the
     bounding-box height and width and the pixel count (all 0 if empty).
     ``size`` is the pixel count of the frame.
 
-    A projected silhouette runs down to the frame's last row, and each of
-    its rows is one run centred on the frame's centre line: a row of
-    half-width ``n`` has ``first = 320 - n``, ``last = 319 + n`` and
-    ``count = 2n`` (``n = 0`` for an empty row). The one exception is the
-    sub-pixel mark, the single pixel at column 320 of the last row.
+    Only this module knows where a row's pixels sit. A projected silhouette,
+    and its majority filter, run down to the frame's last row, and each of
+    their rows is one run starting at column ``320 - count // 2``: ``2n``
+    pixels centred on the frame's centre line, or the sub-pixel mark's
+    single pixel at column 320 of the last row. ``Frame`` draws them there.
     """
 
     size = FRAME_H * FRAME_W
 
-    def __init__(self, top: int, first: np.ndarray, last: np.ndarray, count: np.ndarray,
-                 extents: tuple[int, int, int]):
+    def __init__(self, top: int, count: np.ndarray, extents: tuple[int, int, int]):
         self.top = top
-        self.first = first
-        self.last = last
         self.count = count
         self.extents = extents
 
     @classmethod
     def from_array(cls, mask: np.ndarray) -> RowMask:
-        """The rows of a (480, 640) boolean bitmap, scanned only within its bounding box."""
+        """The rows of a (480, 640) boolean bitmap, counted only within its bounding box."""
         rows = np.flatnonzero(mask.any(axis=1))
         if not rows.size:
             return EMPTY_MASK
@@ -80,15 +74,11 @@ class RowMask:
         cols = np.flatnonzero(plant.any(axis=0))
         box = plant[:, cols[0]:cols[-1] + 1]
         count = np.add.reduce(box.view(np.uint8), axis=1, dtype=np.uint16)
-        has = count > 0
-        first = np.where(has, cols[0] + box.argmax(axis=1), FRAME_W)
-        last = np.where(has, cols[-1] - box[:, ::-1].argmax(axis=1), -1)
         extents = (int(rows[-1] - rows[0] + 1), int(cols[-1] - cols[0] + 1), int(count.sum()))
-        return cls(int(rows[0]), first, last, count, extents)
+        return cls(int(rows[0]), count, extents)
 
 
-_NO_ROWS = np.zeros(0, dtype=np.intp)
-EMPTY_MASK = RowMask(FRAME_H, _NO_ROWS, _NO_ROWS, _NO_ROWS, (0, 0, 0))
+EMPTY_MASK = RowMask(FRAME_H, np.zeros(0, dtype=np.intp), (0, 0, 0))
 
 
 class Frame:
@@ -96,11 +86,11 @@ class Frame:
 
     A frame is given exactly one of the two. A whole frame
     (``Frame(pixels=...)``: a PPM read) holds its (480, 640, 3) uint8 RGB
-    buffer, which ``read_ppm`` has checked. A render holds only what it drew:
-    ``runs``, the silhouette as a ``RowMask`` of one run per row, in
-    ``PLANT_COLOR`` on ``BACKGROUND``, plus its camera noise as an amplitude,
-    the camera's noise seed and the capture's ``noise_key`` (minute, plant).
-    ``runs`` is None for a whole frame.
+    buffer, which ``read_ppm`` has checked; its ``runs`` and ``cam`` are None.
+    A render holds only what it drew: ``runs``, the silhouette as a
+    ``RowMask`` of one run per row, in ``PLANT_COLOR`` on ``BACKGROUND``, the
+    ``CameraConfig`` it was rendered with (whose noise amplitude and seed
+    give its camera noise) and the capture's ``noise_key`` (minute, plant).
 
     ``pixels`` (the full (480, 640, 3) buffer) is built from the runs and the
     noise on first access and cached, so a frame whose pixels are never read
@@ -114,12 +104,11 @@ class Frame:
     """
 
     def __init__(self, pixels: np.ndarray | None = None, distance_cm: float = 0.0,
-                 *, runs: RowMask | None = None, noise_amplitude: int = 0,
-                 noise_seed: int = 0, noise_key: tuple[int, int] = (0, 0)):
+                 *, runs: RowMask | None = None, cam: CameraConfig | None = None,
+                 noise_key: tuple[int, int] = (0, 0)):
         self._pixels = pixels
         self.runs = runs
-        self.noise_amplitude = noise_amplitude
-        self.noise_seed = noise_seed
+        self.cam = cam
         self.noise_key = noise_key
         self.distance_cm = distance_cm
 
@@ -132,21 +121,21 @@ class Frame:
         return self._pixels
 
     def _draw(self) -> np.ndarray:
-        # Each row filled from its first to its last column, as a bitmap over the
-        # mask's rows and bounding columns. Built before the noise is drawn, so its
-        # temporaries never sit beside the noise buffer and raise the peak RSS.
+        # Each row's run (``RowMask``: ``count`` pixels from column ``320 - count // 2``),
+        # as a bitmap over the mask's rows and bounding columns. Built before the noise is
+        # drawn, so its temporaries never sit beside the noise buffer and raise the peak RSS.
         runs = self.runs
-        c0 = int(runs.first.min())
         # int16 compares: several times faster than intp ones at this size.
-        cols = np.arange(c0, int(runs.last.max()) + 1, dtype=np.int16)
-        first = runs.first.astype(np.int16)[:, None]
-        last = runs.last.astype(np.int16)[:, None]
-        plant = (cols >= first) & (cols <= last)
+        count = runs.count.astype(np.int16)[:, None]
+        first = _HALF_W - count // 2
+        c0 = int(first.min())
+        cols = np.arange(c0, int((first + count).max()), dtype=np.int16)
+        plant = (cols >= first) & (cols < first + count)
         box = (slice(runs.top, runs.top + plant.shape[0]), slice(c0, c0 + plant.shape[1]))
         # The colours are added in the int16 noise buffer: the background as one
         # whole row, the plant per channel on its box (skipping equal channels).
-        a = self.noise_amplitude
-        noisy = np.random.default_rng(key_hash(self.noise_seed, *self.noise_key)).integers(
+        a = self.cam.noise_amplitude
+        noisy = np.random.default_rng(key_hash(self.cam.noise_seed, *self.noise_key)).integers(
             -a, a + 1, size=(FRAME_H, FRAME_W, 3), dtype=np.int16)
         rows = noisy.reshape(FRAME_H, FRAME_W * 3)
         rows += _BACKGROUND_ROW
@@ -205,9 +194,7 @@ def render(runs: RowMask, cam: CameraConfig,
     the capture's (minute, plant index), and ``cam.noise_seed``, when its
     pixels are first read.
     """
-    frame = Frame(runs=runs, noise_amplitude=cam.noise_amplitude, noise_seed=cam.noise_seed,
-                  noise_key=noise_key)
-    return frame, runs.extents
+    return Frame(runs=runs, cam=cam, noise_key=noise_key), runs.extents
 
 
 def _rasterize(cam: CameraConfig, h: np.ndarray, w: np.ndarray) -> list[RowMask] | None:
@@ -256,15 +243,15 @@ def _rasterize(cam: CameraConfig, h: np.ndarray, w: np.ndarray) -> list[RowMask]
     np.maximum(n, _OFFSETS.searchsorted(a, side="right"), out=n, where=np.abs(dy) <= 0.5)
     n[ys < plant_top] = 0
 
-    lo, hi, count = _HALF_W - n, _HALF_W - 1 + n, n + n
+    count = n + n
     # Each plant's first and last rows with pixels (from either end), widest run and pixel count.
     has = n > 0
     firsts = has.argmax(axis=1).tolist()
     lasts = has[:, ::-1].argmax(axis=1).tolist()
     widest = n.max(axis=1).tolist()
     pixels = n.sum(axis=1).tolist()
-    return [RowMask(FRAME_H - ys.size + t, lo[i, t:], hi[i, t:], count[i, t:],
-                    (ys.size - last - t, 2 * wide, 2 * size)) if size else _MARK
+    return [RowMask(FRAME_H - ys.size + t, count[i, t:], (ys.size - last - t, 2 * wide, 2 * size))
+            if size else _MARK
             for i, (t, last, wide, size) in enumerate(zip(firsts, lasts, widest, pixels))]
 
 
@@ -275,4 +262,4 @@ _ROW_CENTRES = np.arange(FRAME_H) + 0.5
 _BACKGROUND_ROW = np.tile(np.array(BACKGROUND, dtype=np.int16), FRAME_W)  # one frame row's colours
 _OFFSETS = np.arange(_HALF_W) + 0.5  # pixel centres' distances from the centre line
 # A sub-pixel plant leaves a minimum one-pixel mark at the base.
-_MARK = RowMask(FRAME_H - 1, np.array([_HALF_W]), np.array([_HALF_W]), np.ones(1, int), (1, 1, 1))
+_MARK = RowMask(FRAME_H - 1, np.ones(1, int), (1, 1, 1))

@@ -24,6 +24,7 @@ plus seed reproduces byte-identical output files.
 from __future__ import annotations
 
 import logging
+import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -187,6 +188,12 @@ class _Run:
             return pop
         return advance(pop, to_min - pop.age_min, self.demand, params=self.gp)
 
+    def check_volume(self) -> None:
+        """ValueError unless the total pumped is finite: then, all accruals being >= 0, all is."""
+        if not math.isfinite(self.ledger.total_liters()):
+            raise ValueError("pumped volume overflows to inf liters: lower pump.flow_l_per_min "
+                             "or control.pump_on_min")
+
     def irrigate(self, pop: PlantState, now: float) -> PlantState:
         return apply_irrigation(pop, now, irrigation_lag(self.seed, now, self.gp))
 
@@ -222,9 +229,10 @@ class _Run:
             instants, state = times[k:k + span], pop
             track = [state := self.step_to(state, now) for now in instants]
             plant0 = replace(pop, age_min=np.array([s.age_min for s in track]),
-                             turgor=np.array([s.turgor for s in track]))
+                             turgor=np.array([s.turgor for s in track]),
+                             rate_per_min=pop.rate_per_min[:1])
             try:
-                silhouettes = project(*sizes(plant0, self.gp, 1), self.cam, distance)
+                silhouettes = project(*sizes(plant0, self.gp), self.cam, distance)
             except ValueError:  # a later instant's error may not be the first failing sample's
                 if len(instants) == 1:
                     raise
@@ -346,6 +354,7 @@ def run_monitoring_trace(cfg: Config, out_dir: str | Path) -> ScenarioResult:
     finally:
         if run.frames is not None:
             run.frames.close()
+    run.check_volume()
 
     _write_trace_csv(out / "trace.csv", run.rows)
     _write_events_csv(out / "pump_events.csv", run.events)
@@ -464,4 +473,5 @@ def _run_spans(cfg: Config, spans: list[tuple[str, range]]
                 pop = run.step_to(pop, (day + 1) * MINUTES_PER_DAY)
                 heights.append((day, *run.capture(pop, day)))
         ends.append(len(heights))
+    run.check_volume()
     return run, heights, ends

@@ -7,8 +7,8 @@ known amplitude. When no noise of that amplitude can move either colour to
 the other class, its mask is the runs themselves (majority-filtered, if
 asked, on their rows' half-widths), and no pixel is tested or even drawn;
 otherwise, and for a whole frame, every pixel is tested. A mask is a
-``RowMask``: each row's first and last plant column and pixel count, so
-measurement reads the bounding box and the count from at most 480 rows, and
+``RowMask``: each row's pixel count and the mask's bounding-box extents, so
+measurement reads the bounding box and the count without a pixel scan, and
 converts pixel extents to centimeters through the known camera distance, so
 measurements taken at different distances stay comparable.
 """
@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .render import BACKGROUND, EMPTY_MASK, FRAME_W, PLANT_COLOR, CameraConfig, Frame, RowMask
+from .render import BACKGROUND, EMPTY_MASK, PLANT_COLOR, CameraConfig, Frame, RowMask
 
 
 class NoPlantDetected(RuntimeError):
@@ -37,8 +37,8 @@ class Morphometry:
 def segment(frame: Frame, red_dominance_margin: int, cleanup: bool = False) -> RowMask:
     """The plant mask of a frame, row by row.
 
-    A rendered frame whose two colours keep their classes under its noise
-    (``_keeps_classes``) has its own runs as its per-pixel mask. Without
+    A rendered frame whose two colours keep their classes under its camera's
+    noise (``_keeps_classes``) has its own runs as its per-pixel mask. Without
     ``cleanup`` the mask is the runs; with it, the majority filter is
     computed on the runs' half-widths (``_majority_filter_runs``). Every
     other frame is tested pixel by pixel, filtered if asked, and reduced to
@@ -48,7 +48,7 @@ def segment(frame: Frame, red_dominance_margin: int, cleanup: bool = False) -> R
     frames so the mask matches the rasterized silhouette exactly.
     """
     runs = frame.runs
-    if runs is not None and _keeps_classes(frame.noise_amplitude, red_dominance_margin):
+    if runs is not None and _keeps_classes(frame.cam.noise_amplitude, red_dominance_margin):
         return _majority_filter_runs(runs) if cleanup else runs
     mask = _plant_pixels(frame.pixels, red_dominance_margin)
     if cleanup:
@@ -127,13 +127,13 @@ def _majority_filter_runs(runs: RowMask) -> RowMask:
     if not kept.size:
         return EMPTY_MASK
     half = np.maximum(half[kept[0]:kept[-1] + 1], 0)
-    return RowMask(runs.top + int(kept[0]), FRAME_W // 2 - half, FRAME_W // 2 - 1 + half,
-                   2 * half, (half.size, 2 * int(half.max()), 2 * int(half.sum())))
+    return RowMask(runs.top + int(kept[0]), 2 * half,
+                   (half.size, 2 * int(half.max()), 2 * int(half.sum())))
 
 
 def measure(mask: RowMask, distance_cm: float, cam: CameraConfig,
             min_plant_pixels: int) -> Morphometry:
-    """Bounding-box extents of the mask in centimeters and its pixel count, read from its rows."""
+    """The mask's bounding-box extents in centimeters and its pixel count."""
     height_px, width_px, count = mask.extents
     if count < min_plant_pixels:
         raise NoPlantDetected(f"{count} plant pixels, need at least {min_plant_pixels}")

@@ -5,8 +5,8 @@ and the bitmap and row list of a ``RowMask``.
 over the plant's whole bounding box: a pixel belongs to the plant when its
 centre lies in the stem rectangle, in the canopy ellipse or on the ellipse's
 equator chord. The tests hold the renderer's runs to it bit for bit.
-``paint`` draws a mask of one run per row as a bitmap; ``rows`` lists a
-mask's non-empty rows, for masks with several runs in a row.
+``paint`` draws a mask as the renderer lays it out, one run per row; ``rows``
+lists a mask's non-empty rows and their pixel counts, which any mask has.
 """
 
 import math
@@ -56,18 +56,15 @@ def rasterize(cam: CameraConfig, height_px: float, width_px: float) -> np.ndarra
 
 
 def paint(mask: RowMask) -> np.ndarray:
-    """The mask as a (480, 640) boolean bitmap, each row filled from its first to its last
-    column; ValueError if a row's count is not the length of that run."""
+    """The mask as a (480, 640) boolean bitmap in the renderer's layout: each row's
+    ``count`` pixels in one run starting at column ``320 - count // 2``."""
     full = np.zeros((FRAME_H, FRAME_W), dtype=bool)
-    for row, (first, last, count) in enumerate(zip(mask.first, mask.last, mask.count), mask.top):
-        if count != max(last - first + 1, 0):
-            raise ValueError(f"row {row} is not one run")
-        full[row, first:last + 1] = True
+    for row, count in enumerate(mask.count.tolist(), mask.top):
+        first = FRAME_W // 2 - count // 2
+        full[row, first:first + count] = True
     return full
 
 
-def rows(mask: RowMask) -> list[tuple[int, int, int, int]]:
-    """(row, first column, last column, pixel count) of each non-empty row of the mask."""
-    return [(row, int(first), int(last), int(count))
-            for row, (first, last, count) in enumerate(zip(mask.first, mask.last, mask.count),
-                                                       mask.top) if count]
+def rows(mask: RowMask) -> list[tuple[int, int]]:
+    """(row, pixel count) of each non-empty row of the mask."""
+    return [(row, count) for row, count in enumerate(mask.count.tolist(), mask.top) if count]

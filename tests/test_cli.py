@@ -2,7 +2,9 @@
 
 import contextlib
 import io
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -399,6 +401,10 @@ CONFIGS = st.sets(st.sampled_from(list(_KEYS))).flatmap(
 @example(values=dict(parse_config(NO_PLANT_COMPARE).values))
 @example(values={**SIZE_CAPS, "monitor.start_day": 10**8})  # a plant built 10**8 days old
 @example(values={**SIZE_CAPS, "growth.normal_rate_per_day": 1.75e308})  # a rate overflows
+# A pump volume that overflows to inf liters.
+@example(values={**SIZE_CAPS, "pump.flow_l_per_min": 1e308})
+@example(values={**SIZE_CAPS, "control.pump_on_min": 1e308})
+@example(values={**SIZE_CAPS, "pump.flow_l_per_min": math.inf})
 def test_every_parsed_config_runs_or_exits_with_one_message(values):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "fuzz.cfg"
@@ -412,3 +418,25 @@ def test_every_parsed_config_runs_or_exits_with_one_message(values):
             if code == 1:
                 lines = err.getvalue().splitlines()
                 assert len(lines) == 1 and lines[0].startswith("fertisim:"), (command, lines)
+            assert _non_finite_fields(Path(tmp) / command) == [], command
+
+
+def _non_finite_fields(out):
+    """(file, field) of each inf or nan field of a run's .csv and .txt outputs."""
+    return [(path.name, cell) for pattern in ("*.csv", "*.txt") for path in out.glob(pattern)
+            for cell in re.split(r"[\s,;=]+", path.read_text())
+            if re.fullmatch(r"[+-]?(inf|infinity|nan)", cell, re.IGNORECASE)]
+
+
+@pytest.mark.parametrize("command", ["monitor", "compare"])
+@pytest.mark.parametrize("setting", ["pump.flow_l_per_min = 1e308", "control.pump_on_min = 1e308",
+                                     "pump.flow_l_per_min = inf"])
+def test_pumped_volume_overflow_is_one_error_line(tmp_path, capsys, command, setting):
+    # Every accrual is >= 0, so the run checks its total once, before writing its outputs.
+    cfg = tmp_path / "pump.cfg"
+    cfg.write_text(setting + "\n")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "fertisim: error: pumped volume overflows to inf liters: lower pump.flow_l_per_min "
+        "or control.pump_on_min"]
+    assert list((tmp_path / "run").iterdir()) == []

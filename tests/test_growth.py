@@ -354,7 +354,8 @@ def test_sizes_equal_the_per_step_product(steps, peak, band, seed, count):
             widths = widths * np.exp(GP.width_exponent * pop.rate_per_min * minutes)
         else:
             pop = apply_irrigation(pop, pop.age_min, minutes)
-    got_heights, got_widths = sizes(replace(pop, turgor=1.0), GP, count)  # turgid widths
+    first = replace(pop, turgor=1.0, rate_per_min=pop.rate_per_min[:count])  # turgid widths
+    got_heights, got_widths = sizes(first, GP)
     assert got_heights == pytest.approx(heights[:count], rel=1e-12, abs=0.0)
     assert got_widths == pytest.approx(widths[:count], rel=1e-12, abs=0.0)
 
@@ -375,9 +376,9 @@ def test_sizes_at_instants_equal_each_instant_alone(steps, peak, seed):
             pop = apply_irrigation(pop, pop.age_min, minutes)
         states.append(pop)
     track = replace(pop, age_min=np.array([p.age_min for p in states]),
-                    turgor=np.array([p.turgor for p in states]))
-    heights, widths = sizes(track, GP, 1)
-    alone = [sizes(p, GP, 1) for p in states]
+                    turgor=np.array([p.turgor for p in states]), rate_per_min=pop.rate_per_min[:1])
+    heights, widths = sizes(track, GP)
+    alone = [sizes(replace(p, rate_per_min=p.rate_per_min[:1]), GP) for p in states]
     assert heights.tolist() == [h[0] for h, _ in alone]
     assert widths.tolist() == [w[0] for _, w in alone]
 
@@ -387,7 +388,7 @@ def test_size_overflow_raises_where_it_is_read():
     pop = PlantState(age_min=0.0, seedling_height_cm=5.0, seedling_width_cm=3.0, turgor=1.0,
                      rate_per_min=rates)
     pop = advance(pop, 1440.0, NO_DEMAND, GP)  # stepping reads no size, so it cannot overflow
-    height, width = sizes(pop, GP, 1)
+    height, width = sizes(replace(pop, rate_per_min=pop.rate_per_min[:1]), GP)
     assert height[0] == pytest.approx(5.0 * math.exp(1.44)) and np.isfinite(width[0])
     with pytest.raises(ValueError, match=r"^plant size overflows at age 1440 min$"):
         sizes(pop, GP)

@@ -21,6 +21,7 @@ from fertisim.render import (
 from fertisim.vision import (
     Morphometry,
     NoPlantDetected,
+    _keeps_classes,
     _majority_filter,
     _majority_filter_runs,
     _noisy_class,
@@ -42,6 +43,13 @@ def shoot(height_cm, width_cm, cam, distance_cm, turgor=1.0):
                        turgor=turgor, rate_per_min=0.0)
     runs = project([height_cm], [sizes(plant, GP)[1]], cam, distance_cm)
     return render(runs[0], cam, (0, 0))
+
+
+def pixel_path(frame, margin, cleanup):
+    """The bitmap that ``segment``'s per-pixel path reduces to rows: the frame's
+    plant pixels, majority-filtered with ``cleanup``."""
+    bitmap = _plant_pixels(frame.pixels, margin)
+    return _majority_filter(bitmap) if cleanup else bitmap
 
 
 def uniform_frame(colour):
@@ -76,8 +84,11 @@ class TestSegment:
         # What lets segment return a run frame's own runs without testing a colour.
         frame, _ = shoot(60.0, 30.0, camera, 100.0)
         whole = Frame(pixels=frame.pixels, distance_cm=100.0)
+        drawn = paint(frame.runs)
         for margin in range(256):
-            assert (paint(segment(whole, margin)) == paint(frame.runs)).all(), margin
+            assert (pixel_path(whole, margin, False) == drawn).all(), margin
+            mask = segment(whole, margin)
+            assert (rows(mask), mask.extents) == (rows(frame.runs), frame.runs.extents), margin
 
 
 _RGB = st.tuples(*[st.integers(0, 255)] * 3)
@@ -92,8 +103,12 @@ def test_uniform_frame_is_one_class(colour, margin):
     # The whole-frame path measure-image takes for any PPM, without cleanup.
     r, g, b = colour
     is_plant = not (r - g >= margin and r - b >= margin)
-    mask = paint(segment(uniform_frame(colour), margin))
-    assert (mask == is_plant).all()
+    frame = uniform_frame(colour)
+    assert (pixel_path(frame, margin, False) == is_plant).all()
+    mask = segment(frame, margin)
+    assert (paint(mask) == is_plant).all()
+    assert rows(mask) == ([(row, 640) for row in range(480)] if is_plant else [])
+    assert mask.extents == ((480, 640, 480 * 640) if is_plant else (0, 0, 0))
 
 
 @settings(deadline=None, max_examples=150)
@@ -113,7 +128,8 @@ def test_patch_frame_matches_whole_frame(height_px, width_px, distance, margin, 
     mask = segment(frame, margin, cleanup)
     whole_mask = segment(whole, margin, cleanup)
     assert mask.size == whole_mask.size == 480 * 640
-    assert (paint(mask) == paint(whole_mask)).all()
+    assert (pixel_path(whole, margin, cleanup) == paint(mask)).all()
+    assert (rows(mask), mask.extents) == (rows(whole_mask), whole_mask.extents)
 
     def measured(m):
         try:
@@ -168,9 +184,12 @@ def test_noisy_run_frame_matches_its_pixels(height_px, width_px, amplitude, nois
     except FrameFitError:  # float rounding put the plant a hair past the edge
         assume(False)
     mask = segment(frame, margin, cleanup)
-    whole_mask = segment(Frame(pixels=frame.pixels, distance_cm=distance), margin, cleanup)
+    whole = Frame(pixels=frame.pixels, distance_cm=distance)
+    whole_mask = segment(whole, margin, cleanup)
+    assert (rows(mask), mask.extents) == (rows(whole_mask), whole_mask.extents)
     # Where noise moves a colour's class, a row of the pixel-tested mask can hold several runs.
-    assert rows(mask) == rows(whole_mask)
+    if _keeps_classes(amplitude, margin):
+        assert (pixel_path(whole, margin, cleanup) == paint(mask)).all()
     assert _measured(mask, distance, cam) == _measured(whole_mask, distance, cam)
 
 
@@ -212,7 +231,7 @@ def _centred(top, half_widths):
     has = np.flatnonzero(n)
     extents = ((int(has[-1] - has[0] + 1), 2 * int(n.max()), 2 * int(n.sum())) if has.size
                else (0, 0, 0))
-    return RowMask(top, 320 - n, 319 + n, 2 * n, extents)
+    return RowMask(top, 2 * n, extents)
 
 
 # Half-widths, narrow ones (and empty rows) often; a profile ends on the frame's last row.
@@ -276,8 +295,12 @@ def test_measure_equals_a_full_scan(rects, min_plant_pixels, camera):
     mask = np.zeros((480, 640), bool)
     for r0, r1, c0, c1 in rects:
         mask[r0:r1 + 1, c0:c1 + 1] = True
+    row_mask = RowMask.from_array(mask)
+    counts = np.zeros(480, int)
+    counts[row_mask.top:row_mask.top + row_mask.count.size] = row_mask.count
+    assert (counts == mask.sum(axis=1)).all()
     try:
-        got = measure(RowMask.from_array(mask), 100.0, camera, min_plant_pixels)
+        got = measure(row_mask, 100.0, camera, min_plant_pixels)
     except NoPlantDetected:
         got = None
     assert got == _full_scan(mask, 100.0, camera, min_plant_pixels)
