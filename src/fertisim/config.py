@@ -182,7 +182,7 @@ class Config:
 
 
 def default_config() -> Config:
-    return Config(values={k: entry.default for k, entry in _KEYS.items()})
+    return parse_config("")
 
 
 def parse_config(text: str) -> Config:
@@ -256,14 +256,7 @@ def dump_defaults() -> str:
     lines: list[str] = []
     for section, entries in groupby(_KEYS.items(), key=lambda item: item[0].split(".", 1)[0]):
         lines.append(f"# {section}")
-        for key, entry in entries:
-            value = entry.default
-            if isinstance(value, bool):
-                rendered = "true" if value else "false"
-            elif isinstance(value, float):
-                rendered = repr(value)
-            else:
-                rendered = str(value)
-            lines.append(f"{key} = {rendered}")
+        # A float's str is its repr; a bool lowers to true/false.
+        lines.extend(f"{key} = {str(entry.default).lower()}" for key, entry in entries)
         lines.append("")
     return "\n".join(lines)

@@ -82,19 +82,6 @@ def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
-def _check(summary: list[str], checks: dict[str, tuple[bool, str]]) -> list[str]:
-    """Append a ``key = true|false`` summary line per check (key: (passed, failure message));
-    return the failed checks' messages, in order."""
-    summary.extend(f"{key} = {str(ok).lower()}" for key, (ok, _) in checks.items())
-    return [message for ok, message in checks.values() if not ok]
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 class _FrameDump:
     """Writes a run's frames to ``frames_dir`` as ``sample_KKK.ppm``, each drawn and written on
     one of ``_DUMP_THREADS`` worker threads, frame ``k`` on thread ``k % _DUMP_THREADS``.
@@ -152,10 +139,12 @@ class _FrameDump:
 class _Run:
     """One scenario run: its settings plus the controller state, ledger and trace it builds.
 
-    Every scenario makes its seedlings with ``population``, then runs three
-    steps on them: ``step_to`` a later instant, ``wilt_samples`` (a day's
-    camera samples under the wilt rule) and ``capture`` (project every plant
-    at the end of a day in one ``render.project`` call, then measure each).
+    The growth experiment and the comparison make their seedlings with
+    ``population``; the monitor makes its one plant with ``make_seedling``.
+    The scenarios drive them with three steps: ``step_to`` a later instant,
+    ``wilt_samples`` (a day's camera samples under the wilt rule) and
+    ``capture`` (project every plant at the end of a day in one
+    ``render.project`` call, then measure each).
     A monitoring run that dumps frames saves each wilt sample's frame through
     ``frames``.
     """
@@ -271,6 +260,29 @@ class _Run:
                 sum(m.width_cm for m in measured) / len(measured))
 
 
+_TRACE_HEADER = ["timestamp_min", "plant_id", "height_cm", "width_cm", "wilt_degree",
+                 "gradient_sign", "command", "liters_to_date"]
+_EVENTS_HEADER = ["sample_index", "timestamp_min", "offset_min"]
+
+
+def _finish(out: Path, run: _Run, report: str, files: dict[str, tuple[list[str], list[list[str]]]],
+            summary: list[str], checks: dict[str, tuple[bool, str]], **result) -> ScenarioResult:
+    """Write a finished run's outputs in one step and return its ``ScenarioResult``.
+
+    ``files`` maps each CSV's name to its header and rows of cells. ``summary.txt`` gets the
+    ``summary`` lines, then a ``key = true|false`` line per check (key: (passed, failure
+    message)); the result holds ``report``, the failed checks' messages in order, the run's
+    skipped samples and ``result`` (``events``, ``savings_fraction``).
+    """
+    for name, (header, rows) in files.items():
+        lines = [",".join(header)] + [",".join(row) for row in rows]
+        (out / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    summary = summary + [f"{key} = {str(ok).lower()}" for key, (ok, _) in checks.items()]
+    (out / "summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
+    return ScenarioResult(report, [message for ok, message in checks.values() if not ok],
+                          run.skipped, **result)
+
+
 # ---------------------------------------------------------------------------
 # Growth experiment
 # ---------------------------------------------------------------------------
@@ -287,7 +299,6 @@ def run_growth_experiment(cfg: Config, out_dir: str | Path) -> ScenarioResult:
     run = _Run(cfg, cfg.demand("growth_exp.peak_loss_rate"), cfg.schedule())
     pops = [run.population(band, gi, group_size) for gi, band in enumerate(EcBand)]
 
-    labels = [band.value for band in EcBand]
     overlap_stop_day = None
     ordered = True
     rows: list[list[str]] = []
@@ -305,21 +316,15 @@ def run_growth_experiment(cfg: Config, out_dir: str | Path) -> ScenarioResult:
         ordered = ordered and over > normal > under
         rows.append([str(day), _fmt(capture_distance(day))] + [_fmt(v) for v in day_means])
 
-    _write_csv(out / "growth_means.csv",
-               ["capture_day", "distance_cm"] + [f"{label}_mean_cm" for label in labels],
-               rows)
+    header = ["capture_day", "distance_cm"] + [f"{band.value}_mean_cm" for band in EcBand]
     summary = [
         f"capture_days = {len(rows)}",
         f"overlap_stop_day = {overlap_stop_day if overlap_stop_day is not None else 'none'}",
         f"skipped_samples = {run.skipped}",
     ]
-    failures = _check(summary, {
-        "ordering_ok": (ordered, "group mean heights violate over > normal > under")})
-    (out / "summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
-
-    return ScenarioResult(
-        report=f"growth experiment: {len(rows)} capture days, outputs in {out_dir}",
-        failures=failures, skipped_samples=run.skipped)
+    return _finish(out, run, f"growth experiment: {len(rows)} capture days, outputs in {out_dir}",
+                   {"growth_means.csv": (header, rows)}, summary,
+                   {"ordering_ok": (ordered, "group mean heights violate over > normal > under")})
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +361,6 @@ def run_monitoring_trace(cfg: Config, out_dir: str | Path) -> ScenarioResult:
             run.frames.close()
     run.check_volume()
 
-    _write_trace_csv(out / "trace.csv", run.rows)
-    _write_events_csv(out / "pump_events.csv", run.events)
     offsets = [offset for _, _, offset in run.events]
     summary = [
         f"samples = {len(run.rows)}",
@@ -365,22 +368,12 @@ def run_monitoring_trace(cfg: Config, out_dir: str | Path) -> ScenarioResult:
         f"event_offsets_min = {';'.join(offsets) or 'none'}",
         f"liters_total = {_fmt(run.ledger.total_liters())}",
     ]
-    (out / "summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
-    return ScenarioResult(
-        report=f"monitoring session: {len(run.rows)} samples, "
-               f"{len(run.events)} pump event(s) at minute(s): {', '.join(offsets) or 'none'}",
-        failures=[], skipped_samples=run.skipped, events=run.events)  # no built-in check
-
-
-def _write_trace_csv(path: Path, rows: list[list[str]]) -> None:
-    _write_csv(path,
-               ["timestamp_min", "plant_id", "height_cm", "width_cm", "wilt_degree",
-                "gradient_sign", "command", "liters_to_date"],
-               rows)
-
-
-def _write_events_csv(path: Path, events: list[list[str]]) -> None:
-    _write_csv(path, ["sample_index", "timestamp_min", "offset_min"], events)
+    report = (f"monitoring session: {len(run.rows)} samples, {len(run.events)} pump event(s) "
+              f"at minute(s): {', '.join(offsets) or 'none'}")
+    return _finish(out, run, report,
+                   {"trace.csv": (_TRACE_HEADER, run.rows),
+                    "pump_events.csv": (_EVENTS_HEADER, run.events)},
+                   summary, {}, events=run.events)  # no built-in check
 
 
 # ---------------------------------------------------------------------------
@@ -410,15 +403,15 @@ def run_fertigation_comparison(cfg: Config, out_dir: str | Path) -> ScenarioResu
     lo, hi = max(ends[0] - 1, 0), ends[1] - 1
     auto_inc, ctrl_inc = (series[hi][1] - series[lo][1] for series in (heights, control_heights))
 
-    for name, series in (("heights.csv", heights), ("control_heights.csv", control_heights)):
-        _write_csv(out / name, ["capture_day", "mean_height_cm", "mean_width_cm"],
-                   [[str(d), _fmt(h), _fmt(w)] for d, h, w in series])
-    _write_csv(out / "daily_usage.csv",
-               ["day", "regime", "activations", "liters"],
-               [[str(r.day), r.regime, str(r.activations), _fmt(r.liters)]
-                for r in ledger.rows()])
-    _write_trace_csv(out / "trace.csv", main.rows)
-    _write_events_csv(out / "pump_events.csv", main.events)
+    files = {name: (["capture_day", "mean_height_cm", "mean_width_cm"],
+                    [[str(d), _fmt(h), _fmt(w)] for d, h, w in series])
+             for name, series in zip(("heights.csv", "control_heights.csv"),
+                                     (heights, control_heights))}
+    files["daily_usage.csv"] = (["day", "regime", "activations", "liters"],
+                                [[str(r.day), r.regime, str(r.activations), _fmt(r.liters)]
+                                 for r in ledger.rows()])
+    files["trace.csv"] = (_TRACE_HEADER, main.rows)
+    files["pump_events.csv"] = (_EVENTS_HEADER, main.events)
 
     auto_activations = sum(r.activations for r in ledger.rows() if r.regime == "auto")
     summary = [
@@ -431,17 +424,12 @@ def run_fertigation_comparison(cfg: Config, out_dir: str | Path) -> ScenarioResu
         f"control_growth_increment_cm = {_fmt(ctrl_inc)}",
     ]
     growth_ok = abs(auto_inc - ctrl_inc) <= 0.10 * abs(ctrl_inc) if ctrl_inc else auto_inc == 0.0
-    failures = _check(summary, {
+    report = (f"comparison: timer {timer_mean:.1f} L/day, auto {auto_mean:.1f} L/day, "
+              f"savings {saved * 100.0:.1f}%")
+    return _finish(out, main, report, files, summary, {
         "savings_above_0.80": (saved > 0.80, "savings did not exceed 80%"),
         "growth_within_band": (growth_ok, "growth not maintained within 10% of the timer control"),
-    })
-    (out / "summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
-
-    return ScenarioResult(
-        report=f"comparison: timer {timer_mean:.1f} L/day, auto {auto_mean:.1f} L/day, "
-               f"savings {saved * 100.0:.1f}%",
-        failures=failures, skipped_samples=main.skipped, events=main.events,
-        savings_fraction=saved)
+    }, events=main.events, savings_fraction=saved)
 
 
 def _run_spans(cfg: Config, spans: list[tuple[str, range]]

@@ -399,6 +399,7 @@ CONFIGS = st.sets(st.sampled_from(list(_KEYS))).flatmap(
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(values=CONFIGS)
 @example(values=dict(parse_config(NO_PLANT_COMPARE).values))
+@example(values={**SIZE_CAPS, "vision.min_plant_pixels": 10**9})  # NO_PLANT: growth exits 1
 @example(values={**SIZE_CAPS, "monitor.start_day": 10**8})  # a plant built 10**8 days old
 @example(values={**SIZE_CAPS, "growth.normal_rate_per_day": 1.75e308})  # a rate overflows
 # A pump volume that overflows to inf liters.
@@ -418,6 +419,11 @@ def test_every_parsed_config_runs_or_exits_with_one_message(values):
             if code == 1:
                 lines = err.getvalue().splitlines()
                 assert len(lines) == 1 and lines[0].startswith("fertisim:"), (command, lines)
+                # A run writes its CSVs and summary.txt in one step after it succeeds; frames a
+                # monitor dumped before its error may remain.
+                written = sorted(p.name for p in (Path(tmp) / command).glob("*")
+                                 if p.suffix == ".csv" or p.name == "summary.txt")
+                assert written == [], (command, written)
             assert _non_finite_fields(Path(tmp) / command) == [], command
 
 
