@@ -12,10 +12,10 @@ import argparse
 import math
 import sys
 
-from .config import Config, ConfigError, default_config, dump_defaults, load_config
+from .config import Config, default_config, dump_defaults, load_config
 from .growth import PlantState, sizes
-from .ppm import PpmFormatError, read_ppm, write_ppm
-from .render import FrameFitError, project, render
+from .ppm import read_ppm, write_ppm
+from .render import project, render
 from .scenarios import run_fertigation_comparison, run_growth_experiment, run_monitoring_trace
 from .vision import NoPlantDetected, measure, segment
 
@@ -105,7 +105,7 @@ def main(argv: list[str]) -> int:
         cfg = load_config(args.config) if getattr(args, "config", None) else default_config()
         if getattr(args, "seed", None) is not None:
             cfg = Config(values={**cfg.values, "sim.seed": args.seed})
-    except (ConfigError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError and UnicodeDecodeError are ValueErrors
         print(f"fertisim: config error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
@@ -139,7 +139,7 @@ def main(argv: list[str]) -> int:
             print(f"height_cm={morpho.height_cm:.6f} width_cm={morpho.width_cm:.6f}")
             return EXIT_OK
 
-    except (FrameFitError, PpmFormatError, NoPlantDetected, OSError, ValueError) as exc:
+    except (NoPlantDetected, OSError, ValueError) as exc:  # FrameFitError, PpmFormatError too
         print(f"fertisim: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -122,22 +122,21 @@ _KEYS: dict[str, _Key] = {
 class Config:
     """A complete, validated set of config values.
 
-    Construction checks that every key of the table is present, each value is
-    in its key's range, and the cross-field rules hold. ``values`` is stored
-    read-only, so no later write can get past those checks; build a changed
-    config with ``Config(values={**cfg.values, key: value})``.
+    Construction rejects unknown keys, takes each key it is not given from its
+    default (so ``Config(values={})`` is the defaults), and checks that each
+    value is in its key's range and the cross-field rules hold. ``values`` is
+    stored read-only, so no later write can get past those checks; build a
+    changed config with ``Config(values={**cfg.values, key: value})``.
     """
 
     values: Mapping[str, Any]
 
     def __post_init__(self):
-        values = dict(self.values)
-        unknown = values.keys() - _KEYS.keys()
+        unknown = self.values.keys() - _KEYS.keys()
         if unknown:
             raise ConfigError(f"unknown key {min(unknown)!r}")
+        values = {key: self.values.get(key, entry.default) for key, entry in _KEYS.items()}
         for key, entry in _KEYS.items():
-            if key not in values:
-                raise ConfigError(f"key {key!r}: missing")
             if not entry.check(values[key]):
                 raise ConfigError(
                     f"key {key!r}: value {values[key]!r} out of range (must be {entry.why})")
@@ -163,12 +162,8 @@ class Config:
         return CameraConfig(**self._section("camera"))
 
     def demand(self, peak_key: str = "demand.peak_loss_rate") -> DemandProfile:
-        v = self.values
-        return DemandProfile(
-            window_start_min=float(v["demand.window_start_min"]),
-            window_end_min=float(v["demand.window_end_min"]),
-            peak_loss_rate=v[peak_key],
-        )
+        """The ``demand.*`` window keys, with the peak loss rate read from ``peak_key``."""
+        return DemandProfile(**{**self._section("demand"), "peak_loss_rate": self.values[peak_key]})
 
     def schedule(self, sample_interval_min: int | None = None) -> Schedule:
         v = self.values
@@ -186,10 +181,11 @@ def default_config() -> Config:
 
 
 def parse_config(text: str) -> Config:
-    """Parse a config document, apply defaults, and validate every key.
+    """Parse a config document into a validated ``Config``.
 
     Syntax, unknown and duplicate keys are reported with their line here;
-    range and cross-field checks run when the ``Config`` is built.
+    the ``Config`` takes each key the document does not set from its default,
+    and runs the range and cross-field checks.
     """
     values: dict[str, Any] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -213,9 +209,6 @@ def parse_config(text: str) -> Config:
                 f"line {lineno}: key {key!r}: cannot parse {raw_value!r}"
             ) from None
         values[key] = value
-
-    for key, entry in _KEYS.items():
-        values.setdefault(key, entry.default)
     return Config(values=values)
 
 

@@ -177,13 +177,13 @@ def project(heights_cm: np.ndarray, widths_cm: np.ndarray, cam: CameraConfig,
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         height_px = np.multiply(heights_cm, scale)[:, None]
         width_px = np.multiply(widths_cm, scale)[:, None]
-        blocks = [_rasterize(cam, height_px[s:s + _PASS_PLANTS], width_px[s:s + _PASS_PLANTS])
-                  for s in range(0, len(height_px), _PASS_PLANTS)]
-    if None in blocks:  # name the first plant that does not fit
-        i = int(np.argmin((height_px <= FRAME_H) & (width_px <= FRAME_W)))
-        raise FrameFitError(f"plant projects to {height_px[i, 0]:.1f}x{width_px[i, 0]:.1f} px "
-                            f"at {distance_cm:.0f} cm; frame is {FRAME_H}x{FRAME_W}")
-    return [mask for block in blocks for mask in block]
+        fits = (height_px <= FRAME_H) & (width_px <= FRAME_W)
+        if not fits.all():  # name the first plant that does not fit
+            i = int(np.argmin(fits))
+            raise FrameFitError(f"plant projects to {height_px[i, 0]:.1f}x{width_px[i, 0]:.1f} px "
+                                f"at {distance_cm:.0f} cm; frame is {FRAME_H}x{FRAME_W}")
+        return [mask for s in range(0, len(height_px), _PASS_PLANTS) for mask in
+                _rasterize(cam, height_px[s:s + _PASS_PLANTS], width_px[s:s + _PASS_PLANTS])]
 
 
 def render(runs: RowMask, cam: CameraConfig,
@@ -197,8 +197,8 @@ def render(runs: RowMask, cam: CameraConfig,
     return Frame(runs=runs, cam=cam, noise_key=noise_key), runs.extents
 
 
-def _rasterize(cam: CameraConfig, h: np.ndarray, w: np.ndarray) -> list[RowMask] | None:
-    """Silhouettes of plants ``h`` by ``w`` px, (n, 1) arrays; None if one does not fit the frame.
+def _rasterize(cam: CameraConfig, h: np.ndarray, w: np.ndarray) -> list[RowMask]:
+    """Silhouettes of plants ``h`` by ``w`` px, (n, 1) arrays, each of which fits the frame.
 
     A pixel is the plant's when its centre lies in the stem rectangle, the
     canopy ellipse or the ellipse's full-width equator chord (which keeps the
@@ -219,8 +219,6 @@ def _rasterize(cam: CameraConfig, h: np.ndarray, w: np.ndarray) -> list[RowMask]
     a = 0.5 * w  # ellipse semi-axis, horizontal
     plant_top = y_base - h
     top = plant_top.min()
-    if not (top >= 0.0 and a.max() <= _HALF_W):
-        return None
     canopy_h = cam.canopy_fraction * h
     stem_top = y_base - (h - canopy_h)
     b = 0.5 * canopy_h

@@ -52,6 +52,15 @@ def test_missing_config_file(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_undecodable_config_file_is_one_error_line(tmp_path, capsys):
+    cfg = tmp_path / "latin.cfg"
+    cfg.write_bytes(b"sim.seed = 4\xff2\n")  # not UTF-8
+    assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("fertisim: config error: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_bad_config_value(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("pump.flow_l_per_min = -1\n")

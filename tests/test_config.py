@@ -95,10 +95,9 @@ def test_hand_built_config_is_validated_and_read_only():
         Config(values={**default_config().values, "compare.plants": 0})
     with pytest.raises(ConfigError, match="no.such_key"):
         Config(values={**default_config().values, "no.such_key": 1})
-    partial = dict(default_config().values)
-    del partial["sim.seed"]
-    with pytest.raises(ConfigError, match="sim.seed"):
-        Config(values=partial)
+    # A key the caller does not give takes its default.
+    assert Config(values={}) == default_config()
+    assert Config(values={"sim.seed": 7}) == parse_config("sim.seed = 7\n")
 
     source = {**default_config().values, "compare.plants": 7}
     cfg = Config(values=source)

@@ -3,7 +3,9 @@
 A field is stored when it is a dataclass field or is set by ``self.x = ...``
 in ``__init__`` or ``__post_init__``. It is read when some module under
 ``src/`` or ``perfbench/`` loads an attribute of that name: a field that only
-tests read is a second copy of what the program writes, and goes.
+tests read is a second copy of what the program writes, and goes. A load of
+``self.x`` in a method of class ``D`` reads ``D.x`` only; a load through any
+other name (``run.x``) reads every class's field ``x``.
 """
 
 import ast
@@ -39,13 +41,29 @@ def stored_fields(tree):
     return fields
 
 
+def _loads(tree):
+    """``(class, name)`` for each ``self.name`` loaded in a method of ``class``, and
+    ``(None, name)`` for each other attribute load in ``tree``."""
+    def attributes(node):
+        return [n for n in ast.walk(node) if isinstance(n, ast.Attribute)]
+
+    owner = {}
+    for cls in ast.walk(tree):  # outer classes first, so a nested class's methods are its own
+        if isinstance(cls, ast.ClassDef):
+            owner.update((node, cls.name) for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                         for node in attributes(fn)
+                         if isinstance(node.value, ast.Name) and node.value.id == "self")
+    return {(owner.get(node), node.attr) for node in attributes(tree)
+            if isinstance(node.ctx, ast.Load)}
+
+
 def write_only(stored_in, read_in):
     """``Class.field`` for each field stored in ``stored_in`` that no source in ``read_in``
     reads as an attribute, sorted; both are lists of module sources."""
     stored = set().union(*(stored_fields(ast.parse(s)) for s in stored_in))
-    read = {node.attr for source in read_in for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-    return sorted(f"{cls}.{name}" for cls, name in stored if name not in read)
+    read = set().union(*(_loads(ast.parse(s)) for s in read_in))
+    return sorted(f"{cls}.{name}" for cls, name in stored
+                  if (cls, name) not in read and (None, name) not in read)
 
 
 def test_checker_finds_write_only_fields():
@@ -60,6 +78,11 @@ def test_checker_finds_write_only_fields():
         "class D:\n    plain: int\n"
         "a = A(1)\nprint(a.kept, a.items, C(1).x)\nc = C(2)\nc.unread = 4\n")
     assert write_only([source], [source]) == ["A.lost", "B.derived", "C.unread"]
+    # B reading its own ``self.x`` does not read A's.
+    shared = ("class A:\n    def __init__(self):\n        self.x = 1\n"
+              "class B:\n    def __init__(self):\n        self.x = 2\n"
+              "    def get(self):\n        return self.x\n")
+    assert write_only([shared], [shared]) == ["A.x"]
 
 
 def test_no_field_is_write_only():
