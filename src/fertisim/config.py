@@ -3,18 +3,19 @@
 Every calibration constant in the simulator lives here under a dotted key,
 and only here: each key's default and range are in ``_KEYS`` (plus the
 cross-field rules of ``_cross_check``), and the module parameter objects
-have neither, so they are built from a ``Config``.
-An empty document yields the defaults; unknown keys, bad values, and
-out-of-range values are errors that name the offending key (and line).
+have neither, so they are built from a ``Config``. A key's type is its default's.
+An empty document yields the defaults; unknown keys, bad values, wrong types
+and out-of-range values are errors that name the offending key (and line).
 Parsing is order-independent; duplicate keys are rejected.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import groupby
 from types import MappingProxyType
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 from .control import Schedule
 from .growth import DemandProfile, GrowthParams
@@ -34,88 +35,86 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-@dataclass(frozen=True)
-class _Key:
-    parse: Callable[[str], Any]
-    default: Any
-    check: Callable[[Any], bool]
-    why: str  # range description used in error messages
+def _in_range(value, rng: str | None) -> bool:
+    """Whether ``value`` is in ``rng``: ``"> b"``, ``">= b"`` or ``"in [lo, hi)"`` with either end
+    open or closed, each bound an integer or ``2**64``. ``None`` admits every value."""
+    if rng is None:
+        return True
+    if rng[0] == ">":
+        op, bound = rng.split()
+        return value >= _bound(bound) if op == ">=" else value > _bound(bound)
+    lo, hi = map(_bound, rng[4:-1].split(", "))
+    return (lo <= value if rng[3] == "[" else lo < value) and (
+        value <= hi if rng[-1] == "]" else value < hi)
 
 
-def _pos(x) -> bool:
-    return x > 0
+def _bound(text: str) -> int:
+    return 2**64 if text == "2**64" else int(text)
 
 
-def _nonneg(x) -> bool:
-    return x >= 0
-
-
-def _seed(x) -> bool:
-    return 0 <= x < 2**64
-
-
-_KEYS: dict[str, _Key] = {
+# Each key's default and range (see _in_range); the key's type is its default's.
+_KEYS: dict[str, tuple[Any, str | None]] = {
     # Seeds are hash keys, taken modulo 2**64: larger ones would alias smaller ones.
-    "sim.seed": _Key(int, 42, _seed, "in [0, 2**64)"),
+    "sim.seed": (42, "in [0, 2**64)"),
 
-    "growth.initial_height_cm": _Key(float, 5.0, _pos, "> 0"),
-    "growth.initial_width_cm": _Key(float, 6.0, _pos, "> 0"),
+    "growth.initial_height_cm": (5.0, "> 0"),
+    "growth.initial_width_cm": (6.0, "> 0"),
     # ~80 cm at day 43 from a 5 cm seedling.
-    "growth.normal_rate_per_day": _Key(float, 0.0645, _pos, "> 0"),
-    "growth.under_multiplier": _Key(float, 0.80, _pos, "> 0"),
-    "growth.over_multiplier": _Key(float, 1.15, _pos, "> 0"),
-    "growth.width_exponent": _Key(float, 0.55, lambda x: 0 < x <= 1, "in (0, 1]"),
-    "growth.jitter": _Key(float, 0.05, lambda x: 0 <= x < 1, "in [0, 1)"),
-    "growth.s_max": _Key(float, 0.10, lambda x: 0 < x < 1, "in (0, 1)"),
-    "growth.recovery_tau_min": _Key(float, 20.0, _pos, "> 0"),
-    "growth.recovery_duration_min": _Key(float, 90.0, _pos, "> 0"),
-    "growth.lag_low_min": _Key(float, 10.0, _pos, "> 0"),
-    "growth.lag_high_min": _Key(float, 15.0, _pos, "> 0"),
+    "growth.normal_rate_per_day": (0.0645, "> 0"),
+    "growth.under_multiplier": (0.80, "> 0"),
+    "growth.over_multiplier": (1.15, "> 0"),
+    "growth.width_exponent": (0.55, "in (0, 1]"),
+    "growth.jitter": (0.05, "in [0, 1)"),
+    "growth.s_max": (0.10, "in (0, 1)"),
+    "growth.recovery_tau_min": (20.0, "> 0"),
+    "growth.recovery_duration_min": (90.0, "> 0"),
+    "growth.lag_low_min": (10.0, "> 0"),
+    "growth.lag_high_min": (15.0, "> 0"),
 
-    "demand.window_start_min": _Key(int, 480, lambda x: 0 <= x < 1440, "in [0, 1440)"),
-    "demand.window_end_min": _Key(int, 1020, lambda x: 0 < x <= 1440, "in (0, 1440]"),
+    "demand.window_start_min": (480, "in [0, 1440)"),
+    "demand.window_end_min": (1020, "in (0, 1440]"),
     # Comparison-scenario daytime demand; calibrated so the wilt controller
     # lands near 17 L/day for the population.
-    "demand.peak_loss_rate": _Key(float, 0.008, _nonneg, ">= 0"),
+    "demand.peak_loss_rate": (0.008, ">= 0"),
 
     # Bundled real-time monitoring session preset.
-    "monitor.peak_loss_rate": _Key(float, 0.0030, _nonneg, ">= 0"),
-    "monitor.start_day": _Key(int, 30, _nonneg, ">= 0"),
-    "monitor.sample_interval_min": _Key(int, 15, _pos, "> 0"),
-    "monitor.sample_count": _Key(int, 26, _pos, "> 0"),
+    "monitor.peak_loss_rate": (0.0030, ">= 0"),
+    "monitor.start_day": (30, ">= 0"),
+    "monitor.sample_interval_min": (15, "> 0"),
+    "monitor.sample_count": (26, "> 0"),
 
-    "camera.focal_px": _Key(float, 480.0, _pos, "> 0"),
-    "camera.noise_amplitude": _Key(int, 0, lambda x: 0 <= x <= 255, "in [0, 255]"),
-    "camera.noise_seed": _Key(int, 0, _seed, "in [0, 2**64)"),
-    "camera.canopy_fraction": _Key(float, 0.7, lambda x: 0 < x < 1, "in (0, 1)"),
-    "camera.stem_fraction": _Key(float, 0.15, lambda x: 0 < x <= 1, "in (0, 1]"),
+    "camera.focal_px": (480.0, "> 0"),
+    "camera.noise_amplitude": (0, "in [0, 255]"),
+    "camera.noise_seed": (0, "in [0, 2**64)"),
+    "camera.canopy_fraction": (0.7, "in (0, 1)"),
+    "camera.stem_fraction": (0.15, "in (0, 1]"),
 
-    "vision.red_margin": _Key(int, 60, lambda x: 0 <= x <= 255, "in [0, 255]"),
-    "vision.min_plant_pixels": _Key(int, 25, _pos, "> 0"),
+    "vision.red_margin": (60, "in [0, 255]"),
+    "vision.min_plant_pixels": (25, "> 0"),
 
-    "control.wilt_threshold": _Key(float, 0.02, _nonneg, ">= 0"),
-    "control.window_start_min": _Key(int, 480, lambda x: 0 <= x < 1440, "in [0, 1440)"),
-    "control.window_end_min": _Key(int, 1020, lambda x: 0 < x <= 1440, "in (0, 1440]"),
-    "control.timer_period_min": _Key(int, 30, _pos, "> 0"),
-    "control.pump_on_min": _Key(float, 3.0, _pos, "> 0"),
+    "control.wilt_threshold": (0.02, ">= 0"),
+    "control.window_start_min": (480, "in [0, 1440)"),
+    "control.window_end_min": (1020, "in (0, 1440]"),
+    "control.timer_period_min": (30, "> 0"),
+    "control.pump_on_min": (3.0, "> 0"),
 
     # 101.6 L/day over 18 timer activations of 3 minutes.
-    "pump.flow_l_per_min": _Key(float, 101.6 / 54.0, _pos, "> 0"),
+    "pump.flow_l_per_min": (101.6 / 54.0, "> 0"),
 
-    "growth_exp.group_size": _Key(int, 20, _pos, "> 0"),
-    "growth_exp.capture_every_days": _Key(int, 3, _pos, "> 0"),
-    "growth_exp.days": _Key(int, 43, _pos, "> 0"),
-    "growth_exp.spacing_cm": _Key(float, 40.0, _pos, "> 0"),
-    "growth_exp.peak_loss_rate": _Key(float, 0.0, _nonneg, ">= 0"),
+    "growth_exp.group_size": (20, "> 0"),
+    "growth_exp.capture_every_days": (3, "> 0"),
+    "growth_exp.days": (43, "> 0"),
+    "growth_exp.spacing_cm": (40.0, "> 0"),
+    "growth_exp.peak_loss_rate": (0.0, ">= 0"),
 
-    "compare.plants": _Key(int, 60, _pos, "> 0"),
-    "compare.total_days": _Key(int, 49, _pos, "> 0"),
-    "compare.auto_start_day": _Key(int, 31, _pos, "> 0"),
-    "compare.auto_end_day": _Key(int, 44, _pos, "> 0"),
-    "compare.capture_every_days": _Key(int, 2, _pos, "> 0"),
-    "compare.sample_interval_min": _Key(int, 30, _pos, "> 0"),
+    "compare.plants": (60, "> 0"),
+    "compare.total_days": (49, "> 0"),
+    "compare.auto_start_day": (31, "> 0"),
+    "compare.auto_end_day": (44, "> 0"),
+    "compare.capture_every_days": (2, "> 0"),
+    "compare.sample_interval_min": (30, "> 0"),
 
-    "output.dump_frames": _Key(_parse_bool, False, lambda x: True, "true or false"),
+    "output.dump_frames": (False, None),
 }
 
 @dataclass(frozen=True)
@@ -124,9 +123,10 @@ class Config:
 
     Construction rejects unknown keys, takes each key it is not given from its
     default (so ``Config(values={})`` is the defaults), and checks that each
-    value is in its key's range and the cross-field rules hold. ``values`` is
-    stored read-only, so no later write can get past those checks; build a
-    changed config with ``Config(values={**cfg.values, key: value})``.
+    value has its default's type (an int is taken as that float for a float
+    key) and is in its key's range, and that the cross-field rules hold.
+    ``values`` is stored read-only, so no later write can get past those
+    checks; build a changed config with ``Config(values={**cfg.values, key: value})``.
     """
 
     values: Mapping[str, Any]
@@ -135,11 +135,15 @@ class Config:
         unknown = self.values.keys() - _KEYS.keys()
         if unknown:
             raise ConfigError(f"unknown key {min(unknown)!r}")
-        values = {key: self.values.get(key, entry.default) for key, entry in _KEYS.items()}
-        for key, entry in _KEYS.items():
-            if not entry.check(values[key]):
-                raise ConfigError(
-                    f"key {key!r}: value {values[key]!r} out of range (must be {entry.why})")
+        values = {key: self.values.get(key, default) for key, (default, _) in _KEYS.items()}
+        for key, (default, rng) in _KEYS.items():
+            value, kind = values[key], type(default)
+            if type(value) is int and kind is float and abs(value) <= sys.float_info.max:
+                value = values[key] = float(value)
+            if type(value) is not kind:
+                raise ConfigError(f"key {key!r}: value {value!r} is not of type {kind.__name__}")
+            if not _in_range(value, rng):
+                raise ConfigError(f"key {key!r}: value {value!r} out of range (must be {rng})")
         _cross_check(values)
         object.__setattr__(self, "values", MappingProxyType(values))
 
@@ -166,14 +170,12 @@ class Config:
         return DemandProfile(**{**self._section("demand"), "peak_loss_rate": self.values[peak_key]})
 
     def schedule(self, sample_interval_min: int | None = None) -> Schedule:
-        v = self.values
-        return Schedule(
-            sample_interval_min=sample_interval_min or v["monitor.sample_interval_min"],
-            window_start_min=v["control.window_start_min"],
-            window_end_min=v["control.window_end_min"],
-            timer_period_min=v["control.timer_period_min"],
-            timer_on_min=v["control.pump_on_min"],
-        )
+        """Every ``control.*`` key but the wilt threshold (``spa_tick``'s argument) is the
+        ``Schedule`` field of the same name; samples default to the monitor's interval."""
+        control = self._section("control")
+        del control["wilt_threshold"]
+        interval = sample_interval_min or self.values["monitor.sample_interval_min"]
+        return Schedule(sample_interval_min=interval, **control)
 
 
 def default_config() -> Config:
@@ -183,9 +185,9 @@ def default_config() -> Config:
 def parse_config(text: str) -> Config:
     """Parse a config document into a validated ``Config``.
 
-    Syntax, unknown and duplicate keys are reported with their line here;
-    the ``Config`` takes each key the document does not set from its default,
-    and runs the range and cross-field checks.
+    Syntax, unknown and duplicate keys, and values that do not parse as their key's
+    type are reported with their line here; the ``Config`` takes each key the
+    document does not set from its default, and runs the range and cross-field checks.
     """
     values: dict[str, Any] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -201,14 +203,11 @@ def parse_config(text: str) -> Config:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        entry = _KEYS[key]
+        parse = {bool: _parse_bool, int: int, float: float}[type(_KEYS[key][0])]
         try:
-            value = entry.parse(raw_value)
+            values[key] = parse(raw_value)
         except ValueError:
-            raise ConfigError(
-                f"line {lineno}: key {key!r}: cannot parse {raw_value!r}"
-            ) from None
-        values[key] = value
+            raise ConfigError(f"line {lineno}: key {key!r}: cannot parse {raw_value!r}") from None
     return Config(values=values)
 
 
@@ -221,10 +220,8 @@ def _cross_check(v: dict[str, Any]) -> None:
         raise ConfigError("key 'growth.lag_high_min': must be >= growth.lag_low_min")
     if not (1 <= v["compare.auto_start_day"] <= v["compare.auto_end_day"]
             <= v["compare.total_days"]):
-        raise ConfigError(
-            "key 'compare.auto_start_day': regime timeline must satisfy "
-            "1 <= auto_start_day <= auto_end_day <= total_days"
-        )
+        raise ConfigError("key 'compare.auto_start_day': regime timeline must satisfy 1 <= "
+                          "compare.auto_start_day <= compare.auto_end_day <= compare.total_days")
     if v["compare.auto_start_day"] == 1 and v["compare.auto_end_day"] == v["compare.total_days"]:
         raise ConfigError(
             "key 'compare.auto_start_day': the wilt-controlled period covers all "
@@ -235,8 +232,9 @@ def _cross_check(v: dict[str, Any]) -> None:
     if last_sample >= v["control.window_end_min"]:
         raise ConfigError(
             f"key 'monitor.sample_count': last sample at minute {last_sample} of the day "
-            f"is past the control window ending at {v['control.window_end_min']}"
-        )
+            "(control.window_start_min + (sample_count - 1) * monitor.sample_interval_min) "
+            f"is past the control window ending at {v['control.window_end_min']} "
+            "(control.window_end_min)")
 
 
 def load_config(path: str) -> Config:
@@ -250,6 +248,6 @@ def dump_defaults() -> str:
     for section, entries in groupby(_KEYS.items(), key=lambda item: item[0].split(".", 1)[0]):
         lines.append(f"# {section}")
         # A float's str is its repr; a bool lowers to true/false.
-        lines.extend(f"{key} = {str(entry.default).lower()}" for key, entry in entries)
+        lines.extend(f"{key} = {str(default).lower()}" for key, (default, _) in entries)
         lines.append("")
     return "\n".join(lines)

@@ -5,14 +5,14 @@ of each day. At every later sample it computes
 
     wilt_degree = (reference_width - width) / reference_width
 
-and commands the pump ON for ``timer_on_min`` minutes iff wilt_degree
+and commands the pump ON for ``Schedule.pump_on_min`` minutes iff wilt_degree
 exceeds the threshold (strictly) AND the width shrank since the previous
 sample (strictly). The second conjunct keeps the controller from
 re-watering while the plant is already responding: widths stop shrinking
 shortly after an irrigation, so the next sample sees a non-decreasing
 width even though the wilt degree may still read above threshold.
 
-The timer baseline pumps for ``timer_on_min`` minutes at each of its
+The timer baseline pumps for ``pump_on_min`` minutes at each of its
 instants, ``Schedule.timer_times``: every timer period inside the daytime
 window.
 """
@@ -42,13 +42,14 @@ class PumpCommand:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Sampling and timer cadence; the window is half-open [start, end)."""
+    """Sampling and pump cadence; the window is half-open [start, end). Each field but
+    ``sample_interval_min`` is the ``control.*`` config key of its name."""
 
     sample_interval_min: int
     window_start_min: int
     window_end_min: int
     timer_period_min: int
-    timer_on_min: float
+    pump_on_min: float
 
     def in_window(self, now_min: float) -> bool:
         m = now_min % MINUTES_PER_DAY
@@ -103,8 +104,8 @@ def spa_tick(state: ControllerState, width_cm: float, now_min: float,
     if pump_running:
         command = PumpCommand(Action.HOLD)
     elif degree > wilt_threshold and shrank:
-        command = PumpCommand(Action.ON, schedule.timer_on_min)
-        deadline = now_min + schedule.timer_on_min
+        command = PumpCommand(Action.ON, schedule.pump_on_min)
+        deadline = now_min + schedule.pump_on_min
     else:
         command = PumpCommand(Action.OFF)
 
@@ -115,4 +116,4 @@ def spa_tick(state: ControllerState, width_cm: float, now_min: float,
 
 def timer_tick(schedule: Schedule) -> PumpCommand:
     """Baseline regime: the command at each of the timer's instants, ``Schedule.timer_times``."""
-    return PumpCommand(Action.ON, schedule.timer_on_min)
+    return PumpCommand(Action.ON, schedule.pump_on_min)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, event, example, given, settings, strategies as st
 
 from fertisim.cli import main
-from fertisim.config import _KEYS, default_config, parse_config
+from fertisim.config import _KEYS, _in_range, default_config, parse_config
 from fertisim.render import BACKGROUND
 from oracle import rasterize
 from outputs import tree
@@ -380,20 +380,20 @@ def test_frame_fit_error_names_the_first_failing_sample_in_a_real_process(tmp_pa
 
 # The keys that set how much a run simulates, and their caps: a config that
 # does not draw one of them sets it to its cap, so every example stays small.
-# Every other key keeps its default or ranges over all its check accepts.
+# Every other key keeps its default or ranges over all its range admits.
 SIZE_CAPS = {"compare.plants": 2, "compare.total_days": 49, "growth_exp.group_size": 2,
              "growth_exp.days": 43, "monitor.sample_count": 26}
 
 
 def _key_values(key):
-    entry = _KEYS[key]
-    if isinstance(entry.default, bool):
+    default, rng = _KEYS[key]
+    if isinstance(default, bool):
         values = st.booleans()
-    elif isinstance(entry.default, int):
+    elif isinstance(default, int):
         values = st.integers(max_value=SIZE_CAPS.get(key))
     else:
         values = st.floats()
-    return values.filter(entry.check)
+    return values.filter(lambda value: _in_range(value, rng))
 
 
 def _render(value):

@@ -4,6 +4,7 @@ import re
 from dataclasses import fields
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from fertisim.config import Config, ConfigError, default_config, dump_defaults, parse_config
 from fertisim.control import Schedule
@@ -106,6 +107,39 @@ def test_hand_built_config_is_validated_and_read_only():
     with pytest.raises(TypeError):
         cfg.values["compare.plants"] = 0
     assert Config(values={**cfg.values, "compare.plants": 8})["compare.plants"] == 8
+
+
+DEFAULTS = default_config().values
+
+
+# Strings come from a small alphabet: a first draw from all of unicode builds a cache slowly
+# enough to fail hypothesis's health check on a fresh checkout.
+@given(values=st.dictionaries(
+    st.sampled_from(sorted(DEFAULTS)),
+    st.one_of(st.integers(), st.floats(), st.booleans(), st.text("0123456789.e-+aflnrstu"),
+              st.none())))
+@example(values={"output.dump_frames": "false"})  # a truthy string would dump every frame
+@example(values={"compare.plants": 7.5})
+@example(values={"compare.plants": True})
+@example(values={"sim.seed": 4.2})
+@example(values={"camera.focal_px": "x"})
+@example(values={"camera.focal_px": None})
+@example(values={"camera.focal_px": 480})  # an int for a float key is that float
+@example(values={"camera.focal_px": 10**400})  # an int too large for a float
+# A cross-field error names each key it reads.
+@example(values={"compare.total_days": 5})
+@example(values={"monitor.sample_interval_min": 100})
+def test_hand_built_config_checks_each_value_type(values):
+    # A Config built in Python either holds a value of its default's type for every key, or
+    # is one ConfigError that names a key it was given.
+    try:
+        cfg = Config(values=values)
+    except ConfigError as exc:
+        assert any(key in str(exc) for key in values), (str(exc), values)
+        return
+    for key, default in DEFAULTS.items():
+        assert type(cfg[key]) is type(default), (key, cfg[key])
+        assert cfg[key] == values.get(key, default), key
 
 
 def test_unknown_key_rejected():

@@ -25,7 +25,7 @@ class TestCalibrateFlow:
         activations = len(schedule.timer_times(0))
         assert activations == 18
         flow = default_config()["pump.flow_l_per_min"]
-        assert flow * activations * schedule.timer_on_min == pytest.approx(101.6)
+        assert flow * activations * schedule.pump_on_min == pytest.approx(101.6)
         assert flow == pytest.approx(1.8815, abs=5e-4)
 
     def test_round_numbers(self, schedule):

@@ -136,6 +136,16 @@ class TestMonitoringTrace:
         events = csv_rows(tmp_path / "pump_events.csv")
         assert events and int(events[0]["offset_min"]) < 255
 
+    def test_event_minute_never_rises_with_demand(self, tmp_path):
+        # Seed 42: more demand wilts the plant sooner, so its one event comes no later.
+        rates = [0.0025, 0.0028, 0.0029, 0.003, 0.0031, 0.0032, 0.0035]
+        offsets = []
+        for rate in rates:
+            out = tmp_path / str(rate)
+            run_monitoring_trace(parse_config(f"monitor.peak_loss_rate = {rate}\n"), out)
+            offsets.append([int(row["offset_min"]) for row in csv_rows(out / "pump_events.csv")])
+        assert offsets == [[285], [270], [255], [255], [255], [240], [225]]
+
     def test_trace_wilt_column_tracks_reference(self, cfg, tmp_path):
         run_monitoring_trace(cfg, tmp_path)
         cm_per_px = capture_distance(cfg["monitor.start_day"]) / cfg.camera().focal_px
