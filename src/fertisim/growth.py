@@ -12,6 +12,8 @@ vision pipeline later picks up as wilt.
 A step of any length is three closed-form turgor pieces (drain, recovery in
 the recovery window, drain) under a demand integral exact over any span, so
 one long step equals many short ones to rounding and scenarios jump freely.
+``step_through`` steps a state through a run of instants with the same
+pieces, building no state per instant.
 
 One ``PlantState`` also holds a whole population. Every plant in a run
 shares the demand, the irrigation instants and the uptake lag, so turgor
@@ -24,12 +26,13 @@ touches only the shared scalars: age, turgor and the recovery deadline.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .seeding import unit_hash
+from .seeding import unit_hash, unit_hashes
 
 MINUTES_PER_DAY = 1440.0
 
@@ -157,6 +160,12 @@ def irrigation_lag(seed: int, now_min: float, params: GrowthParams) -> float:
     return params.lag_low_min + (params.lag_high_min - params.lag_low_min) * u
 
 
+def irrigation_lags(seed: int, instants: Iterable[float], params: GrowthParams) -> list[float]:
+    """``irrigation_lag`` at each of ``instants``, the seed's hash prefix computed once."""
+    us = unit_hashes((seed, _LAG_STREAM), instants)  # each instant truncated to int, as above
+    return [params.lag_low_min + (params.lag_high_min - params.lag_low_min) * u for u in us]
+
+
 def sizes(state: PlantState, params: GrowthParams) -> tuple[float | np.ndarray, float | np.ndarray]:
     """Heights and visible canopy widths of the plants.
 
@@ -193,21 +202,49 @@ def advance(state: PlantState, dt_min: float, demand: DemandProfile,
     """
     if dt_min <= 0.0:
         raise ValueError("dt_min must be > 0")
-    turgor = _integrate_turgor(state, dt_min, demand, state.age_min % MINUTES_PER_DAY, params)
+    turgor = _integrate_turgor(state.turgor, state.age_min, state.recovery_deadline_min, dt_min,
+                               demand, params)
     return PlantState(state.age_min + dt_min, state.seedling_height_cm, state.seedling_width_cm,
                       turgor, state.rate_per_min, state.recovery_deadline_min)
 
 
-def _integrate_turgor(state: PlantState, dt: float, demand: DemandProfile,
-                      clock0: float, params: GrowthParams) -> float:
+def step_through(state: PlantState, instants: Sequence[float], demand: DemandProfile,
+                 params: GrowthParams, lags: Sequence[float] | None = None
+                 ) -> tuple[list[float], list[float], PlantState]:
+    """Step ``state`` through ascending absolute ``instants``, building no state on the way.
+
+    Returns each instant's age and turgor and the state at the last instant: what a chain
+    of ``advance`` calls to each instant gives, bit for bit, an instant not past the age
+    being skipped. With ``lags`` (``irrigation_lags``), each instant also irrigates, as
+    ``apply_irrigation(state, instant, lag)`` once the state is stepped to it.
+    """
+    age, turgor, deadline = state.age_min, state.turgor, state.recovery_deadline_min
+    ages, turgors = [], []
+    for i, now in enumerate(instants):
+        if now > age:
+            dt = now - age
+            turgor = _integrate_turgor(turgor, age, deadline, dt, demand, params)
+            age += dt
+        ages.append(age)
+        turgors.append(turgor)
+        if lags is not None:
+            deadline = now + lags[i]
+    return ages, turgors, PlantState(age, state.seedling_height_cm, state.seedling_width_cm,
+                                     turgor, state.rate_per_min, deadline)
+
+
+def _integrate_turgor(turgor: float, age: float, deadline: float | None, dt: float,
+                      demand: DemandProfile, params: GrowthParams) -> float:
+    """Turgor ``dt`` minutes after ``age``, from ``turgor`` there and the recovery deadline."""
     # Offsets from the step start: drain over [0, lo], recovery toward 1 over [lo, hi]
     # (the recovery window clipped to the step, empty without one), drain over [hi, dt].
+    clock0 = age % MINUTES_PER_DAY
     lo = hi = dt
-    if state.recovery_deadline_min is not None:
-        rec_lo = state.recovery_deadline_min - state.age_min
+    if deadline is not None:
+        rec_lo = deadline - age
         lo = min(max(rec_lo, 0.0), dt)
         hi = min(max(rec_lo + params.recovery_duration_min, 0.0), dt)
-    turgor = state.turgor * math.exp(-demand.loss_integral(clock0, clock0 + lo))
+    turgor = turgor * math.exp(-demand.loss_integral(clock0, clock0 + lo))
     if hi > lo:
         turgor = 1.0 - (1.0 - turgor) * math.exp(-(hi - lo) / params.recovery_tau_min)
     if hi < dt:

@@ -23,6 +23,7 @@ plus seed reproduces byte-identical output files.
 
 from __future__ import annotations
 
+import copy
 import logging
 import math
 from collections import deque
@@ -41,9 +42,11 @@ from .growth import (
     advance,
     apply_irrigation,
     irrigation_lag,
+    irrigation_lags,
     make_seedling,
     plant_rate_scale,
     sizes,
+    step_through,
 )
 from .ledger import WaterLedger, savings
 from .ppm import write_ppm
@@ -141,7 +144,8 @@ class _Run:
 
     The growth experiment and the comparison make their seedlings with
     ``population``; the monitor makes its one plant with ``make_seedling``.
-    The scenarios drive them with three steps: ``step_to`` a later instant,
+    The scenarios drive them with three steps: ``step_to`` a later instant
+    (a compare timer day steps its instants in one ``growth.step_through``),
     ``wilt_samples`` (a day's camera samples under the wilt rule) and
     ``capture`` (project every plant at the end of a day in one
     ``render.project`` call, then measure each).
@@ -183,9 +187,6 @@ class _Run:
             raise ValueError("pumped volume overflows to inf liters: lower pump.flow_l_per_min "
                              "or control.pump_on_min")
 
-    def irrigate(self, pop: PlantState, now: float) -> PlantState:
-        return apply_irrigation(pop, now, irrigation_lag(self.seed, now, self.gp))
-
     def measure_frame(self, runs: RowMask, day: int, distance: float, key: tuple[float, int],
                       sample: int | None = None) -> Morphometry | None:
         """Frame a silhouette projected from ``distance`` (noise keyed by ``key``: minute, plant)
@@ -209,16 +210,16 @@ class _Run:
         Each sample frames plant 0 (frame k goes to ``frames``, if the run dumps them) and ticks
         the rule; an ON irrigates and logs a pump event ``now - start_min`` minutes into the
         session, numbered by its sample if ``by_sample``, else by its trace row. Up to
-        ``_WINDOW`` instants are stepped as if the pump stays off and projected in one pass;
-        an ON drops the rest. A window that raises ValueError is redone one instant at a time.
+        ``_WINDOW`` instants are stepped as if the pump stays off (``step_through``) and
+        projected in one pass; an ON drops the rest, and only its instant's state is built. A
+        window that raises ValueError is redone one instant at a time.
         """
         day = int(times.start // MINUTES_PER_DAY)
         distance, k, span = capture_distance(day), 0, _WINDOW
         while k < len(times):
-            instants, state = times[k:k + span], pop
-            track = [state := self.step_to(state, now) for now in instants]
-            plant0 = replace(pop, age_min=np.array([s.age_min for s in track]),
-                             turgor=np.array([s.turgor for s in track]),
+            instants = times[k:k + span]
+            ages, turgors, last = step_through(pop, instants, self.demand, self.gp)
+            plant0 = replace(pop, age_min=np.array(ages), turgor=np.array(turgors),
                              rate_per_min=pop.rate_per_min[:1])
             try:
                 silhouettes = project(*sizes(plant0, self.gp), self.cam, distance)
@@ -227,7 +228,7 @@ class _Run:
                     raise
                 span = 1
                 continue
-            for now, pop, runs in zip(instants, track, silhouettes):
+            for now, age, turgor, runs in zip(instants, ages, turgors, silhouettes):
                 sample, k = k, k + 1
                 index = sample if by_sample else len(self.rows)
                 morpho = self.measure_frame(runs, day, distance, (now, 0), sample)
@@ -242,8 +243,11 @@ class _Run:
                     cmd.action.value, _fmt(self.ledger.total_liters())])
                 if cmd.action is Action.ON:
                     self.events.append([str(index), str(int(now)), str(int(now - start_min))])
-                    pop = self.irrigate(pop, now)
+                    pop = apply_irrigation(replace(pop, age_min=age, turgor=turgor), now,
+                                           irrigation_lag(self.seed, now, self.gp))
                     break
+            else:
+                pop = last
         return pop
 
     def capture(self, pop: PlantState, day: int) -> tuple[float, float]:
@@ -388,11 +392,17 @@ def run_fertigation_comparison(cfg: Config, out_dir: str | Path) -> ScenarioResu
     auto_start = cfg["compare.auto_start_day"] - 1  # the wilt-controlled period's first day
     auto_end = cfg["compare.auto_end_day"]
 
-    # The main run ends before the control starts, so a run's first error is the main run's.
-    main, heights, ends = _run_spans(cfg, [("timer", range(auto_start)),
-                                           ("auto", range(auto_start, auto_end)),
-                                           ("timer", range(auto_end, total_days))])
-    _, control_heights, _ = _run_spans(cfg, [("timer", range(total_days))])
+    main = _Run(cfg, cfg.demand("demand.peak_loss_rate"),
+                cfg.schedule(cfg["compare.sample_interval_min"]))
+    seedlings = main.population(EcBand.NORMAL, _COMPARE_GROUP_INDEX, cfg["compare.plants"])
+    fork, heights, shared = _run_days(main, seedlings, "timer", range(auto_start))
+    # The all-timer control's days so far are these: it forks here, with a copy of the ledger.
+    control = _Run(cfg, main.demand, main.schedule, ledger=copy.deepcopy(main.ledger))
+    pop, auto, _ = _run_days(main, fork, "auto", range(auto_start, auto_end))
+    _, late, _ = _run_days(main, pop, "timer", range(auto_end, total_days))
+    main.check_volume()
+    # The main run ends before the control goes on, so a run's first error is the main run's.
+    control_heights = _run_control(control, fork, shared, range(auto_start, total_days))
 
     ledger = main.ledger
     timer_mean = ledger.mean_liters_per_day("timer")
@@ -400,7 +410,8 @@ def run_fertigation_comparison(cfg: Config, out_dir: str | Path) -> ScenarioResu
     saved = savings(timer_mean, auto_mean)
 
     # The last capture before the wilt-controlled period and its last; both runs share capture days.
-    lo, hi = max(ends[0] - 1, 0), ends[1] - 1
+    lo, hi = max(len(heights) - 1, 0), len(heights) + len(auto) - 1
+    heights += auto + late
     auto_inc, ctrl_inc = (series[hi][1] - series[lo][1] for series in (heights, control_heights))
 
     files = {name: (["capture_day", "mean_height_cm", "mean_width_cm"],
@@ -432,34 +443,43 @@ def run_fertigation_comparison(cfg: Config, out_dir: str | Path) -> ScenarioResu
     }, events=main.events, savings_fraction=saved)
 
 
-def _run_spans(cfg: Config, spans: list[tuple[str, range]]
-               ) -> tuple[_Run, list[tuple[int, float, float]], list[int]]:
-    """A compare population run through ``spans`` of days, each ``(regime, days)``; returns
-    the run, its captures and how many captures it holds at the end of each span.
+def _run_days(run: _Run, pop: PlantState, regime: str, days: range
+              ) -> tuple[PlantState, list[tuple[int, float, float]], list[tuple[int, PlantState]]]:
+    """A compare population ``pop`` run through ``days`` under ``regime``; returns it at the
+    end, each capture day's (day, mean height, mean width) and the population measured then.
 
-    Timer days step the population from timer instant to timer instant;
-    wilt-controlled ("auto") days step it from camera sample to camera sample,
-    and time pump events from the start of their span.
+    A timer day steps the population through its timer instants in one ``step_through``,
+    irrigating at each; a wilt-controlled ("auto") day steps it from camera sample to camera
+    sample, and times pump events from the start of ``days``.
     """
-    run = _Run(cfg, cfg.demand("demand.peak_loss_rate"),
-               cfg.schedule(cfg["compare.sample_interval_min"]))
     schedule = run.schedule
-    pop = run.population(EcBand.NORMAL, _COMPARE_GROUP_INDEX, cfg["compare.plants"])
-    heights, ends = [], []
-    for regime, days in spans:
-        for day in days:
-            run.ledger.register_day(day, regime)
-            if regime == "auto":
-                pop = run.wilt_samples(pop, schedule.sample_times(day),
-                                       days.start * MINUTES_PER_DAY)
-            else:
-                for now in schedule.timer_times(day):
-                    pop = run.step_to(pop, now)
-                    run.ledger.accrue(timer_tick(schedule), now, run.flow_l_per_min, regime)
-                    pop = run.irrigate(pop, now)
-            if day % cfg["compare.capture_every_days"] == 0:
-                pop = run.step_to(pop, (day + 1) * MINUTES_PER_DAY)
-                heights.append((day, *run.capture(pop, day)))
-        ends.append(len(heights))
+    heights, captured = [], []
+    for day in days:
+        run.ledger.register_day(day, regime)
+        if regime == "auto":
+            pop = run.wilt_samples(pop, schedule.sample_times(day), days.start * MINUTES_PER_DAY)
+        else:
+            times = schedule.timer_times(day)
+            _, _, pop = step_through(pop, times, run.demand, run.gp,
+                                     irrigation_lags(run.seed, times, run.gp))
+            for now in times:
+                run.ledger.accrue(timer_tick(schedule), now, run.flow_l_per_min, regime)
+        if day % run.cfg["compare.capture_every_days"] == 0:
+            pop = run.step_to(pop, (day + 1) * MINUTES_PER_DAY)
+            heights.append((day, *run.capture(pop, day)))
+            captured.append((day, pop))
+    return pop, heights, captured
+
+
+def _run_control(run: _Run, pop: PlantState, shared: list[tuple[int, PlantState]], days: range
+                 ) -> list[tuple[int, float, float]]:
+    """The all-timer control's captures, each (day, mean height, mean width).
+
+    The control's days before ``days`` are the main run's: their ``shared`` captures (day,
+    population) are measured again, and the timer then runs through ``days`` from the main
+    run's ``pop`` and ``run``'s ledger (the main run's, copied) at their end.
+    """
+    heights = [(day, *run.capture(shared_pop, day)) for day, shared_pop in shared]
+    _, later, _ = _run_days(run, pop, "timer", days)
     run.check_volume()
-    return run, heights, ends
+    return heights + later

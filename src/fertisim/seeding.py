@@ -8,6 +8,8 @@ independent of call order.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -19,6 +21,10 @@ def _mix(x: int) -> int:
     return x ^ (x >> 31)
 
 
+def _absorb(acc: int, part: int) -> int:
+    return _mix((acc ^ (int(part) & _MASK64)) + 0x9E3779B97F4A7C15)
+
+
 def key_hash(*parts: int) -> int:
     """Map integer keys to a reproducible integer in [0, 2**64).
 
@@ -26,10 +32,16 @@ def key_hash(*parts: int) -> int:
     """
     acc = 0
     for p in parts:
-        acc = _mix((acc ^ (int(p) & _MASK64)) + 0x9E3779B97F4A7C15)
+        acc = _absorb(acc, p)
     return acc
 
 
 def unit_hash(*parts: int) -> float:
     """Map integer keys to a reproducible float in [0, 1)."""
     return (key_hash(*parts) >> 11) * 2.0**-53
+
+
+def unit_hashes(prefix: tuple[int, ...], lasts: Iterable[int]) -> list[float]:
+    """``unit_hash(*prefix, last)`` for each of ``lasts``, the prefix hashed once."""
+    acc = key_hash(*prefix)
+    return [(_absorb(acc, last) >> 11) * 2.0**-53 for last in lasts]

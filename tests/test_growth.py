@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -14,9 +15,11 @@ from fertisim.growth import (
     advance,
     apply_irrigation,
     irrigation_lag,
+    irrigation_lags,
     make_seedling,
     plant_rate_scale,
     sizes,
+    step_through,
 )
 
 CFG = default_config()
@@ -154,6 +157,53 @@ class TestIrrigationResponse:
         assert all(growth_params.lag_low_min <= lag < growth_params.lag_high_min for lag in lags)
         assert irrigation_lag(42, 1234, growth_params) == irrigation_lag(42, 1234, growth_params)
         assert len(set(lags)) > 1
+
+
+class TestStepThrough:
+    _LAG = st.one_of(st.sampled_from([GP.lag_low_min, GP.lag_high_min]),
+                     st.floats(GP.lag_low_min, GP.lag_high_min))
+
+    @settings(max_examples=200, deadline=None)
+    @given(age=st.floats(0.0, 49 * 1440.0), turgor=st.floats(0.0, 1.0),
+           deadline=st.one_of(st.none(), st.floats(-200.0, 200.0)),
+           gaps=st.lists(st.one_of(st.floats(1e-3, 60.0), st.floats(60.0, 3 * 1440.0)),
+                         max_size=12),
+           lags=st.one_of(st.none(), st.lists(_LAG, min_size=13, max_size=13)),
+           peak=st.one_of(st.just(0.0), st.floats(0.0, 0.05)))
+    @example(age=600.0, turgor=1.0, deadline=None, gaps=[30.0] * 12, lags=[GP.lag_low_min] * 13,
+             peak=0.008)  # a timer day's half-hourly instants
+    def test_equals_a_chain_of_advance_and_apply_irrigation(self, age, turgor, deadline, gaps,
+                                                            lags, peak):
+        # The first instant is the state's age, which stepping skips as ``step_to`` does.
+        instants = list(accumulate(gaps, initial=age))
+        lags = None if lags is None else lags[:len(instants)]
+        demand = demand_of(peak)
+        state = replace(make_seedling(GP, rate_scale=np.ones(2)), age_min=age, turgor=turgor,
+                        recovery_deadline_min=None if deadline is None else age + deadline)
+
+        chain, ages, turgors = state, [], []
+        for i, now in enumerate(instants):
+            if now > chain.age_min:
+                chain = advance(chain, now - chain.age_min, demand, GP)
+            ages.append(chain.age_min)
+            turgors.append(chain.turgor)
+            if lags is not None:
+                chain = apply_irrigation(chain, now, lags[i])
+
+        got_ages, got_turgors, last = step_through(state, instants, demand, GP, lags)
+        assert list(map(float.hex, got_ages)) == list(map(float.hex, ages))
+        assert list(map(float.hex, got_turgors)) == list(map(float.hex, turgors))
+        assert last.age_min.hex() == chain.age_min.hex()
+        assert last.turgor.hex() == chain.turgor.hex()
+        assert last.recovery_deadline_min == chain.recovery_deadline_min
+        assert last.rate_per_min is state.rate_per_min
+
+    @given(seed=st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([0, 42, 2**64 - 1])),
+           instants=st.lists(st.one_of(st.integers(0, 100 * 1440), st.floats(0.0, 1e9)),
+                             max_size=20))
+    def test_batched_lags_equal_each_lag_alone(self, seed, instants):
+        assert irrigation_lags(seed, instants, GP) == [irrigation_lag(seed, now, GP)
+                                                       for now in instants]
 
 
 class TestEffectiveWidth:

@@ -9,9 +9,18 @@ import pytest
 
 from fertisim import scenarios
 from fertisim.config import Config, ConfigError, default_config, parse_config
-from fertisim.growth import EcBand, advance, make_seedling, plant_rate_scale, sizes
+from fertisim.growth import (
+    MINUTES_PER_DAY,
+    EcBand,
+    advance,
+    apply_irrigation,
+    irrigation_lag,
+    make_seedling,
+    plant_rate_scale,
+    sizes,
+)
 from fertisim.ppm import read_ppm
-from fertisim.render import FrameFitError, capture_distance
+from fertisim.render import FrameFitError, capture_distance, project, render
 from fertisim.scenarios import (
     run_fertigation_comparison,
     run_growth_experiment,
@@ -239,15 +248,12 @@ class TestComparison:
     def test_growth_outside_the_band_fails_its_check(self, monkeypatch, tmp_path):
         # No config reaches this check while growth ignores the water (ROADMAP item 2),
         # so the control run's heights are doubled: its increment is twice the auto run's.
-        run_spans = scenarios._run_spans
+        run_control = scenarios._run_control
 
-        def doubled_control(cfg, spans):
-            run, heights, ends = run_spans(cfg, spans)
-            if len(spans) == 1:  # the all-timer control
-                heights = [(d, 2.0 * h, w) for d, h, w in heights]
-            return run, heights, ends
+        def doubled_control(*args):
+            return [(d, 2.0 * h, w) for d, h, w in run_control(*args)]
 
-        monkeypatch.setattr(scenarios, "_run_spans", doubled_control)
+        monkeypatch.setattr(scenarios, "_run_control", doubled_control)
         cfg = parse_config("compare.plants = 2\ncompare.total_days = 8\n"
                            "compare.auto_start_day = 3\ncompare.auto_end_day = 6\n")
         result = run_fertigation_comparison(cfg, tmp_path)
@@ -307,6 +313,52 @@ class TestComparison:
             timer_days = [[row for row in csv_rows(out / "daily_usage.csv")
                            if row["regime"] == "timer"] for out in (tmp_path, default)]
             assert timer_days[0] == timer_days[1]
+
+
+def reference_control_heights(cfg):
+    """control_heights.csv's rows for an all-timer control run alone from day 0: stepped
+    instant by instant with ``advance`` and ``apply_irrigation``, and each plant captured with
+    ``project``, ``render``, ``segment`` and ``measure``."""
+    gp, cam, seed = cfg.growth_params(), cfg.camera(), cfg["sim.seed"]
+    demand = cfg.demand("demand.peak_loss_rate")
+    schedule = cfg.schedule(cfg["compare.sample_interval_min"])
+    pop = make_seedling(gp, EcBand.NORMAL, np.array([
+        plant_rate_scale(seed, scenarios._COMPARE_GROUP_INDEX, i, gp)
+        for i in range(cfg["compare.plants"])]))
+
+    def step_to(pop, now):
+        return advance(pop, now - pop.age_min, demand, gp) if now > pop.age_min else pop
+
+    rows = []
+    for day in range(cfg["compare.total_days"]):
+        for now in schedule.timer_times(day):
+            pop = apply_irrigation(step_to(pop, now), now, irrigation_lag(seed, now, gp))
+        if day % cfg["compare.capture_every_days"] == 0:
+            minute, distance = (day + 1) * MINUTES_PER_DAY, capture_distance(day)
+            pop = step_to(pop, minute)
+            measured = []
+            for i, runs in enumerate(project(*sizes(pop, gp), cam, distance)):
+                frame, _ = render(runs, cam, (minute, i))
+                mask = segment(frame, cfg["vision.red_margin"], cleanup=cam.noise_amplitude > 0)
+                measured.append(measure(mask, distance, cam, cfg["vision.min_plant_pixels"]))
+            height = sum(m.height_cm for m in measured) / len(measured)
+            width = sum(m.width_cm for m in measured) / len(measured)
+            rows.append({"capture_day": str(day), "mean_height_cm": f"{height:.6f}",
+                         "mean_width_cm": f"{width:.6f}"})
+    return rows
+
+
+@pytest.mark.parametrize("every", [1, 3])
+@pytest.mark.parametrize("auto_start", [1, 2, 5])
+@pytest.mark.parametrize("seed", [7, 42])
+def test_forked_control_equals_a_control_run_alone(tmp_path, seed, auto_start, every):
+    # The control starts from the main run at the wilt period's first day; before it, it
+    # measures the main run's captures again. Day 0 is shared unless the period starts there.
+    cfg = parse_config(f"sim.seed = {seed}\ncompare.plants = 3\ncompare.total_days = 9\n"
+                       f"compare.auto_start_day = {auto_start}\ncompare.auto_end_day = 7\n"
+                       f"compare.capture_every_days = {every}\n")
+    run_fertigation_comparison(cfg, tmp_path)
+    assert csv_rows(tmp_path / "control_heights.csv") == reference_control_heights(cfg)
 
 
 # A lag of 40 to 60 minutes makes 45-minute samples re-irrigate while the
