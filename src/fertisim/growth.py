@@ -9,11 +9,11 @@ water-demand profile and, after an irrigation plus an uptake lag of
 The visible canopy width shrinks with lost turgor, which is what the
 vision pipeline later picks up as wilt.
 
-A step of any length is three closed-form turgor pieces (drain, recovery in
-the recovery window, drain) under a demand integral exact over any span, so
-one long step equals many short ones to rounding and scenarios jump freely.
-``step_through`` steps a state through a run of instants with the same
-pieces, building no state per instant.
+``advance`` steps a state through a run of absolute instants, building no
+state per instant. A step of any length is three closed-form turgor pieces
+(drain, recovery in the recovery window, drain) under a demand integral
+exact over any span, so one long step equals many short ones to rounding
+and scenarios jump freely.
 
 One ``PlantState`` also holds a whole population. Every plant in a run
 shares the demand, the irrigation instants and the uptake lag, so turgor
@@ -94,14 +94,15 @@ class DemandProfile:
 
         Each day boundary crossed adds a whole window, 2 * peak / w (w = pi / window
         length); each end adds the cosine term at its clock of day, clipped to the window.
+        A span with no daytime in it loses exactly 0.0, an infinite peak included.
         """
         start, end = self.window_start_min, self.window_end_min
         w = math.pi / (end - start)
         day_a, clock_a = divmod(a_min, MINUTES_PER_DAY)
         day_b, clock_b = divmod(b_min, MINUTES_PER_DAY)
         lo, hi = min(max(clock_a, start), end), min(max(clock_b, start), end)
-        return (self.peak_loss_rate / w) * (
-            math.cos(w * (lo - start)) - math.cos(w * (hi - start)) + 2.0 * (day_b - day_a))
+        daytime = math.cos(w * (lo - start)) - math.cos(w * (hi - start)) + 2.0 * (day_b - day_a)
+        return (self.peak_loss_rate / w) * daytime if daytime else 0.0
 
 
 @dataclass(frozen=True)
@@ -192,31 +193,17 @@ def apply_irrigation(state: PlantState, now_min: float, lag_min: float) -> Plant
                       state.turgor, state.rate_per_min, now_min + lag_min)
 
 
-def advance(state: PlantState, dt_min: float, demand: DemandProfile,
-            params: GrowthParams) -> PlantState:
-    """Advance a plant or a population by ``dt_min`` minutes of simulated time.
+def advance(state: PlantState, instants: Sequence[float], demand: DemandProfile,
+            params: GrowthParams, lags: Sequence[float] | None = None
+            ) -> tuple[list[float], list[float], PlantState]:
+    """Step a plant or a population through ascending absolute ``instants`` (minutes).
 
-    The clock of day at the start is the age modulo 1440 (midnight transplant).
-    Sizes follow from the age (``sizes``); the shared turgor drains with the
-    demand and relaxes toward 1 inside the post-irrigation recovery window.
-    """
-    if dt_min <= 0.0:
-        raise ValueError("dt_min must be > 0")
-    turgor = _integrate_turgor(state.turgor, state.age_min, state.recovery_deadline_min, dt_min,
-                               demand, params)
-    return PlantState(state.age_min + dt_min, state.seedling_height_cm, state.seedling_width_cm,
-                      turgor, state.rate_per_min, state.recovery_deadline_min)
-
-
-def step_through(state: PlantState, instants: Sequence[float], demand: DemandProfile,
-                 params: GrowthParams, lags: Sequence[float] | None = None
-                 ) -> tuple[list[float], list[float], PlantState]:
-    """Step ``state`` through ascending absolute ``instants``, building no state on the way.
-
-    Returns each instant's age and turgor and the state at the last instant: what a chain
-    of ``advance`` calls to each instant gives, bit for bit, an instant not past the age
-    being skipped. With ``lags`` (``irrigation_lags``), each instant also irrigates, as
-    ``apply_irrigation(state, instant, lag)`` once the state is stepped to it.
+    Returns each instant's age and turgor and the state at the last instant, building no
+    state on the way; an instant not past the age is skipped, leaving age and turgor as they
+    are. Sizes follow from the age (``sizes``); the shared turgor drains with the demand and
+    relaxes toward 1 inside the post-irrigation recovery window. With ``lags``
+    (``irrigation_lags``), each instant also irrigates, as ``apply_irrigation(state, instant,
+    lag)`` once the state is stepped to it.
     """
     age, turgor, deadline = state.age_min, state.turgor, state.recovery_deadline_min
     ages, turgors = [], []

@@ -46,7 +46,6 @@ from .growth import (
     make_seedling,
     plant_rate_scale,
     sizes,
-    step_through,
 )
 from .ledger import WaterLedger, savings
 from .ppm import write_ppm
@@ -68,7 +67,8 @@ class ScenarioResult:
 
     ``report`` is the one line the CLI prints to stdout, ``failures`` the
     messages of the built-in checks that failed, in order, and
-    ``skipped_samples`` the samples skipped for too few plant pixels.
+    ``skipped_samples`` the samples skipped for too few plant pixels (the
+    comparison's main run and all-timer control together).
     ``events`` are the wilt rule's pump events, as ``pump_events.csv``'s rows
     of cells (none in the growth experiment); ``savings_fraction`` is the
     comparison's alone.
@@ -144,8 +144,8 @@ class _Run:
 
     The growth experiment and the comparison make their seedlings with
     ``population``; the monitor makes its one plant with ``make_seedling``.
-    The scenarios drive them with three steps: ``step_to`` a later instant
-    (a compare timer day steps its instants in one ``growth.step_through``),
+    The scenarios drive them with three steps: ``step_to`` a later instant (one
+    ``growth.advance`` call, as is a compare timer day and a wilt look-ahead window),
     ``wilt_samples`` (a day's camera samples under the wilt rule) and
     ``capture`` (project every plant at the end of a day in one
     ``render.project`` call, then measure each).
@@ -176,10 +176,8 @@ class _Run:
         return make_seedling(self.gp, band, scales)
 
     def step_to(self, pop: PlantState, to_min: float) -> PlantState:
-        """``pop`` advanced to absolute minute ``to_min``; unchanged if it is already there."""
-        if to_min <= pop.age_min:
-            return pop
-        return advance(pop, to_min - pop.age_min, self.demand, params=self.gp)
+        """``pop`` advanced to absolute minute ``to_min``; as it was if it is already there."""
+        return advance(pop, (to_min,), self.demand, self.gp)[2]
 
     def check_volume(self) -> None:
         """ValueError unless the total pumped is finite: then, all accruals being >= 0, all is."""
@@ -210,7 +208,7 @@ class _Run:
         Each sample frames plant 0 (frame k goes to ``frames``, if the run dumps them) and ticks
         the rule; an ON irrigates and logs a pump event ``now - start_min`` minutes into the
         session, numbered by its sample if ``by_sample``, else by its trace row. Up to
-        ``_WINDOW`` instants are stepped as if the pump stays off (``step_through``) and
+        ``_WINDOW`` instants are stepped as if the pump stays off (one ``advance``) and
         projected in one pass; an ON drops the rest, and only its instant's state is built. A
         window that raises ValueError is redone one instant at a time.
         """
@@ -218,7 +216,7 @@ class _Run:
         distance, k, span = capture_distance(day), 0, _WINDOW
         while k < len(times):
             instants = times[k:k + span]
-            ages, turgors, last = step_through(pop, instants, self.demand, self.gp)
+            ages, turgors, last = advance(pop, instants, self.demand, self.gp)
             plant0 = replace(pop, age_min=np.array(ages), turgor=np.array(turgors),
                              rate_per_min=pop.rate_per_min[:1])
             try:
@@ -269,14 +267,15 @@ _TRACE_HEADER = ["timestamp_min", "plant_id", "height_cm", "width_cm", "wilt_deg
 _EVENTS_HEADER = ["sample_index", "timestamp_min", "offset_min"]
 
 
-def _finish(out: Path, run: _Run, report: str, files: dict[str, tuple[list[str], list[list[str]]]],
-            summary: list[str], checks: dict[str, tuple[bool, str]], **result) -> ScenarioResult:
+def _finish(out: Path, skipped: int, report: str,
+            files: dict[str, tuple[list[str], list[list[str]]]], summary: list[str],
+            checks: dict[str, tuple[bool, str]], **result) -> ScenarioResult:
     """Write a finished run's outputs in one step and return its ``ScenarioResult``.
 
     ``files`` maps each CSV's name to its header and rows of cells. ``summary.txt`` gets the
     ``summary`` lines, then a ``key = true|false`` line per check (key: (passed, failure
-    message)); the result holds ``report``, the failed checks' messages in order, the run's
-    skipped samples and ``result`` (``events``, ``savings_fraction``).
+    message)); the result holds ``report``, the failed checks' messages in order, the
+    ``skipped`` samples and ``result`` (``events``, ``savings_fraction``).
     """
     for name, (header, rows) in files.items():
         lines = [",".join(header)] + [",".join(row) for row in rows]
@@ -284,7 +283,7 @@ def _finish(out: Path, run: _Run, report: str, files: dict[str, tuple[list[str],
     summary = summary + [f"{key} = {str(ok).lower()}" for key, (ok, _) in checks.items()]
     (out / "summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
     return ScenarioResult(report, [message for ok, message in checks.values() if not ok],
-                          run.skipped, **result)
+                          skipped, **result)
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +325,8 @@ def run_growth_experiment(cfg: Config, out_dir: str | Path) -> ScenarioResult:
         f"overlap_stop_day = {overlap_stop_day if overlap_stop_day is not None else 'none'}",
         f"skipped_samples = {run.skipped}",
     ]
-    return _finish(out, run, f"growth experiment: {len(rows)} capture days, outputs in {out_dir}",
-                   {"growth_means.csv": (header, rows)}, summary,
+    report = f"growth experiment: {len(rows)} capture days, outputs in {out_dir}"
+    return _finish(out, run.skipped, report, {"growth_means.csv": (header, rows)}, summary,
                    {"ordering_ok": (ordered, "group mean heights violate over > normal > under")})
 
 
@@ -374,7 +373,7 @@ def run_monitoring_trace(cfg: Config, out_dir: str | Path) -> ScenarioResult:
     ]
     report = (f"monitoring session: {len(run.rows)} samples, {len(run.events)} pump event(s) "
               f"at minute(s): {', '.join(offsets) or 'none'}")
-    return _finish(out, run, report,
+    return _finish(out, run.skipped, report,
                    {"trace.csv": (_TRACE_HEADER, run.rows),
                     "pump_events.csv": (_EVENTS_HEADER, run.events)},
                    summary, {}, events=run.events)  # no built-in check
@@ -437,7 +436,7 @@ def run_fertigation_comparison(cfg: Config, out_dir: str | Path) -> ScenarioResu
     growth_ok = abs(auto_inc - ctrl_inc) <= 0.10 * abs(ctrl_inc) if ctrl_inc else auto_inc == 0.0
     report = (f"comparison: timer {timer_mean:.1f} L/day, auto {auto_mean:.1f} L/day, "
               f"savings {saved * 100.0:.1f}%")
-    return _finish(out, main, report, files, summary, {
+    return _finish(out, main.skipped + control.skipped, report, files, summary, {
         "savings_above_0.80": (saved > 0.80, "savings did not exceed 80%"),
         "growth_within_band": (growth_ok, "growth not maintained within 10% of the timer control"),
     }, events=main.events, savings_fraction=saved)
@@ -448,9 +447,9 @@ def _run_days(run: _Run, pop: PlantState, regime: str, days: range
     """A compare population ``pop`` run through ``days`` under ``regime``; returns it at the
     end, each capture day's (day, mean height, mean width) and the population measured then.
 
-    A timer day steps the population through its timer instants in one ``step_through``,
-    irrigating at each; a wilt-controlled ("auto") day steps it from camera sample to camera
-    sample, and times pump events from the start of ``days``.
+    A timer day steps the population through its timer instants in one ``advance``,
+    irrigating at each; a wilt-controlled ("auto") day steps it through its camera samples
+    (``_Run.wilt_samples``), and times pump events from the start of ``days``.
     """
     schedule = run.schedule
     heights, captured = [], []
@@ -460,8 +459,8 @@ def _run_days(run: _Run, pop: PlantState, regime: str, days: range
             pop = run.wilt_samples(pop, schedule.sample_times(day), days.start * MINUTES_PER_DAY)
         else:
             times = schedule.timer_times(day)
-            _, _, pop = step_through(pop, times, run.demand, run.gp,
-                                     irrigation_lags(run.seed, times, run.gp))
+            _, _, pop = advance(pop, times, run.demand, run.gp,
+                                irrigation_lags(run.seed, times, run.gp))
             for now in times:
                 run.ledger.accrue(timer_tick(schedule), now, run.flow_l_per_min, regime)
         if day % run.cfg["compare.capture_every_days"] == 0:

@@ -19,7 +19,6 @@ from fertisim.growth import (
     make_seedling,
     plant_rate_scale,
     sizes,
-    step_through,
 )
 
 CFG = default_config()
@@ -34,9 +33,13 @@ def demand_of(peak):
 
 
 def _run(plant, minutes, demand, step=1.0):
-    for _ in range(int(minutes / step)):
-        plant = advance(plant, step, demand, GP)
-    return plant
+    instants = [plant.age_min + step * k for k in range(1, int(minutes / step) + 1)]
+    return advance(plant, instants, demand, GP)[2]
+
+
+def step_to(state, now, demand):
+    """``state`` stepped to the absolute instant ``now``."""
+    return advance(state, [now], demand, GP)[2]
 
 
 class TestGrowthLaw:
@@ -49,9 +52,9 @@ class TestGrowthLaw:
 
     def test_night_step_grows_height_only(self):
         plant = make_seedling(GP)
-        plant = advance(plant, 180.0, NO_DEMAND, GP)  # park it at 03:00
+        plant = step_to(plant, 180.0, NO_DEMAND)  # park it at 03:00
         before = plant
-        after = advance(plant, 10.0, demand_of(0.01), GP)
+        after = step_to(plant, 190.0, demand_of(0.01))
         assert after.turgor == before.turgor == 1.0
         assert sizes(after, GP)[0] > sizes(before, GP)[0]
 
@@ -66,7 +69,7 @@ class TestGrowthLaw:
     def test_split_advance_matches_single_advance(self, age, turgor, deadline, u, peak,
                                                   window, dt, split):
         first = dt * split
-        assume(0.0 < first < dt)
+        assume(age < age + first < age + dt)
         # ``u`` places the recovery deadline: before the step, anywhere up to one
         # step past its end, or with the recovery window over the split point
         at = {"none": None, "past": age - 3 * GP.recovery_duration_min * u,
@@ -76,27 +79,29 @@ class TestGrowthLaw:
                          peak_loss_rate=peak)
         base = replace(make_seedling(GP), age_min=age, turgor=turgor, recovery_deadline_min=at)
 
-        one = advance(base, dt, demand, GP)
-        two = advance(advance(base, first, demand, GP), dt - first, demand, GP)
+        one = step_to(base, age + dt, demand)
+        two = advance(base, [age + first, age + dt], demand, GP)[2]
         (h1, w1), (h2, w2) = sizes(one, GP), sizes(two, GP)
         assert h1 > sizes(base, GP)[0]
         assert abs(one.turgor - two.turgor) < 1e-12
         assert h2 == pytest.approx(h1, rel=1e-12)
         assert w2 == pytest.approx(w1, rel=1e-12)
 
-    def test_non_positive_dt_rejected(self):
-        plant = make_seedling(GP)
-        with pytest.raises(ValueError):
-            advance(plant, 0.0, NO_DEMAND, GP)
-        with pytest.raises(ValueError):
-            advance(plant, -5.0, NO_DEMAND, GP)
+    @given(age=st.floats(0.0, 49 * 1440.0), turgor=st.floats(0.0, 1.0),
+           back=st.lists(st.floats(0.0, 3 * 1440.0), min_size=1, max_size=5),
+           peak=st.floats(0.0, 0.05))
+    def test_instants_not_past_the_age_leave_the_state(self, age, turgor, back, peak):
+        state = replace(make_seedling(GP), age_min=age, turgor=turgor,
+                        recovery_deadline_min=age - 5.0)
+        instants = [age - b for b in back]
+        ages, turgors, last = advance(state, instants, demand_of(peak), GP)
+        assert ages == [age] * len(instants) and turgors == [turgor] * len(instants)
+        assert last == state
 
     def test_daily_increments_non_decreasing(self):
         plant = make_seedling(GP)
-        heights = [sizes(plant, GP)[0]]
-        for day in range(43):
-            plant = advance(plant, 1440.0, NO_DEMAND, GP)
-            heights.append(sizes(plant, GP)[0])
+        ages, _, _ = advance(plant, [1440.0 * day for day in range(1, 44)], NO_DEMAND, GP)
+        heights = sizes(replace(plant, age_min=np.array([0.0] + ages)), GP)[0].tolist()
         increments = [b - a for a, b in zip(heights, heights[1:])]
         assert all(later >= earlier for earlier, later in zip(increments, increments[1:]))
 
@@ -108,7 +113,7 @@ class TestGrowthLaw:
             for gi, band in enumerate(EcBand)
         }
         for day in range(3, 44, 3):
-            groups = {band: [advance(p, 3 * 1440.0, NO_DEMAND, params) for p in grp]
+            groups = {band: [step_to(p, day * 1440.0, NO_DEMAND) for p in grp]
                       for band, grp in groups.items()}
             means = {band: sum(sizes(p, params)[0] for p in grp) / len(grp)
                      for band, grp in groups.items()}
@@ -119,10 +124,8 @@ class TestIrrigationResponse:
     def test_lag_delays_recovery_under_constant_demand(self):
         plant = make_seedling(GP)
         plant = apply_irrigation(plant, now_min=100.0, lag_min=12.0)
-        trajectory = {0: plant.turgor}
-        for minute in range(1, 151):
-            plant = advance(plant, 1.0, SINE_ALL_DAY, GP)
-            trajectory[minute] = plant.turgor
+        _, turgors, _ = advance(plant, range(1, 151), SINE_ALL_DAY, GP)
+        trajectory = [plant.turgor] + turgors
         assert trajectory[105] < trajectory[100], "still draining during the lag"
         post = [trajectory[m] for m in range(112, 150)]
         assert all(b >= a for a, b in zip(post, post[1:])), "non-decreasing once recovery starts"
@@ -130,7 +133,7 @@ class TestIrrigationResponse:
     def test_fully_turgid_plant_stays_saturated(self):
         plant = make_seedling(GP)
         plant = apply_irrigation(plant, now_min=0.0, lag_min=10.0)
-        plant = advance(plant, 60.0, NO_DEMAND, GP)
+        plant = step_to(plant, 60.0, NO_DEMAND)
         assert plant.turgor == 1.0
 
     def test_reirrigation_before_lag_takes_latest(self):
@@ -143,7 +146,7 @@ class TestIrrigationResponse:
             for minute in range(1, 200):
                 if minute - 1 in irrigation_times:
                     plant = apply_irrigation(plant, float(minute - 1), lag)
-                plant = advance(plant, 1.0, demand, GP)
+                plant = step_to(plant, float(minute), demand)
                 seen.append(plant.turgor)
             return seen
 
@@ -174,7 +177,8 @@ class TestStepThrough:
              peak=0.008)  # a timer day's half-hourly instants
     def test_equals_a_chain_of_advance_and_apply_irrigation(self, age, turgor, deadline, gaps,
                                                             lags, peak):
-        # The first instant is the state's age, which stepping skips as ``step_to`` does.
+        # One call over all instants against a chain of one-instant calls. The first instant
+        # is the state's age, which stepping skips.
         instants = list(accumulate(gaps, initial=age))
         lags = None if lags is None else lags[:len(instants)]
         demand = demand_of(peak)
@@ -184,13 +188,13 @@ class TestStepThrough:
         chain, ages, turgors = state, [], []
         for i, now in enumerate(instants):
             if now > chain.age_min:
-                chain = advance(chain, now - chain.age_min, demand, GP)
+                chain = step_to(chain, now, demand)
             ages.append(chain.age_min)
             turgors.append(chain.turgor)
             if lags is not None:
                 chain = apply_irrigation(chain, now, lags[i])
 
-        got_ages, got_turgors, last = step_through(state, instants, demand, GP, lags)
+        got_ages, got_turgors, last = advance(state, instants, demand, GP, lags)
         assert list(map(float.hex, got_ages)) == list(map(float.hex, ages))
         assert list(map(float.hex, got_turgors)) == list(map(float.hex, turgors))
         assert last.age_min.hex() == chain.age_min.hex()
@@ -248,17 +252,12 @@ class TestInvariants:
     def test_state_stays_physical(self, peak, minutes, seed):
         demand = demand_of(peak)
         plant = make_seedling(GP, rate_scale=plant_rate_scale(seed, 0, 0, GP))
-        prev = plant
-        for step in range(0, minutes, 37):
-            dt = min(37.0, minutes - step)
-            plant = advance(plant, dt, demand, GP)
-            assert 0.0 <= plant.turgor <= 1.0
-            # turgid sizes: the visible width at full turgor
-            turgid = [sizes(replace(p, turgor=1.0), GP) for p in (plant, prev)]
-            (height, width), (prev_height, prev_width) = turgid
-            assert height >= prev_height
-            assert width >= prev_width
-            prev = plant
+        ages, turgors, _ = advance(plant, [*range(37, minutes, 37), minutes], demand, GP)
+        assert all(0.0 <= turgor <= 1.0 for turgor in turgors)
+        # turgid sizes: the visible width at full turgor
+        heights, widths = sizes(replace(plant, age_min=np.array([0.0] + ages), turgor=1.0), GP)
+        assert np.all(np.diff(heights) >= 0.0)
+        assert np.all(np.diff(widths) >= 0.0)
 
     def test_trajectory_is_bit_deterministic(self):
         demand = demand_of(0.004)
@@ -269,7 +268,7 @@ class TestInvariants:
             for minute in range(600):
                 if minute == 300:
                     plant = apply_irrigation(plant, plant.age_min, 12.5)
-                plant = advance(plant, 1.0, demand, GP)
+                plant = step_to(plant, minute + 1.0, demand)
                 out.append((*sizes(plant, GP), plant.turgor))
             return out
 
@@ -300,8 +299,9 @@ class TestPopulation:
                 lag = irrigation_lag(seed, now, GP)
                 pop = apply_irrigation(pop, now, lag)
                 alone = [apply_irrigation(p, now, lag) for p in alone]
-            pop = advance(pop, dt, demand, GP)
-            alone = [advance(p, dt, demand, GP) for p in alone]
+            now = pop.age_min + dt
+            pop = step_to(pop, now, demand)
+            alone = [step_to(p, now, demand) for p in alone]
         heights, turgid = sizes(replace(pop, turgor=1.0), GP)
         widths = sizes(pop, GP)[1]
         for i, single in enumerate(alone):
@@ -356,6 +356,18 @@ class TestDemandProfile:
         numeric = (b - a) / 400_000 * (rates.sum() - 0.5 * (rates[0] + rates[-1]))
         assert demand.loss_integral(a, b) == pytest.approx(numeric, abs=1e-6)
 
+    def test_infinite_peak_loses_nothing_without_daytime(self):
+        # The peak keys accept inf: a span with no daytime in it loses 0.0, not inf * 0 = nan.
+        demand = demand_of(math.inf)
+        for a, b in ((0.0, 480.0), (1020.0, 1440.0 + 480.0), (600.0, 600.0)):
+            assert demand.loss_integral(a, b) == 0.0
+        assert demand.loss_integral(600.0, 601.0) == math.inf
+        # A step wholly inside a recovery window recovers as under any finite peak.
+        plant = replace(make_seedling(GP), age_min=600.0, turgor=0.5, recovery_deadline_min=590.0)
+        turgor = step_to(plant, 610.0, demand).turgor
+        assert turgor == step_to(plant, 610.0, demand_of(1e300)).turgor
+        assert turgor == 1.0 - 0.5 * math.exp(-10.0 / GP.recovery_tau_min)
+
     def test_bad_shape_rejected(self):
         # the half sine is the only shape: naming one is an unknown key
         for shape in ("sine", "flat", "square"):
@@ -378,7 +390,7 @@ def test_stepping_keeps_sizes_positive_and_turgor_a_fraction(steps, peak, band, 
     pop = make_seedling(GP, band, scales)
     for kind, minutes in steps:
         if kind == "advance":
-            pop = advance(pop, minutes, demand_of(peak), GP)
+            pop = step_to(pop, pop.age_min + minutes, demand_of(peak))
         else:
             pop = apply_irrigation(pop, pop.age_min, minutes)
         heights, widths = sizes(pop, GP)
@@ -399,7 +411,7 @@ def test_sizes_equal_the_per_step_product(steps, peak, band, seed, count):
     widths = np.full(5, GP.initial_width_cm)
     for kind, minutes in steps:
         if kind == "advance":
-            pop = advance(pop, minutes, demand_of(peak), GP)
+            pop = step_to(pop, pop.age_min + minutes, demand_of(peak))
             heights = heights * np.exp(pop.rate_per_min * minutes)
             widths = widths * np.exp(GP.width_exponent * pop.rate_per_min * minutes)
         else:
@@ -421,7 +433,7 @@ def test_sizes_at_instants_equal_each_instant_alone(steps, peak, seed):
     states = []
     for kind, minutes in steps:
         if kind == "advance":
-            pop = advance(pop, minutes, demand_of(peak), GP)
+            pop = step_to(pop, pop.age_min + minutes, demand_of(peak))
         else:
             pop = apply_irrigation(pop, pop.age_min, minutes)
         states.append(pop)
@@ -437,7 +449,7 @@ def test_size_overflow_raises_where_it_is_read():
     rates = np.array([1e-3, 1.0])  # the second plant's size overflows by day 1
     pop = PlantState(age_min=0.0, seedling_height_cm=5.0, seedling_width_cm=3.0, turgor=1.0,
                      rate_per_min=rates)
-    pop = advance(pop, 1440.0, NO_DEMAND, GP)  # stepping reads no size, so it cannot overflow
+    pop = step_to(pop, 1440.0, NO_DEMAND)  # stepping reads no size, so it cannot overflow
     height, width = sizes(replace(pop, rate_per_min=pop.rate_per_min[:1]), GP)
     assert height[0] == pytest.approx(5.0 * math.exp(1.44)) and np.isfinite(width[0])
     with pytest.raises(ValueError, match=r"^plant size overflows at age 1440 min$"):

@@ -1,13 +1,14 @@
 """End-to-end behavior of the three bundled experiments."""
 
 import importlib.util
+import logging
 import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fertisim import scenarios
+from fertisim import growth, scenarios
 from fertisim.config import Config, ConfigError, default_config, parse_config
 from fertisim.growth import (
     MINUTES_PER_DAY,
@@ -94,8 +95,7 @@ class TestGrowthExperiment:
         first = None
         for day in range(56):
             t_cap = (day + 1) * 1440.0
-            groups = [advance(g, t_cap - g.age_min, no_demand, params=growth_params)
-                      for g in groups]
+            groups = [advance(g, [t_cap], no_demand, growth_params)[2] for g in groups]
             if any(np.any(sizes(g, growth_params)[1] > 40.0) for g in groups):
                 first = day
                 break
@@ -276,6 +276,14 @@ class TestComparison:
         assert float(written["auto_mean_l_per_day"]) == 0.0
         assert result.savings_fraction == 1.0
 
+    def test_skipped_samples_count_both_runs(self, tmp_path, caplog):
+        # At 3,000 pixels some of six plants' captures are skipped, in the all-timer control too.
+        cfg = parse_config("vision.min_plant_pixels = 3000\ncompare.plants = 6\n")
+        with caplog.at_level(logging.INFO, logger=scenarios.__name__):
+            result = run_fertigation_comparison(cfg, tmp_path)
+        logged = [r for r in caplog.records if "sample skipped" in r.getMessage()]
+        assert logged and result.skipped_samples == len(logged)
+
     def test_timeline_misconfiguration_fails_before_simulation(self):
         with pytest.raises(ConfigError, match="timeline"):
             Config(values={**default_config().values, "compare.auto_end_day": 60})
@@ -317,7 +325,7 @@ class TestComparison:
 
 def reference_control_heights(cfg):
     """control_heights.csv's rows for an all-timer control run alone from day 0: stepped
-    instant by instant with ``advance`` and ``apply_irrigation``, and each plant captured with
+    by one-instant ``advance`` calls and ``apply_irrigation``, and each plant captured with
     ``project``, ``render``, ``segment`` and ``measure``."""
     gp, cam, seed = cfg.growth_params(), cfg.camera(), cfg["sim.seed"]
     demand = cfg.demand("demand.peak_loss_rate")
@@ -326,16 +334,14 @@ def reference_control_heights(cfg):
         plant_rate_scale(seed, scenarios._COMPARE_GROUP_INDEX, i, gp)
         for i in range(cfg["compare.plants"])]))
 
-    def step_to(pop, now):
-        return advance(pop, now - pop.age_min, demand, gp) if now > pop.age_min else pop
-
     rows = []
     for day in range(cfg["compare.total_days"]):
         for now in schedule.timer_times(day):
-            pop = apply_irrigation(step_to(pop, now), now, irrigation_lag(seed, now, gp))
+            pop = advance(pop, [now], demand, gp)[2]
+            pop = apply_irrigation(pop, now, irrigation_lag(seed, now, gp))
         if day % cfg["compare.capture_every_days"] == 0:
             minute, distance = (day + 1) * MINUTES_PER_DAY, capture_distance(day)
-            pop = step_to(pop, minute)
+            pop = advance(pop, [minute], demand, gp)[2]
             measured = []
             for i, runs in enumerate(project(*sizes(pop, gp), cam, distance)):
                 frame, _ = render(runs, cam, (minute, i))
@@ -443,3 +449,40 @@ def test_every_traced_name_is_bound_in_scenarios():
     assert spans.SCENARIO_FUNCTIONS
     for name in spans.SCENARIO_FUNCTIONS:
         assert callable(getattr(scenarios, name, None)), name
+
+
+@pytest.mark.parametrize("scenario, key", [
+    (run_growth_experiment, "growth_exp.peak_loss_rate"),
+    (run_monitoring_trace, "monitor.peak_loss_rate"),
+    (run_fertigation_comparison, "demand.peak_loss_rate")])
+def test_an_infinite_peak_runs_as_a_finite_huge_one(tmp_path, scenario, key):
+    # Any daytime loss at either peak drains turgor to 0; a span with none loses nothing.
+    for peak in ("inf", "1e300"):
+        scenario(parse_config(f"{key} = {peak}\n"), tmp_path / peak)
+    assert tree(tmp_path / "inf") == tree(tmp_path / "1e300")
+
+
+def test_every_turgor_step_is_inside_advance(tmp_path, monkeypatch):
+    # perfbench times the growth layer as the calls to ``advance`` bound in scenarios;
+    # a turgor step taken outside one would be growth time that no traced pass shows.
+    depth, steps, outside = [0], [], []
+    integrate, advance = growth._integrate_turgor, scenarios.advance
+
+    def counted(*args):
+        (steps if depth[0] else outside).append(args)
+        return integrate(*args)
+
+    def traced(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return advance(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(growth, "_integrate_turgor", counted)
+    monkeypatch.setattr(scenarios, "advance", traced)
+    run_fertigation_comparison(parse_config("compare.plants = 2\ncompare.total_days = 8\n"
+                                            "compare.auto_start_day = 3\n"
+                                            "compare.auto_end_day = 6\n"), tmp_path / "compare")
+    run_monitoring_trace(default_config(), tmp_path / "monitor")
+    assert steps and not outside
