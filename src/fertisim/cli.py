@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 
 from .config import Config, default_config, dump_defaults, load_config
 from .growth import PlantState, sizes
@@ -122,11 +123,11 @@ def main(argv: list[str]) -> int:
             return EXIT_ASSERTION if result.failures else EXIT_OK
 
         if args.command == "render-frame":
-            plant = PlantState(age_min=0.0, seedling_height_cm=args.height_cm,
-                               seedling_width_cm=args.width_cm, turgor=args.turgor, rate_per_min=0)
-            width, cam = sizes(plant, cfg.growth_params())[1], cfg.camera()
+            gp = replace(cfg.growth_params(), initial_height_cm=args.height_cm,
+                         initial_width_cm=args.width_cm)
+            width, cam = sizes(PlantState(0.0, args.turgor, 0.0), gp)[1], cfg.camera()
             runs = project([args.height_cm], [width], cam, args.distance)
-            frame, (height_px, width_px, count) = render(runs[0], cam, (plant.age_min, 0))
+            frame, (height_px, width_px, count) = render(runs[0], cam, (0.0, 0))
             write_ppm(frame, args.file)
             print(f"height_px={height_px} width_px={width_px} plant_pixel_count={count}")
             return EXIT_OK

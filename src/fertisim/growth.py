@@ -18,9 +18,10 @@ and scenarios jump freely.
 One ``PlantState`` also holds a whole population. Every plant in a run
 shares the demand, the irrigation instants and the uptake lag, so turgor
 never depends on the plant: the population shares one turgor and differs
-only by growth rate. A state keeps the sizes at transplant and ``sizes``
-gives them in closed form at the state's age and turgor, so stepping
-touches only the shared scalars: age, turgor and the recovery deadline.
+only by growth rate. A state is each plant's rate and three shared scalars
+(age, turgor and the recovery deadline), and stepping touches only the
+scalars. Every plant starts at the transplant sizes in ``GrowthParams``, and
+``sizes`` gives its sizes in closed form at the state's age and turgor.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from enum import Enum
 
 import numpy as np
 
-from .seeding import unit_hash, unit_hashes
+from .seeding import unit_hashes
 
 MINUTES_PER_DAY = 1440.0
 
@@ -110,11 +111,11 @@ class PlantState:
     """Physiological state of one plant, or of a population that shares its turgor.
 
     ``rate_per_min`` is a float for one plant or an array of shape (n,) for a
-    population of n plants; the other fields are shared by every plant. The
-    seedling sizes are the height and turgid width at transplant; ``sizes``
-    gives them at ``age_min``. Age doubles as absolute simulation time:
-    plants are transplanted at t = 0 (midnight), so clock-of-day is age
-    modulo 1440.
+    population of n plants; the other fields are shared by every plant. Every
+    plant is transplanted at ``GrowthParams.initial_height_cm`` and
+    ``initial_width_cm``; ``sizes`` gives its sizes at ``age_min``. Age doubles
+    as absolute simulation time: plants are transplanted at t = 0 (midnight),
+    so clock-of-day is age modulo 1440.
     ``rate_per_min`` is the relative height growth per minute, band and
     jitter included; the turgid width grows at ``width_exponent`` times it.
     ``recovery_deadline_min`` is the absolute time at which post-irrigation
@@ -123,8 +124,6 @@ class PlantState:
     """
 
     age_min: float
-    seedling_height_cm: float
-    seedling_width_cm: float
     turgor: float
     rate_per_min: float | np.ndarray
     recovery_deadline_min: float | None = None
@@ -140,30 +139,24 @@ def make_seedling(params: GrowthParams, band: EcBand = EcBand.NORMAL,
     with np.errstate(over="ignore"):  # an infinite rate is reported where ``sizes`` reads it
         rate = (params.normal_rate_per_day * params.band_multiplier(band) * rate_scale
                 / MINUTES_PER_DAY)
-    return PlantState(age_min=0.0, seedling_height_cm=params.initial_height_cm,
-                      seedling_width_cm=params.initial_width_cm, turgor=1.0, rate_per_min=rate)
+    return PlantState(age_min=0.0, turgor=1.0, rate_per_min=rate)
 
 
-def plant_rate_scale(seed: int, group_index: int, plant_index: int,
-                     params: GrowthParams) -> float:
-    """Deterministic per-plant growth-rate multiplier in 1 +/- jitter."""
-    u = unit_hash(seed, _JITTER_STREAM, group_index, plant_index)
+def rate_scales(seed: int, group_index: int, n_plants: int, params: GrowthParams) -> np.ndarray:
+    """Growth-rate multipliers in 1 +/- jitter of a group's plants 0 .. n_plants - 1, drawn in
+    one pass; plant i's is keyed by ``(seed, group_index, i)``, whatever the group's size."""
+    u = np.array(unit_hashes((seed, _JITTER_STREAM, group_index), range(n_plants)))
     return 1.0 + params.jitter * (2.0 * u - 1.0)
 
 
-def irrigation_lag(seed: int, now_min: float, params: GrowthParams) -> float:
-    """Uptake lag in minutes for an irrigation at ``now_min``, drawn from [low, high).
-
-    Stateless in the irrigation history: re-irrigating at the same instant
-    always yields the same lag.
-    """
-    u = unit_hash(seed, _LAG_STREAM, int(now_min))
-    return params.lag_low_min + (params.lag_high_min - params.lag_low_min) * u
-
-
 def irrigation_lags(seed: int, instants: Iterable[float], params: GrowthParams) -> list[float]:
-    """``irrigation_lag`` at each of ``instants``, the seed's hash prefix computed once."""
-    us = unit_hashes((seed, _LAG_STREAM), instants)  # each instant truncated to int, as above
+    """Uptake lag in minutes, drawn from [low, high), for an irrigation at each of ``instants``.
+
+    A lag is keyed by the seed and its instant truncated to a whole minute, so it is
+    stateless in the irrigation history: re-irrigating at the same instant always yields
+    the same lag.
+    """
+    us = unit_hashes((seed, _LAG_STREAM), instants)  # the hash truncates each to int
     return [params.lag_low_min + (params.lag_high_min - params.lag_low_min) * u for u in us]
 
 
@@ -176,8 +169,8 @@ def sizes(state: PlantState, params: GrowthParams) -> tuple[float | np.ndarray, 
     """
     rate = state.rate_per_min
     with np.errstate(over="ignore"):  # an overflow is reported below, not warned about
-        height = state.seedling_height_cm * np.exp(rate * state.age_min)
-        width = state.seedling_width_cm * np.exp(params.width_exponent * rate * state.age_min)
+        height = params.initial_height_cm * np.exp(rate * state.age_min)
+        width = params.initial_width_cm * np.exp(params.width_exponent * rate * state.age_min)
     if not (np.all(np.isfinite(height)) and np.all(np.isfinite(width))):
         raise ValueError(f"plant size overflows at age {np.min(state.age_min):g} min")
     return height, width * (1.0 - params.s_max * (1.0 - state.turgor))
@@ -189,8 +182,7 @@ def apply_irrigation(state: PlantState, now_min: float, lag_min: float) -> Plant
     A later call always wins, so re-irrigating before the previous lag has
     elapsed simply replaces the pending recovery window.
     """
-    return PlantState(state.age_min, state.seedling_height_cm, state.seedling_width_cm,
-                      state.turgor, state.rate_per_min, now_min + lag_min)
+    return PlantState(state.age_min, state.turgor, state.rate_per_min, now_min + lag_min)
 
 
 def advance(state: PlantState, instants: Sequence[float], demand: DemandProfile,
@@ -216,8 +208,7 @@ def advance(state: PlantState, instants: Sequence[float], demand: DemandProfile,
         turgors.append(turgor)
         if lags is not None:
             deadline = now + lags[i]
-    return ages, turgors, PlantState(age, state.seedling_height_cm, state.seedling_width_cm,
-                                     turgor, state.rate_per_min, deadline)
+    return ages, turgors, PlantState(age, turgor, state.rate_per_min, deadline)
 
 
 def _integrate_turgor(turgor: float, age: float, deadline: float | None, dt: float,

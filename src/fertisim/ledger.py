@@ -25,11 +25,13 @@ class WaterLedger:
     """Per-day irrigation volume accumulator.
 
     Days must be registered (with their regime) before commands arrive, so
-    zero-activation days still count toward the regime mean.
+    zero-activation days still count toward the regime mean. The total is kept
+    as the volumes are accrued, summed in accrual order.
     """
 
     days: dict[int, DailyUsage] = field(default_factory=dict)
     _last_time: float | None = field(default=None, repr=False)
+    _total: float = field(default=0.0, repr=False)
 
     def register_day(self, day: int, regime: str) -> None:
         if day not in self.days:
@@ -44,12 +46,13 @@ class WaterLedger:
         day = int(now_min // MINUTES_PER_DAY)
         self.register_day(day, regime)
         if command.action is Action.ON:
-            row = self.days[day]
-            row.liters += command.duration_min * flow_l_per_min
+            row, liters = self.days[day], command.duration_min * flow_l_per_min
+            row.liters += liters
             row.activations += 1
+            self._total += liters
 
     def total_liters(self) -> float:
-        return sum(row.liters for row in self.days.values())
+        return self._total
 
     def mean_liters_per_day(self, regime: str) -> float:
         rows = [r for r in self.days.values() if r.regime == regime]

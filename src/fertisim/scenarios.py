@@ -41,10 +41,9 @@ from .growth import (
     PlantState,
     advance,
     apply_irrigation,
-    irrigation_lag,
     irrigation_lags,
     make_seedling,
-    plant_rate_scale,
+    rate_scales,
     sizes,
 )
 from .ledger import WaterLedger, savings
@@ -171,9 +170,7 @@ class _Run:
 
     def population(self, band: EcBand, group_index: int, n_plants: int) -> PlantState:
         """Seedling population of one treatment group, with each plant's seeded rate jitter."""
-        scales = np.array([plant_rate_scale(self.seed, group_index, i, self.gp)
-                           for i in range(n_plants)])
-        return make_seedling(self.gp, band, scales)
+        return make_seedling(self.gp, band, rate_scales(self.seed, group_index, n_plants, self.gp))
 
     def step_to(self, pop: PlantState, to_min: float) -> PlantState:
         """``pop`` advanced to absolute minute ``to_min``; as it was if it is already there."""
@@ -217,8 +214,7 @@ class _Run:
         while k < len(times):
             instants = times[k:k + span]
             ages, turgors, last = advance(pop, instants, self.demand, self.gp)
-            plant0 = replace(pop, age_min=np.array(ages), turgor=np.array(turgors),
-                             rate_per_min=pop.rate_per_min[:1])
+            plant0 = PlantState(np.array(ages), np.array(turgors), pop.rate_per_min[:1])
             try:
                 silhouettes = project(*sizes(plant0, self.gp), self.cam, distance)
             except ValueError:  # a later instant's error may not be the first failing sample's
@@ -242,7 +238,7 @@ class _Run:
                 if cmd.action is Action.ON:
                     self.events.append([str(index), str(int(now)), str(int(now - start_min))])
                     pop = apply_irrigation(replace(pop, age_min=age, turgor=turgor), now,
-                                           irrigation_lag(self.seed, now, self.gp))
+                                           irrigation_lags(self.seed, (now,), self.gp)[0])
                     break
             else:
                 pop = last

@@ -36,12 +36,8 @@ def key_hash(*parts: int) -> int:
     return acc
 
 
-def unit_hash(*parts: int) -> float:
-    """Map integer keys to a reproducible float in [0, 1)."""
-    return (key_hash(*parts) >> 11) * 2.0**-53
-
-
 def unit_hashes(prefix: tuple[int, ...], lasts: Iterable[int]) -> list[float]:
-    """``unit_hash(*prefix, last)`` for each of ``lasts``, the prefix hashed once."""
+    """A reproducible float in [0, 1) from ``key_hash(*prefix, last)`` for each of ``lasts``,
+    the prefix hashed once: the top 53 bits of the hash, scaled."""
     acc = key_hash(*prefix)
     return [(_absorb(acc, last) >> 11) * 2.0**-53 for last in lasts]

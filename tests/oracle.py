@@ -1,5 +1,5 @@
 """Reference bitmap rasterizer for the renderer's row runs, the plant sizes tests draw,
-and the bitmap and row list of a ``RowMask``.
+the bitmap and row list of a ``RowMask``, and a plant transplanted at given sizes.
 
 ``rasterize`` is the per-pixel silhouette test the renderer once evaluated
 over the plant's whole bounding box: a pixel belongs to the plant when its
@@ -7,13 +7,16 @@ centre lies in the stem rectangle, in the canopy ellipse or on the ellipse's
 equator chord. The tests hold the renderer's runs to it bit for bit.
 ``paint`` draws a mask as the renderer lays it out, one run per row; ``rows``
 lists a mask's non-empty rows and their pixel counts, which any mask has.
+``transplant`` gives a plant of any transplant sizes, which a state does not hold.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import strategies as st
 
+from fertisim.growth import GrowthParams, PlantState
 from fertisim.render import FRAME_H, FRAME_W, CameraConfig, RowMask
 
 # Projected extents in pixels: sub-pixel, anything that fits, and exactly
@@ -68,3 +71,12 @@ def paint(mask: RowMask) -> np.ndarray:
 def rows(mask: RowMask) -> list[tuple[int, int]]:
     """(row, pixel count) of each non-empty row of the mask."""
     return [(row, count) for row, count in enumerate(mask.count.tolist(), mask.top) if count]
+
+
+def transplant(params: GrowthParams, height_cm: float, width_cm: float, turgor: float = 1.0,
+               age_min: float = 0.0, rate_per_min: float = 0.0
+               ) -> tuple[PlantState, GrowthParams]:
+    """A plant transplanted ``height_cm`` tall and ``width_cm`` wide, at ``age_min`` and
+    ``turgor``: its state, and ``params`` with those transplant sizes, as ``sizes`` takes them."""
+    return (PlantState(age_min, turgor, rate_per_min),
+            replace(params, initial_height_cm=height_cm, initial_width_cm=width_cm))

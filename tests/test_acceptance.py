@@ -165,9 +165,7 @@ def test_criterion_5_vision_oracle():
         age = float(rng.uniform(8.0, 43.0))
         mult = float(rng.uniform(0.76, 1.2075))  # any band with jitter
         turgor = float(rng.uniform(0.6, 1.0))
-        plant = PlantState(age_min=age * 1440.0, seedling_height_cm=gp.initial_height_cm,
-                           seedling_width_cm=gp.initial_width_cm, turgor=turgor,
-                           rate_per_min=rate * mult / 1440.0)
+        plant = PlantState(age_min=age * 1440.0, turgor=turgor, rate_per_min=rate * mult / 1440.0)
         height, _ = sizes(plant, gp)
         d1 = capture_distance(age)
         d2 = None

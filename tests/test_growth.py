@@ -11,15 +11,15 @@ from hypothesis import assume, example, given, settings, strategies as st
 from fertisim.config import ConfigError, default_config, parse_config
 from fertisim.growth import (
     EcBand,
-    PlantState,
     advance,
     apply_irrigation,
-    irrigation_lag,
     irrigation_lags,
     make_seedling,
-    plant_rate_scale,
+    rate_scales,
     sizes,
 )
+from fertisim.seeding import key_hash
+from oracle import transplant
 
 CFG = default_config()
 GP = CFG.growth_params()
@@ -108,8 +108,7 @@ class TestGrowthLaw:
     def test_group_mean_ordering_every_capture_day(self):
         params = GP
         groups = {
-            band: [make_seedling(params, band, plant_rate_scale(11, gi, i, params))
-                   for i in range(20)]
+            band: [make_seedling(params, band, s) for s in rate_scales(11, gi, 20, params)]
             for gi, band in enumerate(EcBand)
         }
         for day in range(3, 44, 3):
@@ -156,9 +155,10 @@ class TestIrrigationResponse:
         assert twice[101:] == once[101:]
 
     def test_lag_draw_is_bounded_and_deterministic(self, growth_params):
-        lags = [irrigation_lag(42, 1000 + k, growth_params) for k in range(50)]
+        lags = irrigation_lags(42, range(1000, 1050), growth_params)
         assert all(growth_params.lag_low_min <= lag < growth_params.lag_high_min for lag in lags)
-        assert irrigation_lag(42, 1234, growth_params) == irrigation_lag(42, 1234, growth_params)
+        once = irrigation_lags(42, [1234], growth_params)
+        assert irrigation_lags(42, [1234], growth_params) == once
         assert len(set(lags)) > 1
 
 
@@ -202,35 +202,57 @@ class TestStepThrough:
         assert last.recovery_deadline_min == chain.recovery_deadline_min
         assert last.rate_per_min is state.rate_per_min
 
-    @given(seed=st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([0, 42, 2**64 - 1])),
-           instants=st.lists(st.one_of(st.integers(0, 100 * 1440), st.floats(0.0, 1e9)),
-                             max_size=20))
-    def test_batched_lags_equal_each_lag_alone(self, seed, instants):
-        assert irrigation_lags(seed, instants, GP) == [irrigation_lag(seed, now, GP)
-                                                       for now in instants]
+
+def _unit(*key):
+    """The scalar draw the batched ones replaced, kept as their reference: the key's
+    full hash, its top 53 bits scaled to [0, 1)."""
+    return (key_hash(*key) >> 11) * 2.0**-53
+
+
+_LAG_STREAM, _JITTER_STREAM = 0x1A6, 0x317  # the draws' stream keys
+
+
+class TestDraws:
+    """Each batched draw equals, bit for bit, the scalar formula on each plant's or
+    instant's own key."""
+
+    _SEED = st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([0, 42, 2**64 - 1]))
+
+    @given(seed=_SEED, instants=st.lists(st.one_of(st.integers(0, 100 * 1440),
+                                                   st.floats(0.0, 1e9)), max_size=20))
+    def test_lags_equal_the_scalar_formula(self, seed, instants):
+        span = GP.lag_high_min - GP.lag_low_min
+        expected = [GP.lag_low_min + span * _unit(seed, _LAG_STREAM, int(now)) for now in instants]
+        got = irrigation_lags(seed, instants, GP)
+        assert list(map(float.hex, got)) == list(map(float.hex, expected))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=_SEED, group=st.one_of(st.integers(0, 3), st.integers(0, 2**64 - 1)),
+           n_plants=st.one_of(st.integers(0, 300), st.sampled_from([0, 1, 60, 300])),
+           jitter=st.one_of(st.just(GP.jitter), st.floats(0.0, 1.0)))
+    def test_rate_scales_equal_the_scalar_formula(self, seed, group, n_plants, jitter):
+        params = replace(GP, jitter=jitter)
+        expected = [1.0 + jitter * (2.0 * _unit(seed, _JITTER_STREAM, group, i) - 1.0)
+                    for i in range(n_plants)]
+        got = rate_scales(seed, group, n_plants, params)
+        assert got.dtype == np.float64 and got.shape == (n_plants,)
+        assert list(map(float.hex, got.tolist())) == list(map(float.hex, expected))
 
 
 class TestEffectiveWidth:
     def test_full_turgor_identity(self):
-        plant = PlantState(age_min=0, seedling_height_cm=50, seedling_width_cm=40, turgor=1.0,
-                           rate_per_min=0.0)
-        assert sizes(plant, GP)[1] == 40.0
+        assert sizes(*transplant(GP, 50, 40, turgor=1.0))[1] == 40.0
 
     def test_zero_turgor_hits_shrink_floor(self):
-        plant = PlantState(age_min=0, seedling_height_cm=50, seedling_width_cm=40, turgor=0.0,
-                           rate_per_min=0.0)
-        assert sizes(plant, GP)[1] == pytest.approx(36.0)
+        assert sizes(*transplant(GP, 50, 40, turgor=0.0))[1] == pytest.approx(36.0)
 
     def test_partial_turgor_formula(self):
-        plant = PlantState(age_min=0, seedling_height_cm=50, seedling_width_cm=40, turgor=0.8,
-                           rate_per_min=0.0)
-        assert sizes(plant, GP)[1] == pytest.approx(40.0 * (1.0 - 0.10 * 0.2))
+        assert sizes(*transplant(GP, 50, 40, turgor=0.8))[1] == pytest.approx(
+            40.0 * (1.0 - 0.10 * 0.2))
 
     @given(turgor=st.floats(0.0, 1.0), width=st.floats(1.0, 100.0))
     def test_bounded_by_shrink_limit(self, turgor, width):
-        plant = PlantState(age_min=0, seedling_height_cm=10, seedling_width_cm=width, turgor=turgor,
-                           rate_per_min=0.0)
-        w = sizes(plant, GP)[1]
+        w = sizes(*transplant(GP, 10, width, turgor))[1]
         assert w <= width
         assert w >= (1.0 - 0.10) * width - 1e-12
         if turgor == 1.0:
@@ -241,9 +263,7 @@ class TestEffectiveWidth:
         lo, hi = min(lo, hi), max(lo, hi)
         if hi - lo < 1e-9:  # below float resolution of the formula
             return
-        make = lambda t: PlantState(age_min=0, seedling_height_cm=10, seedling_width_cm=40,
-                                    turgor=t, rate_per_min=0.0)
-        assert sizes(make(lo), GP)[1] < sizes(make(hi), GP)[1]
+        assert sizes(*transplant(GP, 10, 40, lo))[1] < sizes(*transplant(GP, 10, 40, hi))[1]
 
 
 class TestInvariants:
@@ -251,7 +271,7 @@ class TestInvariants:
     @given(peak=st.floats(0.0, 0.02), minutes=st.integers(1, 2000), seed=st.integers(0, 10))
     def test_state_stays_physical(self, peak, minutes, seed):
         demand = demand_of(peak)
-        plant = make_seedling(GP, rate_scale=plant_rate_scale(seed, 0, 0, GP))
+        plant = make_seedling(GP, rate_scale=rate_scales(seed, 0, 1, GP)[0])
         ages, turgors, _ = advance(plant, [*range(37, minutes, 37), minutes], demand, GP)
         assert all(0.0 <= turgor <= 1.0 for turgor in turgors)
         # turgid sizes: the visible width at full turgor
@@ -290,13 +310,13 @@ class TestPopulation:
     )
     def test_population_matches_plants_advanced_alone(self, band, seed, n, peak, steps):
         demand = demand_of(peak)
-        scales = [plant_rate_scale(seed, 0, i, GP) for i in range(n)]
-        pop = make_seedling(GP, band, np.array(scales))
+        scales = rate_scales(seed, 0, n, GP)
+        pop = make_seedling(GP, band, scales)
         alone = [make_seedling(GP, band, s) for s in scales]
         for dt, irrigate in steps:
             if irrigate:
                 now = pop.age_min
-                lag = irrigation_lag(seed, now, GP)
+                lag = irrigation_lags(seed, [now], GP)[0]
                 pop = apply_irrigation(pop, now, lag)
                 alone = [apply_irrigation(p, now, lag) for p in alone]
             now = pop.age_min + dt
@@ -386,7 +406,7 @@ _STEP = st.one_of(
        band=st.sampled_from(list(EcBand)), seed=st.integers(0, 2**32))
 def test_stepping_keeps_sizes_positive_and_turgor_a_fraction(steps, peak, band, seed):
     # What a per-state check once enforced: states stepped from seedlings stay valid.
-    scales = np.array([plant_rate_scale(seed, 0, i, GP) for i in range(5)])
+    scales = rate_scales(seed, 0, 5, GP)
     pop = make_seedling(GP, band, scales)
     for kind, minutes in steps:
         if kind == "advance":
@@ -405,7 +425,7 @@ def test_stepping_keeps_sizes_positive_and_turgor_a_fraction(steps, peak, band, 
 def test_sizes_equal_the_per_step_product(steps, peak, band, seed, count):
     # Sizes are read from transplant in closed form; stepping them one growth
     # factor at a time, as a per-plant loop would, must give the same sizes.
-    scales = np.array([plant_rate_scale(seed, 0, i, GP) for i in range(5)])
+    scales = rate_scales(seed, 0, 5, GP)
     pop = make_seedling(GP, band, scales)
     heights = np.full(5, GP.initial_height_cm)
     widths = np.full(5, GP.initial_width_cm)
@@ -428,7 +448,7 @@ def test_sizes_equal_the_per_step_product(steps, peak, band, seed, count):
 def test_sizes_at_instants_equal_each_instant_alone(steps, peak, seed):
     # The wilt rule evaluates plant 0 at a window of instants in one call; each
     # entry must be bit-identical to that instant's own evaluation.
-    scales = np.array([plant_rate_scale(seed, 0, i, GP) for i in range(3)])
+    scales = rate_scales(seed, 0, 3, GP)
     pop = make_seedling(GP, EcBand.NORMAL, scales)
     states = []
     for kind, minutes in steps:
@@ -447,17 +467,16 @@ def test_sizes_at_instants_equal_each_instant_alone(steps, peak, seed):
 
 def test_size_overflow_raises_where_it_is_read():
     rates = np.array([1e-3, 1.0])  # the second plant's size overflows by day 1
-    pop = PlantState(age_min=0.0, seedling_height_cm=5.0, seedling_width_cm=3.0, turgor=1.0,
-                     rate_per_min=rates)
+    pop, params = transplant(GP, 5.0, 3.0, rate_per_min=rates)
     pop = step_to(pop, 1440.0, NO_DEMAND)  # stepping reads no size, so it cannot overflow
-    height, width = sizes(replace(pop, rate_per_min=pop.rate_per_min[:1]), GP)
+    height, width = sizes(replace(pop, rate_per_min=pop.rate_per_min[:1]), params)
     assert height[0] == pytest.approx(5.0 * math.exp(1.44)) and np.isfinite(width[0])
     with pytest.raises(ValueError, match=r"^plant size overflows at age 1440 min$"):
-        sizes(pop, GP)
+        sizes(pop, params)
 
 
 def test_rate_jitter_bounded():
     params = GP
-    scales = [plant_rate_scale(7, g, i, params) for g in range(3) for i in range(20)]
+    scales = [s for g in range(3) for s in rate_scales(7, g, 20, params)]
     assert all(0.95 <= s <= 1.05 for s in scales)
     assert len(set(scales)) == len(scales)

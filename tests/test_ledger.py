@@ -71,6 +71,14 @@ class TestAccrue:
         assert ledger.total_liters() == pytest.approx(sum(r.liters for r in ledger.rows()))
         assert ledger.total_liters() == pytest.approx(3.0 * 2.0 * ons)
 
+    def test_total_sums_volumes_in_accrual_order(self):
+        # Not day by day: day 1's two litres sum to 2.0, which 1e16 keeps, where each
+        # litre added to 1e16 alone rounds away.
+        ledger = WaterLedger()
+        for now, flow in ((0.0, 1e16), (1440.0, 1.0), (1441.0, 1.0)):
+            ledger.accrue(PumpCommand(Action.ON, 1.0), now, flow, "timer")
+        assert ledger.total_liters() == (1e16 + 1.0) + 1.0 == 1e16
+
 
 class TestSavings:
     def test_reference_figures(self):

@@ -3,17 +3,16 @@
 import numpy as np
 import pytest
 
-from fertisim.growth import PlantState, sizes
+from fertisim.growth import sizes
 from fertisim.ppm import PpmFormatError, read_ppm, write_ppm
 from fertisim.render import project, render
+from oracle import transplant
 
 
 @pytest.fixture
 def frame(camera, growth_params):
-    plant = PlantState(age_min=0, seedling_height_cm=50, seedling_width_cm=25, turgor=0.9,
-                       rate_per_min=0.0)
-    runs = project([plant.seedling_height_cm], [sizes(plant, growth_params)[1]], camera,
-                   100.0)
+    height, width = sizes(*transplant(growth_params, 50, 25, turgor=0.9))
+    runs = project([height], [width], camera, 100.0)
     return render(runs[0], camera, (0, 0))[0]
 
 

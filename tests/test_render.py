@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from fertisim.config import ConfigError, default_config, parse_config
-from fertisim.growth import PlantState, sizes
+from fertisim.growth import sizes
 from fertisim import render as render_module
 from fertisim.render import (
     BACKGROUND,
@@ -23,7 +23,7 @@ from fertisim.render import (
 )
 from fertisim.seeding import key_hash
 from fertisim.vision import measure, segment
-from oracle import HEIGHT_PX, WIDTH_PX, paint, rasterize
+from oracle import HEIGHT_PX, WIDTH_PX, paint, rasterize, transplant
 
 
 CFG = default_config()
@@ -31,13 +31,14 @@ GP = CFG.growth_params()
 
 
 def plant_of(height_cm, width_cm, turgor=1.0):
-    return PlantState(age_min=0.0, seedling_height_cm=height_cm, seedling_width_cm=width_cm,
-                      turgor=turgor, rate_per_min=0.0)
+    """A transplanted plant, as ``sizes``'s (state, params) arguments."""
+    return transplant(GP, height_cm, width_cm, turgor)
 
 
 def shoot(plant, cam, distance_cm, noise_key=(0, 0)):
     """Frame a plant at its visible width as a population of one, as the scenarios do."""
-    runs = project([plant.seedling_height_cm], [sizes(plant, GP)[1]], cam, distance_cm)
+    height, width = sizes(*plant)
+    runs = project([height], [width], cam, distance_cm)
     return render(runs[0], cam, noise_key)
 
 
@@ -93,8 +94,8 @@ class TestRender:
         plant = plant_of(37.0, 21.0, turgor=0.8)
         frame, (_, _, count) = shoot(plant, camera, 90.0)
         scale = camera.focal_px / 90.0
-        expected = rasterize(camera, plant.seedling_height_cm * scale,
-                             sizes(plant, GP)[1] * scale)
+        height, width = sizes(*plant)
+        expected = rasterize(camera, height * scale, width * scale)
         assert (paint(frame.runs) == expected).all()
 
         is_plant = (frame.pixels == np.array(PLANT_COLOR, np.uint8)).all(axis=2)
@@ -113,7 +114,7 @@ class TestRender:
             plant = plant_of(25.0, 14.0)
             _, (height_px, _, _) = shoot(plant, camera, distance)
             recovered = height_px * distance / camera.focal_px
-            assert abs(recovered - plant.seedling_height_cm) <= 1.0 * distance / camera.focal_px
+            assert abs(recovered - sizes(*plant)[0]) <= 1.0 * distance / camera.focal_px
 
     def test_deterministic(self, camera):
         a, ta = shoot(plant_of(33.3, 17.7, 0.85), camera, 90.0)
@@ -214,17 +215,17 @@ def test_runs_equal_the_bitmap_oracle(plants, canopy_fraction, stem_fraction):
     scale = cam.focal_px / 100.0
     population = [plant_of(h / scale, w / scale, turgor) for h, w, turgor in plants]
     # Float rounding can put a plant a hair past the edge.
-    population = [p for p in population if p.seedling_height_cm * scale <= 480.0
-                  and sizes(p, GP)[1] * scale <= 640.0]
+    population = [p for p in population if sizes(*p)[0] * scale <= 480.0
+                  and sizes(*p)[1] * scale <= 640.0]
     assume(population)
-    heights = np.array([p.seedling_height_cm for p in population])
-    widths = np.array([sizes(p, GP)[1] for p in population])
+    heights = np.array([sizes(*p)[0] for p in population])
+    widths = np.array([sizes(*p)[1] for p in population])
     silhouettes = project(heights, widths, cam, 100.0)
     assert len(silhouettes) == len(population)
 
     for i, (plant, runs) in enumerate(zip(population, silhouettes)):
-        expected = rasterize(cam, plant.seedling_height_cm * scale,
-                             sizes(plant, GP)[1] * scale)
+        height, width = sizes(*plant)
+        expected = rasterize(cam, height * scale, width * scale)
         plant_rows = np.flatnonzero(expected.any(axis=1))
         assert runs.top == plant_rows[0]
         assert runs.top + len(runs.count) == 480

@@ -15,9 +15,9 @@ from fertisim.growth import (
     EcBand,
     advance,
     apply_irrigation,
-    irrigation_lag,
+    irrigation_lags,
     make_seedling,
-    plant_rate_scale,
+    rate_scales,
     sizes,
 )
 from fertisim.ppm import read_ppm
@@ -88,9 +88,7 @@ class TestGrowthExperiment:
 
     def test_default_calibration_first_trips_between_day_40_and_50(self, growth_params,
                                                                     no_demand):
-        groups = [make_seedling(growth_params, band,
-                                np.array([plant_rate_scale(42, gi, i, growth_params)
-                                          for i in range(20)]))
+        groups = [make_seedling(growth_params, band, rate_scales(42, gi, 20, growth_params))
                   for gi, band in enumerate(EcBand)]
         first = None
         for day in range(56):
@@ -330,15 +328,14 @@ def reference_control_heights(cfg):
     gp, cam, seed = cfg.growth_params(), cfg.camera(), cfg["sim.seed"]
     demand = cfg.demand("demand.peak_loss_rate")
     schedule = cfg.schedule(cfg["compare.sample_interval_min"])
-    pop = make_seedling(gp, EcBand.NORMAL, np.array([
-        plant_rate_scale(seed, scenarios._COMPARE_GROUP_INDEX, i, gp)
-        for i in range(cfg["compare.plants"])]))
+    pop = make_seedling(gp, EcBand.NORMAL, rate_scales(seed, scenarios._COMPARE_GROUP_INDEX,
+                                                       cfg["compare.plants"], gp))
 
     rows = []
     for day in range(cfg["compare.total_days"]):
         for now in schedule.timer_times(day):
             pop = advance(pop, [now], demand, gp)[2]
-            pop = apply_irrigation(pop, now, irrigation_lag(seed, now, gp))
+            pop = apply_irrigation(pop, now, irrigation_lags(seed, [now], gp)[0])
         if day % cfg["compare.capture_every_days"] == 0:
             minute, distance = (day + 1) * MINUTES_PER_DAY, capture_distance(day)
             pop = advance(pop, [minute], demand, gp)[2]

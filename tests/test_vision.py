@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from fertisim.config import default_config
 from fertisim.control import ControllerState, spa_tick
-from fertisim.growth import PlantState, sizes
+from fertisim.growth import sizes
 from fertisim.render import (
     BACKGROUND,
     PLANT_COLOR,
@@ -29,7 +29,7 @@ from fertisim.vision import (
     measure,
     segment,
 )
-from oracle import HEIGHT_PX, WIDTH_PX, paint, rows
+from oracle import HEIGHT_PX, WIDTH_PX, paint, rows, transplant
 
 CFG = default_config()
 GP = CFG.growth_params()
@@ -39,9 +39,8 @@ MIN_PIXELS = CFG["vision.min_plant_pixels"]
 
 def shoot(height_cm, width_cm, cam, distance_cm, turgor=1.0):
     """Render a plant at its visible width, as the scenarios do."""
-    plant = PlantState(age_min=0.0, seedling_height_cm=height_cm, seedling_width_cm=width_cm,
-                       turgor=turgor, rate_per_min=0.0)
-    runs = project([height_cm], [sizes(plant, GP)[1]], cam, distance_cm)
+    runs = project([height_cm], [sizes(*transplant(GP, height_cm, width_cm, turgor))[1]], cam,
+                   distance_cm)
     return render(runs[0], cam, (0, 0))
 
 
