@@ -90,22 +90,23 @@ class Frame:
     A render holds only what it drew: ``runs``, the silhouette as a
     ``RowMask`` of one run per row, in ``PLANT_COLOR`` on ``BACKGROUND``, the
     ``CameraConfig`` it was rendered with (whose noise amplitude and seed
-    give its camera noise) and the capture's ``noise_key`` (minute, plant).
+    give its camera noise) and its ``noise_key``, any tuple of integers (the
+    scenarios key a capture by its stream, minute and plant).
 
     ``pixels`` (the full (480, 640, 3) buffer) is built from the runs and the
     noise on first access and cached, so a frame whose pixels are never read
     never hashes its noise seed or draws its noise. Every render is drawn the
-    same way: the int16 noise (all zeros at amplitude 0), plus the background
-    row, plus the plant's difference from it, clipped and cast to uint8 in one
-    pass into the front of the noise buffer. The cache takes no lock:
-    frames are drawn on several threads at once (``scenarios._FrameDump``),
-    and two threads that read one frame's pixels together may both draw
-    them, to the same bytes.
+    same way: the int16 noise (``_noise``; all zeros at amplitude 0), plus the
+    background row, plus the plant's difference from it, clipped and cast to
+    uint8 in one pass into the front of the noise buffer. The cache takes no
+    lock: frames are drawn on several threads at once
+    (``scenarios._FrameDump``), and two threads that read one frame's pixels
+    together may both draw them, to the same bytes.
     """
 
     def __init__(self, pixels: np.ndarray | None = None, distance_cm: float = 0.0,
                  *, runs: RowMask | None = None, cam: CameraConfig | None = None,
-                 noise_key: tuple[int, int] = (0, 0)):
+                 noise_key: tuple[int, ...] = (0, 0)):
         self._pixels = pixels
         self.runs = runs
         self.cam = cam
@@ -133,12 +134,13 @@ class Frame:
         plant = (cols >= first) & (cols < first + count)
         box = (slice(runs.top, runs.top + plant.shape[0]), slice(c0, c0 + plant.shape[1]))
         # The colours are added in the int16 noise buffer: the background as one
-        # whole row, the plant per channel on its box (skipping equal channels).
+        # whole row (less the amplitude ``_noise`` drew the noise above), the plant
+        # per channel on its box (skipping equal channels).
         a = self.cam.noise_amplitude
-        noisy = np.random.default_rng(key_hash(self.cam.noise_seed, *self.noise_key)).integers(
-            -a, a + 1, size=(FRAME_H, FRAME_W, 3), dtype=np.int16)
+        noisy = _noise(key_hash(self.cam.noise_seed, *self.noise_key), a).reshape(
+            FRAME_H, FRAME_W, 3)
         rows = noisy.reshape(FRAME_H, FRAME_W * 3)
-        rows += _BACKGROUND_ROW
+        rows += _BACKGROUND_ROW - a
         for ch in range(3):
             if PLANT_COLOR[ch] != BACKGROUND[ch]:
                 region = noisy[box + (ch,)]
@@ -152,6 +154,33 @@ class Frame:
             np.clip(rows[start:stop], 0, 255, out=out[start:stop], casting="unsafe")
             start, stop = stop, 2 * stop
         return out.reshape(FRAME_H, FRAME_W, 3)
+
+
+def _noise(key: int, amplitude: int) -> np.ndarray:
+    """A frame's camera noise plus ``amplitude``: ``_NOISE_LANES`` int16 values in ``[0, 2a]``.
+
+    The raw 64-bit words of ``PCG64(key)`` (a stream NumPy keeps fixed across
+    releases) are split into 16-bit lanes, low lane first: lane ``j`` of word
+    ``w`` is ``(w >> 16 j) & 0xFFFF``, whatever the host's byte order. Each
+    lane ``u`` becomes ``(u * m) >> 16`` with ``m = 2a + 1``: Lemire's
+    multiply-shift without its rejection step, so no value is more than one
+    count in ``65536 / m`` likelier than another. The lanes are mapped in
+    place, ``_NOISE_BLOCK`` at a time through one uint32 scratch block, so
+    the draw holds one frame-sized buffer. Amplitude 0 is all zeros, drawn
+    without the stream.
+    """
+    if not amplitude:
+        return np.zeros(_NOISE_LANES, "<i2")
+    words = np.random.PCG64(key).random_raw(_NOISE_LANES // 4)
+    lanes = words.astype("<u8", copy=False).view("<u2")  # a copy only on a big-endian host
+    m = np.uint32(2 * amplitude + 1)
+    scratch = np.empty(_NOISE_BLOCK, np.uint32)
+    for start in range(0, lanes.size, _NOISE_BLOCK):
+        block = lanes[start:start + _NOISE_BLOCK]
+        product = scratch[:block.size]
+        np.multiply(block, m, out=product, dtype=np.uint32)  # a uint32 loop under any promotion rules
+        np.right_shift(product, 16, out=block, casting="unsafe")
+    return lanes.view("<i2")
 
 
 def capture_distance(age_days: float) -> float:
@@ -187,12 +216,12 @@ def project(heights_cm: np.ndarray, widths_cm: np.ndarray, cam: CameraConfig,
 
 
 def render(runs: RowMask, cam: CameraConfig,
-           noise_key: tuple[int, int]) -> tuple[Frame, tuple[int, int, int]]:
+           noise_key: tuple[int, ...]) -> tuple[Frame, tuple[int, int, int]]:
     """One plant's frame from its silhouette (``project``), and the silhouette's extents.
 
-    With camera noise, the frame's noise generator is seeded from ``noise_key``,
-    the capture's (minute, plant index), and ``cam.noise_seed``, when its
-    pixels are first read.
+    With camera noise, the frame's noise (``_noise``) is keyed by ``cam.noise_seed``
+    and ``noise_key`` (any tuple of integers; the scenarios pass the capture's
+    stream, minute and plant index), when its pixels are first read.
     """
     return Frame(runs=runs, cam=cam, noise_key=noise_key), runs.extents
 
@@ -257,6 +286,8 @@ _PASS_PLANTS = 16  # plants per pass: keeps a pass's arrays to 16 x 480
 _EDGES = np.array([0.5, -0.5])[:, None, None]  # the pixel beyond a run, and its outermost
 _HALF_W = FRAME_W // 2  # columns on each side of the frame's centre line
 _ROW_CENTRES = np.arange(FRAME_H) + 0.5
+_NOISE_LANES = FRAME_H * FRAME_W * 3  # one 16-bit lane per channel value
+_NOISE_BLOCK = 1 << 16  # lanes mapped per pass: few numpy calls, a 256 KiB scratch block
 _BACKGROUND_ROW = np.tile(np.array(BACKGROUND, dtype=np.int16), FRAME_W)  # one frame row's colours
 _OFFSETS = np.arange(_HALF_W) + 0.5  # pixel centres' distances from the centre line
 # A sub-pixel plant leaves a minimum one-pixel mark at the base.

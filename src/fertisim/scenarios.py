@@ -55,7 +55,11 @@ log = logging.getLogger(__name__)
 
 # Group-index stream of the comparison's plants for the per-plant jitter hash;
 # the growth experiment's groups take the index of their band in ``EcBand``.
+# A population's frames draw their camera noise on its stream: the growth
+# groups' noise is independent, while the comparison's main run and all-timer
+# control share theirs (common random numbers for a paired comparison).
 _COMPARE_GROUP_INDEX = 3
+_MONITOR_STREAM = list(EcBand).index(EcBand.NORMAL)  # the monitor's one normal-band plant
 _WINDOW = 16  # wilt-rule sample instants projected at once: one ``render.project`` pass
 _DUMP_THREADS = 2  # threads drawing and writing dumped frames; also the frames in flight
 
@@ -182,11 +186,13 @@ class _Run:
             raise ValueError("pumped volume overflows to inf liters: lower pump.flow_l_per_min "
                              "or control.pump_on_min")
 
-    def measure_frame(self, runs: RowMask, day: int, distance: float, key: tuple[float, int],
-                      sample: int | None = None) -> Morphometry | None:
-        """Frame a silhouette projected from ``distance`` (noise keyed by ``key``: minute, plant)
-        and measure it; None for a skipped sample (too few plant pixels), counted and logged. A
-        ``sample`` frame then goes to ``frames`` as frame ``sample``, if the run dumps frames."""
+    def measure_frame(self, runs: RowMask, day: int, distance: float,
+                      key: tuple[int, float, int], sample: int | None = None
+                      ) -> Morphometry | None:
+        """Frame a silhouette projected from ``distance`` (noise keyed by ``key``: stream,
+        minute, plant) and measure it; None for a skipped sample (too few plant pixels), counted
+        and logged. A ``sample`` frame then goes to ``frames`` as frame ``sample``, if the run
+        dumps frames."""
         frame, _ = render(runs, self.cam, key)
         mask = segment(frame, self.cfg["vision.red_margin"], cleanup=self.cam.noise_amplitude > 0)
         if sample is not None and self.frames is not None:
@@ -195,19 +201,19 @@ class _Run:
             return measure(mask, distance, self.cam, self.cfg["vision.min_plant_pixels"])
         except NoPlantDetected as exc:
             self.skipped += 1
-            log.info("day %d minute %d plant %d: sample skipped (%s)", day, *key, exc)
+            log.info("day %d minute %d plant %d: sample skipped (%s)", day, *key[1:], exc)
             return None
 
-    def wilt_samples(self, pop: PlantState, times: range, start_min: float,
+    def wilt_samples(self, pop: PlantState, times: range, start_min: float, stream: int,
                      by_sample: bool = False) -> PlantState:
         """Run the wilt rule at one day's sample ``times``; returns the population.
 
-        Each sample frames plant 0 (frame k goes to ``frames``, if the run dumps them) and ticks
-        the rule; an ON irrigates and logs a pump event ``now - start_min`` minutes into the
-        session, numbered by its sample if ``by_sample``, else by its trace row. Up to
-        ``_WINDOW`` instants are stepped as if the pump stays off (one ``advance``) and
-        projected in one pass; an ON drops the rest, and only its instant's state is built. A
-        window that raises ValueError is redone one instant at a time.
+        Each sample frames plant 0 (noise on ``stream``; frame k goes to ``frames``, if the run
+        dumps them) and ticks the rule; an ON irrigates and logs a pump event ``now -
+        start_min`` minutes into the session, numbered by its sample if ``by_sample``, else by
+        its trace row. Up to ``_WINDOW`` instants are stepped as if the pump stays off (one
+        ``advance``) and projected in one pass; an ON drops the rest, and only its instant's
+        state is built. A window that raises ValueError is redone one instant at a time.
         """
         day = int(times.start // MINUTES_PER_DAY)
         distance, k, span = capture_distance(day), 0, _WINDOW
@@ -225,7 +231,7 @@ class _Run:
             for now, age, turgor, runs in zip(instants, ages, turgors, silhouettes):
                 sample, k = k, k + 1
                 index = sample if by_sample else len(self.rows)
-                morpho = self.measure_frame(runs, day, distance, (now, 0), sample)
+                morpho = self.measure_frame(runs, day, distance, (stream, now, 0), sample)
                 if morpho is None:
                     continue
                 self.state, cmd = spa_tick(self.state, morpho.width_cm, now, self.schedule,
@@ -244,12 +250,14 @@ class _Run:
                 pop = last
         return pop
 
-    def capture(self, pop: PlantState, day: int) -> tuple[float, float]:
-        """Mean measured height and width of ``pop``'s measured plants; NoPlantDetected if none."""
+    def capture(self, pop: PlantState, day: int, stream: int) -> tuple[float, float]:
+        """Mean measured height and width of ``pop``'s measured plants, framed with noise on
+        ``stream``; NoPlantDetected if none."""
         minute, distance = (day + 1) * MINUTES_PER_DAY, capture_distance(day)
         silhouettes = project(*sizes(pop, self.gp), self.cam, distance)
         measured = [m for i, runs in enumerate(silhouettes)
-                    if (m := self.measure_frame(runs, day, distance, (minute, i))) is not None]
+                    if (m := self.measure_frame(runs, day, distance, (stream, minute, i)))
+                    is not None]
         if not measured:
             raise NoPlantDetected(
                 f"capture day {day} measured no plant: every frame had fewer than "
@@ -311,7 +319,8 @@ def run_growth_experiment(cfg: Config, out_dir: str | Path) -> ScenarioResult:
                      day, spacing)
             break
 
-        under, normal, over = day_means = [run.capture(pop, day)[0] for pop in pops]
+        under, normal, over = day_means = [run.capture(pop, day, gi)[0]
+                                           for gi, pop in enumerate(pops)]
         ordered = ordered and over > normal > under
         rows.append([str(day), _fmt(capture_distance(day))] + [_fmt(v) for v in day_means])
 
@@ -354,7 +363,7 @@ def run_monitoring_trace(cfg: Config, out_dir: str | Path) -> ScenarioResult:
         run.frames = _FrameDump(out / "frames")
     times = run.schedule.sample_times(start_day)[:cfg["monitor.sample_count"]]
     try:
-        run.wilt_samples(plant, times, times.start, by_sample=True)
+        run.wilt_samples(plant, times, times.start, _MONITOR_STREAM, by_sample=True)
     finally:
         if run.frames is not None:
             run.frames.close()
@@ -452,7 +461,8 @@ def _run_days(run: _Run, pop: PlantState, regime: str, days: range
     for day in days:
         run.ledger.register_day(day, regime)
         if regime == "auto":
-            pop = run.wilt_samples(pop, schedule.sample_times(day), days.start * MINUTES_PER_DAY)
+            pop = run.wilt_samples(pop, schedule.sample_times(day), days.start * MINUTES_PER_DAY,
+                                   _COMPARE_GROUP_INDEX)
         else:
             times = schedule.timer_times(day)
             _, _, pop = advance(pop, times, run.demand, run.gp,
@@ -461,7 +471,7 @@ def _run_days(run: _Run, pop: PlantState, regime: str, days: range
                 run.ledger.accrue(timer_tick(schedule), now, run.flow_l_per_min, regime)
         if day % run.cfg["compare.capture_every_days"] == 0:
             pop = run.step_to(pop, (day + 1) * MINUTES_PER_DAY)
-            heights.append((day, *run.capture(pop, day)))
+            heights.append((day, *run.capture(pop, day, _COMPARE_GROUP_INDEX)))
             captured.append((day, pop))
     return pop, heights, captured
 
@@ -474,7 +484,8 @@ def _run_control(run: _Run, pop: PlantState, shared: list[tuple[int, PlantState]
     population) are measured again, and the timer then runs through ``days`` from the main
     run's ``pop`` and ``run``'s ledger (the main run's, copied) at their end.
     """
-    heights = [(day, *run.capture(shared_pop, day)) for day, shared_pop in shared]
+    heights = [(day, *run.capture(shared_pop, day, _COMPARE_GROUP_INDEX))
+               for day, shared_pop in shared]
     _, later, _ = _run_days(run, pop, "timer", days)
     run.check_volume()
     return heights + later

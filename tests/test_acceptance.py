@@ -102,7 +102,7 @@ def test_criterion_3_monitoring_event(monitor_run):
 # The highest camera-noise amplitude A such that the event stays at minute 255
 # at every amplitude from 0 to A; noisy frames are majority-filtered (README,
 # "Camera noise").
-NOISE_TOLERANCE = 106
+NOISE_TOLERANCE = 118
 
 
 def _monitor_event_offsets(amplitude, out):

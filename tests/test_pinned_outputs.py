@@ -66,7 +66,7 @@ def test_default_render_frame_matches_pinned_digest(tmp_path, capsys):
 # The default monitor with camera noise, dumping every frame: its PPMs pin
 # the per-frame noise keying and the noisy frame build.
 NOISY_MONITOR = "camera.noise_amplitude = 20\noutput.dump_frames = true\n"
-NOISY_MONITOR_DIGEST = "44cfc8fcd5f7420ef26fa08459dfad5f0e9fd28702817a18c20a2d281a2eb447"
+NOISY_MONITOR_DIGEST = "a91388a112fedd97820b1ba7b2c77ef95a159e7402f56c3574846d4a89bd29a6"
 
 
 def test_noisy_monitor_outputs_match_pinned_digest(tmp_path, capsys):

@@ -42,6 +42,15 @@ def shoot(plant, cam, distance_cm, noise_key=(0, 0)):
     return render(runs[0], cam, noise_key)
 
 
+def spec_noise(key, amplitude):
+    """A frame's camera noise, from the raw words of ``PCG64(key)``: lane ``j`` of word ``w``
+    is ``(w >> 16 j) & 0xFFFF``, low lane first, and each lane ``u`` draws
+    ``((u * (2a + 1)) >> 16) - a``."""
+    words = np.random.PCG64(key).random_raw(480 * 640 * 3 // 4)
+    lanes = (words[:, None] >> np.array([0, 16, 32, 48], np.uint64)) & np.uint64(0xFFFF)
+    return ((lanes.reshape(-1).astype(np.int64) * (2 * amplitude + 1)) >> 16) - amplitude
+
+
 class TestCaptureDistance:
     def test_schedule_start(self):
         assert capture_distance(0) == 30.0
@@ -146,9 +155,25 @@ class TestRender:
         noisy, _ = shoot(plant, cam, 100.0, (600, 3))
         clean, extents = shoot(plant, camera, 100.0, (600, 3))
         assert extents[:2] == box_px
-        noise = np.random.default_rng(key_hash(9, 600, 3)).integers(
-            -amplitude, amplitude + 1, size=(480, 640, 3), dtype=np.int16)
+        noise = spec_noise(key_hash(9, 600, 3), amplitude).reshape(480, 640, 3)
         assert (noisy.pixels == np.clip(clean.pixels + noise, 0, 255)).all()
+
+    @pytest.mark.parametrize("amplitude", [1, 20, 255])
+    def test_noise_spans_exactly_its_amplitude(self, amplitude):
+        noise = render_module._noise(key_hash(9, 600, 3), amplitude) - amplitude
+        assert (noise.min(), noise.max()) == (-amplitude, amplitude)
+
+    def test_zero_amplitude_draws_zeros(self):
+        noise = render_module._noise(key_hash(9, 600, 3), 0)
+        assert noise.shape == (480 * 640 * 3,) and not noise.any()
+
+    @pytest.mark.parametrize("block", [1000, 1 << 14, 921600, 1 << 20])
+    def test_noise_does_not_depend_on_the_block_size(self, monkeypatch, block):
+        # 1000 leaves a short last block; 921,600 is the whole frame in one block.
+        want = render_module._noise(key_hash(9, 600, 3), 255)
+        assert (want - 255 == spec_noise(key_hash(9, 600, 3), 255)).all()
+        monkeypatch.setattr(render_module, "_NOISE_BLOCK", block)
+        assert (render_module._noise(key_hash(9, 600, 3), 255) == want).all()
 
     def test_noise_is_drawn_only_when_pixels_are_read(self, camera, monkeypatch):
         # Not even the generator's seed is hashed before the pixels are read.

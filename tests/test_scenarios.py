@@ -28,6 +28,7 @@ from fertisim.scenarios import (
     run_monitoring_trace,
 )
 from fertisim.vision import measure, segment
+from oracle import paint
 from outputs import csv_rows, summary, tree
 
 
@@ -341,7 +342,7 @@ def reference_control_heights(cfg):
             pop = advance(pop, [minute], demand, gp)[2]
             measured = []
             for i, runs in enumerate(project(*sizes(pop, gp), cam, distance)):
-                frame, _ = render(runs, cam, (minute, i))
+                frame, _ = render(runs, cam, (scenarios._COMPARE_GROUP_INDEX, minute, i))
                 mask = segment(frame, cfg["vision.red_margin"], cleanup=cam.noise_amplitude > 0)
                 measured.append(measure(mask, distance, cam, cfg["vision.min_plant_pixels"]))
             height = sum(m.height_cm for m in measured) / len(measured)
@@ -405,10 +406,59 @@ def test_wilt_window_renders_and_writes_each_noisy_frame_once(tmp_path, monkeypa
             run_monitoring_trace(cfg, tmp_path / str(window))
         events = csv_rows(tmp_path / str(window) / "pump_events.csv")
         assert [row["sample_index"] for row in events] == ["9"]
-        assert sorted(renders) == [(720 + 30 * 1440 + k, 0) for k in range(40)]
+        assert sorted(renders) == [(scenarios._MONITOR_STREAM, 720 + 30 * 1440 + k, 0)
+                                   for k in range(40)]
         trees[window] = tree(tmp_path / str(window))
     assert len(trees[1]) == 40 + 3
     assert trees[scenarios._WINDOW] == trees[1]
+
+
+def rendered_frames(monkeypatch, run, cfg, out):
+    """Every frame a scenario run renders, in order, with its noise key's (minute, plant)."""
+    frames, render = [], scenarios.render
+
+    def recorded(runs, cam, key):
+        frame, extents = render(runs, cam, key)
+        frames.append((key[-2:], frame))
+        return frame, extents
+
+    monkeypatch.setattr(scenarios, "render", recorded)
+    run(cfg, out)
+    return frames
+
+
+def background(*frames):
+    """Each frame's pixels outside every one of their silhouettes."""
+    outside = ~np.logical_or.reduce([paint(frame.runs) for frame in frames])
+    return [frame.pixels[outside] for frame in frames]
+
+
+def test_growth_bands_draw_independent_camera_noise(tmp_path, monkeypatch):
+    # One capture day of three 2-plant bands, rendered band by band in EcBand order.
+    cfg = parse_config("camera.noise_amplitude = 100\ngrowth_exp.group_size = 2\n"
+                       "growth_exp.days = 1\n")
+    frames = rendered_frames(monkeypatch, run_growth_experiment, cfg, tmp_path)
+    assert len(frames) == 6
+    for i in range(2):
+        (under_key, under), (normal_key, normal) = frames[i], frames[2 + i]
+        assert under_key == normal_key  # plant i at one capture minute
+        under_bg, normal_bg = background(under, normal)
+        assert (under_bg != normal_bg).any(), i
+
+
+def test_compare_main_and_control_share_camera_noise(tmp_path, monkeypatch):
+    # Plant i's main and control frames at one capture minute, shared days and own days alike.
+    cfg = parse_config("camera.noise_amplitude = 100\ncompare.plants = 2\n"
+                       "compare.total_days = 6\ncompare.auto_start_day = 3\n"
+                       "compare.auto_end_day = 4\n")
+    by_key = {}
+    for key, frame in rendered_frames(monkeypatch, run_fertigation_comparison, cfg, tmp_path):
+        by_key.setdefault(key, []).append(frame)
+    pairs = [frames for key, frames in by_key.items() if key[0] % MINUTES_PER_DAY == 0]
+    assert len(pairs) == 3 * 2 and all(len(frames) == 2 for frames in pairs)  # days 0, 2, 4
+    for main, control in pairs:
+        main_bg, control_bg = background(main, control)
+        assert (main_bg == control_bg).all()
 
 
 def test_a_failure_on_the_control_loop_writes_every_earlier_frame(tmp_path, monkeypatch):
