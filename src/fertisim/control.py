@@ -24,9 +24,6 @@ from enum import Enum
 
 from .growth import MINUTES_PER_DAY
 
-class SchedulingError(RuntimeError):
-    """Controller sampled outside its daytime window."""
-
 
 class Action(Enum):
     ON = "on"
@@ -50,10 +47,6 @@ class Schedule:
     window_end_min: int
     timer_period_min: int
     pump_on_min: float
-
-    def in_window(self, now_min: float) -> bool:
-        m = now_min % MINUTES_PER_DAY
-        return self.window_start_min <= m < self.window_end_min
 
     def sample_times(self, day: int) -> range:
         """In-window camera sample instants (absolute minutes) for one simulation day."""
@@ -84,11 +77,6 @@ class ControllerState:
 def spa_tick(state: ControllerState, width_cm: float, now_min: float,
              schedule: Schedule, wilt_threshold: float) -> tuple[ControllerState, PumpCommand]:
     """One wilt-rule evaluation at an in-window sample instant."""
-    if width_cm <= 0.0:
-        raise ValueError("width_cm must be > 0")
-    if not schedule.in_window(now_min):
-        raise SchedulingError(f"sample at minute {now_min} is outside the daytime window")
-
     day = int(now_min // MINUTES_PER_DAY)
     if state.last_sample_day != day:
         # First sample of the day anchors the morning reference.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .control import Action, PumpCommand
@@ -55,10 +56,8 @@ class WaterLedger:
         return self._total
 
     def mean_liters_per_day(self, regime: str) -> float:
-        rows = [r for r in self.days.values() if r.regime == regime]
-        if not rows:
-            raise ValueError(f"no days for regime {regime!r}")
-        return sum(r.liters for r in rows) / len(rows)
+        liters = [r.liters for r in self.days.values() if r.regime == regime]
+        return math.fsum(liters) / len(liters)
 
     def rows(self) -> list[DailyUsage]:
         return [self.days[d] for d in sorted(self.days)]

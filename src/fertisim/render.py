@@ -77,6 +77,28 @@ class RowMask:
         extents = (int(rows[-1] - rows[0] + 1), int(cols[-1] - cols[0] + 1), int(count.sum()))
         return cls(int(rows[0]), count, extents)
 
+    def majority_filtered(self) -> RowMask:
+        """A projected silhouette's 3x3 majority filter (a pixel is kept iff at least 5 of its
+        neighbourhood are plant, nothing beyond the frame), from its rows' half-widths alone.
+
+        A pixel ``k >= 1`` columns out in a row of half-width ``n`` sees ``clip(n - k + 2, 0, 3)``
+        plant pixels of its row's three, taking ``n = -1`` for an empty row, the rows above and
+        below the silhouette and the sub-pixel mark (one pixel: it filters to nothing). With a
+        row's and its neighbours' half-widths sorted as ``c <= b <= a``, a count of 5 (3+2, 3+1+1
+        or 2+2+1) reaches out to ``max(min(a - 1, b), min(a - 1, c + 1), min(b, c + 1))``.
+        """
+        n = np.full(self.count.size + 2, -1)  # plus the row above (it filters to nothing) and below
+        np.floor_divide(self.count, 2, out=n[1:-1], where=self.count > 1)
+        c, b, a = np.sort([n[:-2], n[1:-1], n[2:]], axis=0)
+        half = np.maximum(np.maximum(np.minimum(a - 1, b), np.minimum(a - 1, c + 1)),
+                          np.minimum(b, c + 1))
+        kept = np.flatnonzero(half > 0)
+        if not kept.size:
+            return EMPTY_MASK
+        half = np.maximum(half[kept[0]:kept[-1] + 1], 0)
+        return RowMask(self.top + int(kept[0]), 2 * half,
+                       (half.size, 2 * int(half.max()), 2 * int(half.sum())))
+
 
 EMPTY_MASK = RowMask(FRAME_H, np.zeros(0, dtype=np.intp), (0, 0, 0))
 
@@ -185,8 +207,6 @@ def _noise(key: int, amplitude: int) -> np.ndarray:
 
 def capture_distance(age_days: float) -> float:
     """Camera distance for a plant of the given age: 30 cm plus 10 cm per 3 days, capped at 170."""
-    if age_days < 0:
-        raise ValueError("age_days must be >= 0")
     return min(DISTANCE_MIN_CM + DISTANCE_STEP_CM * math.floor(age_days / DISTANCE_STEP_DAYS),
                DISTANCE_MAX_CM)
 
@@ -198,8 +218,6 @@ def project(heights_cm: np.ndarray, widths_cm: np.ndarray, cam: CameraConfig,
     Widths are visible canopy widths (``growth.sizes``). Raises
     FrameFitError for the first plant that does not fit the frame.
     """
-    if distance_cm <= 0.0:
-        raise ValueError("distance_cm must be > 0")
     scale = cam.focal_px / distance_cm
     # An overflow to inf fails the fit check (as does a nan); a vanishing canopy
     # height or width sends the ellipse terms to inf or nan, which pass no test.

@@ -262,8 +262,8 @@ class _Run:
             raise NoPlantDetected(
                 f"capture day {day} measured no plant: every frame had fewer than "
                 f"vision.min_plant_pixels = {self.cfg['vision.min_plant_pixels']} plant pixels")
-        return (sum(m.height_cm for m in measured) / len(measured),
-                sum(m.width_cm for m in measured) / len(measured))
+        return (math.fsum(m.height_cm for m in measured) / len(measured),
+                math.fsum(m.width_cm for m in measured) / len(measured))
 
 
 _TRACE_HEADER = ["timestamp_min", "plant_id", "height_cm", "width_cm", "wilt_degree",

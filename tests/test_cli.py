@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, example, given, settings, strategies as st
 
+from fertisim import scenarios
 from fertisim.cli import main
 from fertisim.config import _KEYS, _in_range, default_config, parse_config
 from fertisim.render import BACKGROUND
 from oracle import rasterize
-from outputs import tree
+from outputs import summary, tree
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -268,6 +269,9 @@ LEAN_TIMER = ("control.timer_period_min = 120\n"
               "compare.total_days = 12\ncompare.auto_start_day = 3\ncompare.auto_end_day = 10\n")
 # Inverting the band multipliers breaks the ordering check.
 INVERTED_BANDS = "growth.under_multiplier = 1.3\ngrowth.over_multiplier = 0.7\n"
+# Without jitter, a band at the normal multiplier ties the normal band on every capture day.
+OVER_TIED = "growth.over_multiplier = 1.0\ngrowth.jitter = 0.0\n"
+UNDER_TIED = "growth.under_multiplier = 1.0\ngrowth.jitter = 0.0\n"
 # A window opening at midnight puts the first sample, or timer instant, on the plants' own age.
 MIDNIGHT = "control.window_start_min = 0\n"
 SHORT_COMPARE = ("compare.plants = 2\ncompare.total_days = 8\n"
@@ -280,14 +284,19 @@ SHORT_COMPARE = ("compare.plants = 2\ncompare.total_days = 8\n"
     ("compare", "", "comparison: timer 101.6 L/day, auto 17.3 L/day, savings 82.9%", [], 0),
     ("growth", INVERTED_BANDS, "growth experiment: 13 capture days, outputs in {out}",
      ["fertisim: group mean heights violate over > normal > under"], 2),
+    ("growth", OVER_TIED, "growth experiment: 15 capture days, outputs in {out}",
+     ["fertisim: group mean heights violate over > normal > under"], 2),
+    ("growth", UNDER_TIED, "growth experiment: 15 capture days, outputs in {out}",
+     ["fertisim: group mean heights violate over > normal > under"], 2),
     ("compare", LEAN_TIMER, "comparison: timer 28.2 L/day, auto 16.2 L/day, savings 42.5%",
      ["fertisim: savings did not exceed 80%"], 2),
     ("monitor", MIDNIGHT, "monitoring session: 26 samples, 0 pump event(s) at minute(s): none",
      [], 0),
     ("compare", MIDNIGHT + SHORT_COMPARE,
      "comparison: timer 191.9 L/day, auto 12.7 L/day, savings 93.4%", [], 0),
-], ids=["growth", "monitor", "compare", "growth-inverted-bands", "compare-lean-timer",
-        "monitor-midnight-window", "compare-midnight-window"])
+], ids=["growth", "monitor", "compare", "growth-inverted-bands", "growth-over-tied",
+        "growth-under-tied", "compare-lean-timer", "monitor-midnight-window",
+        "compare-midnight-window"])
 def test_scenario_report(tmp_path, capsys, command, config, out_line, err_lines, code):
     # The whole report: one stdout line, then each failed check on stderr and exit 2.
     # The growth line repeats --out as given, so its trailing slash must stay.
@@ -298,6 +307,16 @@ def test_scenario_report(tmp_path, capsys, command, config, out_line, err_lines,
     captured = capsys.readouterr()
     assert captured.out.splitlines() == [out_line.format(out=out)]
     assert captured.err.splitlines() == err_lines
+
+
+def test_savings_of_exactly_80_percent_fail_criterion_1(tmp_path, capsys, monkeypatch):
+    # Criterion 1 asks for savings above 80%: exactly 0.80 fails it.
+    monkeypatch.setattr(scenarios, "savings", lambda timer_mean, auto_mean: 0.80)
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text(SHORT_COMPARE)
+    assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert summary(tmp_path / "run")["savings_above_0.80"] == "false"
+    assert capsys.readouterr().err.splitlines() == ["fertisim: savings did not exceed 80%"]
 
 
 NO_PLANT_COMPARE = (

@@ -1,15 +1,19 @@
 """Config parsing, validation, and the defaults document."""
 
 import re
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fertisim.config import Config, ConfigError, default_config, dump_defaults, parse_config
 from fertisim.control import Schedule
 from fertisim.growth import DemandProfile, GrowthParams
 from fertisim.render import CameraConfig
+from fertisim.scenarios import run_fertigation_comparison
+from outputs import csv_rows
 
 
 def test_empty_document_gives_defaults():
@@ -196,6 +200,30 @@ def test_cross_field_compare_needs_a_timer_day():
     assert parse_config(no_timer_day.replace("= 1", "= 2"))["compare.auto_start_day"] == 2
     assert parse_config(no_timer_day.replace("auto_end_day = 3", "auto_end_day = 2"))[
         "compare.auto_end_day"] == 2
+
+
+_DAYS = st.lists(st.integers(0, 13), min_size=3, max_size=3)
+
+
+@settings(deadline=None, max_examples=60)
+@given(days=st.one_of(_DAYS.map(sorted), _DAYS))
+@example(days=[1, 1, 2])  # one wilt-controlled day, then one timer day
+@example(days=[2, 2, 2])  # one timer day, then one wilt-controlled day
+@example(days=[1, 3, 3])  # no timer day: rejected
+def test_every_accepted_compare_timeline_gives_both_regimes_a_day(days):
+    # The ledger's regime means divide by each regime's day count; the
+    # timeline rules are what keep both counts above zero.
+    start, end, total = days
+    try:
+        cfg = parse_config(f"compare.plants = 1\ncompare.total_days = {total}\n"
+                           f"compare.auto_start_day = {start}\ncompare.auto_end_day = {end}\n")
+    except ConfigError:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        run_fertigation_comparison(cfg, tmp)
+        regimes = [row["regime"] for row in csv_rows(Path(tmp) / "daily_usage.csv")]
+    assert sorted(set(regimes)) == ["auto", "timer"]
+    assert len(regimes) == total
 
 
 def test_cross_field_monitor_session_check():

@@ -2,14 +2,12 @@
 
 from dataclasses import replace
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from fertisim.config import default_config
 from fertisim.control import (
     Action,
     ControllerState,
-    SchedulingError,
     spa_tick,
     timer_tick,
 )
@@ -100,16 +98,6 @@ class TestWiltRule:
         assert state.previous_width_cm == 96.0
         state, cmd = spa_tick(state, 95.0, DAY0_0800 + 63, fast, THRESHOLD)
         assert cmd.action is Action.ON  # deadline expired, rule re-evaluated
-
-    def test_out_of_window_sample_rejected(self):
-        with pytest.raises(SchedulingError):
-            spa_tick(ControllerState(), 40.0, 100.0, SCHEDULE, THRESHOLD)
-        with pytest.raises(SchedulingError):
-            spa_tick(ControllerState(), 40.0, 1020.0, SCHEDULE, THRESHOLD)  # window is half-open
-
-    def test_non_positive_width_rejected(self):
-        with pytest.raises(ValueError):
-            spa_tick(ControllerState(), 0.0, DAY0_0800, SCHEDULE, THRESHOLD)
 
     def test_exhaustive_rule_grid(self):
         # fire iff wilt > 0.02 strictly AND previous > current strictly

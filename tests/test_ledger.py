@@ -1,5 +1,9 @@
 """Water accounting."""
 
+import math
+import operator
+from functools import reduce
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -78,6 +82,17 @@ class TestAccrue:
         for now, flow in ((0.0, 1e16), (1440.0, 1.0), (1441.0, 1.0)):
             ledger.accrue(PumpCommand(Action.ON, 1.0), now, flow, "timer")
         assert ledger.total_liters() == (1e16 + 1.0) + 1.0 == 1e16
+
+    def test_regime_mean_is_correctly_rounded(self):
+        # math.fsum, not sum(): summed left to right, as Python 3.11's sum() does, each
+        # litre added to 1e16 rounds away, while 3.12's sum() compensates and keeps them.
+        ledger = WaterLedger()
+        for day, flow in enumerate((1e16, 1.0, 1.0)):
+            ledger.register_day(day, "timer")
+            ledger.accrue(PumpCommand(Action.ON, 1.0), day * 1440.0, flow, "timer")
+        liters = [row.liters for row in ledger.rows()]
+        assert reduce(operator.add, liters) != math.fsum(liters)
+        assert ledger.mean_liters_per_day("timer") == math.fsum(liters) / 3
 
 
 class TestSavings:

@@ -23,8 +23,6 @@ from fertisim.vision import (
     NoPlantDetected,
     _keeps_classes,
     _majority_filter,
-    _majority_filter_runs,
-    _noisy_class,
     _plant_pixels,
     measure,
     segment,
@@ -193,24 +191,30 @@ def test_noisy_run_frame_matches_its_pixels(height_px, width_px, amplitude, nois
 
 
 def test_corner_rule_matches_every_colour_in_the_noise_box():
-    # The class _noisy_class reads from a colour box's corners, against the
-    # per-pixel test run on every colour in the box.
-    levels = (0, 7, 60, 128, 160, 200, 255)
-    margins = (0, 1, 17, 59, 60, 61, 128, 200, 254, 255)
-    outcomes = set()
-    for amplitude in (0, 1, 9):
-        steps = np.arange(-amplitude, amplitude + 1)
-        offsets = np.stack(np.meshgrid(steps, steps, steps, indexing="ij"), -1).reshape(-1, 3)
-        colours = np.stack(np.meshgrid(levels, levels, levels, indexing="ij"), -1)
-        for colour in colours.reshape(-1, 3):
-            box = np.clip(colour + offsets, 0, 255).astype(np.uint8)
-            for margin in margins:
-                is_plant = _plant_pixels(box[:, None, :], margin)
-                want = bool(is_plant.all()) if is_plant.all() or not is_plant.any() else None
-                got = _noisy_class(tuple(int(c) for c in colour), amplitude, margin)
-                assert got is want, (tuple(colour), amplitude, margin)
-                outcomes.add(want)
-    assert outcomes == {True, False, None}
+    # _keeps_classes reads each colour's noise box at its eight corners; here
+    # every colour of both boxes is tested one by one. At margin 60 the
+    # background's box stays background up to amplitude 97 and the plant's
+    # stays plant up to 109; at amplitude 100 the plant's box decides at
+    # margins 40/41 and the background's at 55/56.
+    cases = {0: (0, 1, 60, 255), 1: (0, 60, 253, 254), 9: (0, 60, 237, 238),
+             80: (0, 1, 60, 95, 96), 97: (60,), 98: (60,), 100: (40, 41, 55, 56),
+             109: (60,), 110: (60,), 130: (0, 60, 101, 255)}
+    pure = {}
+    for amplitude, margins in cases.items():
+        boxes = []
+        for colour in (BACKGROUND, PLANT_COLOR):
+            channels = [np.clip(np.arange(c - amplitude, c + amplitude + 1), 0, 255).astype(np.uint8)
+                        for c in colour]
+            boxes.append(np.stack(np.meshgrid(*channels, indexing="ij"), -1).reshape(-1, 1, 3))
+        for margin in margins:
+            background, plant = (_plant_pixels(box, margin) for box in boxes)
+            pure[amplitude, margin] = (not background.any(), bool(plant.all()))
+            assert _keeps_classes(amplitude, margin) == all(pure[amplitude, margin]), \
+                (amplitude, margin)
+    assert [pure[a, 60] for a in (97, 98, 109, 110)] == [
+        (True, True), (False, True), (False, True), (False, False)]
+    assert [pure[100, m] for m in (40, 41, 55, 56)] == [
+        (True, False), (True, True), (True, True), (False, True)]
 
 
 @settings(deadline=None, max_examples=100)
@@ -248,7 +252,7 @@ def test_run_filter_matches_the_pixel_filter(half_widths):
     # per-pixel filter over the painted silhouette, reduced to rows.
     runs = _centred(480 - len(half_widths), half_widths)
     filtered = _majority_filter(paint(runs))
-    got = _majority_filter_runs(runs)
+    got = runs.majority_filtered()
     want = RowMask.from_array(filtered)
     assert got.extents == want.extents
     assert rows(got) == rows(want)
