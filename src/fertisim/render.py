@@ -118,9 +118,15 @@ class Frame:
     ``pixels`` (the full (480, 640, 3) buffer) is built from the runs and the
     noise on first access and cached, so a frame whose pixels are never read
     never hashes its noise seed or draws its noise. Every render is drawn the
-    same way: the int16 noise (``_noise``; all zeros at amplitude 0), plus the
-    background row, plus the plant's difference from it, clipped and cast to
-    uint8 in one pass into the front of the noise buffer. The cache takes no
+    same way, ``_BLOCK_ROWS`` frame rows at a time: its camera noise (all
+    zeros at amplitude ``a`` = 0), plus the background row, plus the plant's
+    difference from it, clipped to uint8. The noise is the raw 64-bit words
+    of ``PCG64(key_hash(noise_seed, *noise_key))`` (a stream NumPy keeps
+    fixed across releases), split into 16-bit lanes, low lane first: lane
+    ``j`` of word ``w`` is ``(w >> 16 j) & 0xFFFF``, whatever the host's byte
+    order. Each lane ``u`` draws ``((u * m) >> 16) - a`` with ``m = 2a + 1``:
+    Lemire's multiply-shift without its rejection step, so no value is more
+    than one count in ``65536 / m`` likelier than another. The cache takes no
     lock: frames are drawn on several threads at once
     (``scenarios._FrameDump``), and two threads that read one frame's pixels
     together may both draw them, to the same bytes.
@@ -145,8 +151,8 @@ class Frame:
 
     def _draw(self) -> np.ndarray:
         # Each row's run (``RowMask``: ``count`` pixels from column ``320 - count // 2``),
-        # as a bitmap over the mask's rows and bounding columns. Built before the noise is
-        # drawn, so its temporaries never sit beside the noise buffer and raise the peak RSS.
+        # as a bitmap over the mask's rows and bounding columns. Built before the first
+        # block is drawn, so its temporaries never sit beside the blocks and raise the peak.
         runs = self.runs
         # int16 compares: several times faster than intp ones at this size.
         count = runs.count.astype(np.int16)[:, None]
@@ -154,55 +160,43 @@ class Frame:
         c0 = int(first.min())
         cols = np.arange(c0, int((first + count).max()), dtype=np.int16)
         plant = (cols >= first) & (cols < first + count)
-        box = (slice(runs.top, runs.top + plant.shape[0]), slice(c0, c0 + plant.shape[1]))
-        # The colours are added in the int16 noise buffer: the background as one
-        # whole row (less the amplitude ``_noise`` drew the noise above), the plant
-        # per channel on its box (skipping equal channels).
+        top, bottom = runs.top, runs.top + plant.shape[0]
         a = self.cam.noise_amplitude
-        noisy = _noise(key_hash(self.cam.noise_seed, *self.noise_key), a).reshape(
-            FRAME_H, FRAME_W, 3)
-        rows = noisy.reshape(FRAME_H, FRAME_W * 3)
-        rows += _BACKGROUND_ROW - a
-        for ch in range(3):
-            if PLANT_COLOR[ch] != BACKGROUND[ch]:
-                region = noisy[box + (ch,)]
-                np.add(region, PLANT_COLOR[ch] - BACKGROUND[ch], out=region, where=plant)
-        # Clipped and cast to uint8 into the front of the same buffer, in row blocks
-        # that double: uint8 rows [r, 2r) land on bytes int16 rows [r, 2r) have left,
-        # so only row 0 overlaps its source (numpy buffers that one row itself).
-        out = rows.reshape(-1).view(np.uint8)[:rows.size].reshape(rows.shape)
-        start, stop = 0, 1
-        while start < FRAME_H:
-            np.clip(rows[start:stop], 0, 255, out=out[start:stop], casting="unsafe")
-            start, stop = stop, 2 * stop
+        if a:
+            stream = np.random.PCG64(key_hash(self.cam.noise_seed, *self.noise_key))
+            m = np.uint32(2 * a + 1)
+            product = np.empty(_BLOCK_ROWS * _ROW_VALUES, np.uint32)
+        background = _BACKGROUND_ROW - a
+
+        def unclipped(start: int, stop: int) -> np.ndarray:
+            # Rows [start, stop) in int16: the noise plus ``a`` (the stream's next words as
+            # 16-bit lanes, mapped in place), the background row less ``a``, then the plant's
+            # difference from it per channel on its rows here (skipping equal channels).
+            if a:
+                words = stream.random_raw((stop - start) * _ROW_VALUES // 4)
+                lanes = words.astype("<u8", copy=False).view("<u2")  # a copy only on big-endian
+                mapped = product[:lanes.size]
+                np.multiply(lanes, m, out=mapped, dtype=np.uint32)  # uint32 under any promotion
+                np.right_shift(mapped, 16, out=lanes, casting="unsafe")
+                block = lanes.view("<i2").reshape(stop - start, _ROW_VALUES)
+            else:
+                block = np.zeros((stop - start, _ROW_VALUES), np.int16)
+            block += background
+            lo, hi = max(start, top), min(stop, bottom)
+            if lo < hi:
+                box = block.reshape(-1, FRAME_W, 3)[lo - start:hi - start, c0:c0 + cols.size]
+                for ch in range(3):
+                    if PLANT_COLOR[ch] != BACKGROUND[ch]:
+                        np.add(box[..., ch], PLANT_COLOR[ch] - BACKGROUND[ch], out=box[..., ch],
+                               where=plant[lo - top:hi - top])
+            return block
+
+        out = np.empty((FRAME_H, _ROW_VALUES), np.uint8)
+        for start in range(0, FRAME_H, _BLOCK_ROWS):
+            # Each block is freed once clipped, before the next one's words are drawn.
+            stop = min(start + _BLOCK_ROWS, FRAME_H)
+            np.clip(unclipped(start, stop), 0, 255, out=out[start:stop], casting="unsafe")
         return out.reshape(FRAME_H, FRAME_W, 3)
-
-
-def _noise(key: int, amplitude: int) -> np.ndarray:
-    """A frame's camera noise plus ``amplitude``: ``_NOISE_LANES`` int16 values in ``[0, 2a]``.
-
-    The raw 64-bit words of ``PCG64(key)`` (a stream NumPy keeps fixed across
-    releases) are split into 16-bit lanes, low lane first: lane ``j`` of word
-    ``w`` is ``(w >> 16 j) & 0xFFFF``, whatever the host's byte order. Each
-    lane ``u`` becomes ``(u * m) >> 16`` with ``m = 2a + 1``: Lemire's
-    multiply-shift without its rejection step, so no value is more than one
-    count in ``65536 / m`` likelier than another. The lanes are mapped in
-    place, ``_NOISE_BLOCK`` at a time through one uint32 scratch block, so
-    the draw holds one frame-sized buffer. Amplitude 0 is all zeros, drawn
-    without the stream.
-    """
-    if not amplitude:
-        return np.zeros(_NOISE_LANES, "<i2")
-    words = np.random.PCG64(key).random_raw(_NOISE_LANES // 4)
-    lanes = words.astype("<u8", copy=False).view("<u2")  # a copy only on a big-endian host
-    m = np.uint32(2 * amplitude + 1)
-    scratch = np.empty(_NOISE_BLOCK, np.uint32)
-    for start in range(0, lanes.size, _NOISE_BLOCK):
-        block = lanes[start:start + _NOISE_BLOCK]
-        product = scratch[:block.size]
-        np.multiply(block, m, out=product, dtype=np.uint32)  # a uint32 loop under any promotion rules
-        np.right_shift(product, 16, out=block, casting="unsafe")
-    return lanes.view("<i2")
 
 
 def capture_distance(age_days: float) -> float:
@@ -237,7 +231,7 @@ def render(runs: RowMask, cam: CameraConfig,
            noise_key: tuple[int, ...]) -> tuple[Frame, tuple[int, int, int]]:
     """One plant's frame from its silhouette (``project``), and the silhouette's extents.
 
-    With camera noise, the frame's noise (``_noise``) is keyed by ``cam.noise_seed``
+    With camera noise, the frame's noise (see ``Frame``) is keyed by ``cam.noise_seed``
     and ``noise_key`` (any tuple of integers; the scenarios pass the capture's
     stream, minute and plant index), when its pixels are first read.
     """
@@ -304,8 +298,8 @@ _PASS_PLANTS = 16  # plants per pass: keeps a pass's arrays to 16 x 480
 _EDGES = np.array([0.5, -0.5])[:, None, None]  # the pixel beyond a run, and its outermost
 _HALF_W = FRAME_W // 2  # columns on each side of the frame's centre line
 _ROW_CENTRES = np.arange(FRAME_H) + 0.5
-_NOISE_LANES = FRAME_H * FRAME_W * 3  # one 16-bit lane per channel value
-_NOISE_BLOCK = 1 << 16  # lanes mapped per pass: few numpy calls, a 256 KiB scratch block
+_ROW_VALUES = FRAME_W * 3  # channel values per frame row
+_BLOCK_ROWS = 60  # frame rows per pass: 8 passes, each 225 KiB of lanes and a 450 KiB product
 _BACKGROUND_ROW = np.tile(np.array(BACKGROUND, dtype=np.int16), FRAME_W)  # one frame row's colours
 _OFFSETS = np.arange(_HALF_W) + 0.5  # pixel centres' distances from the centre line
 # A sub-pixel plant leaves a minimum one-pixel mark at the base.

@@ -90,18 +90,20 @@ def _fmt(x: float) -> str:
 
 class _FrameDump:
     """Writes a run's frames to ``frames_dir`` as ``sample_KKK.ppm``, each drawn and written on
-    one of ``_DUMP_THREADS`` worker threads, frame ``k`` on thread ``k % _DUMP_THREADS``.
+    a pool of ``_DUMP_THREADS`` worker threads.
 
     The control loop reads a frame's pixels only when its colours may change
     class under the noise; otherwise they are read only to be written, so
     their draw (mostly numpy code that releases the GIL) and write run off
     the loop. ``save`` first waits for the oldest frame if ``_DUMP_THREADS``
-    are waiting, so each thread holds one frame's buffer at a time, and
-    draws and frees it itself. A frame's task draws it, then waits for the
-    frame before it, whose failure it re-raises unwritten; so after a failed
-    draw or write every later task fails the same way and no later frame
-    reaches the disk, as in a serial run. ``save`` and ``close`` raise that
-    failure. ``close`` waits for every frame and stops the threads.
+    are waiting, so each thread holds one frame's buffer at a time. A frame's
+    task draws it, then waits for the frame before it, whose failure it
+    re-raises unwritten; so after a failed draw or write every later task
+    fails the same way and no later frame reaches the disk, as in a serial
+    run. The wait cannot deadlock: the pool starts its tasks in the order
+    they were saved, so a running frame waits only on one that has started.
+    ``save`` and ``close`` raise that failure. ``close`` waits for every
+    frame and stops the threads.
     """
 
     def __init__(self, frames_dir: Path):
@@ -114,8 +116,7 @@ class _FrameDump:
 
         frames_dir.mkdir(exist_ok=True)
         self.frames_dir = frames_dir
-        self._threads = [ThreadPoolExecutor(1, thread_name_prefix="fertisim-dump")
-                         for _ in range(_DUMP_THREADS)]
+        self._pool = ThreadPoolExecutor(_DUMP_THREADS, thread_name_prefix="fertisim-dump")
         self._waiting = deque()  # each waiting frame's future, oldest first
 
     def save(self, frame: Frame, k: int) -> None:
@@ -130,15 +131,14 @@ class _FrameDump:
                 previous.result()  # an earlier frame's failure fails this one, unwritten
             write_ppm(frame, path)  # the name bound in this module
 
-        self._waiting.append(self._threads[k % _DUMP_THREADS].submit(draw_and_write))
+        self._waiting.append(self._pool.submit(draw_and_write))
 
     def close(self) -> None:
         try:
             while self._waiting:
                 self._waiting.popleft().result()
         finally:
-            for thread in self._threads:
-                thread.shutdown()
+            self._pool.shutdown()
 
 
 @dataclass

@@ -155,21 +155,37 @@ class TestRender:
         assert (noisy.pixels == np.clip(clean.pixels + noise, 0, 255)).all()
 
     @pytest.mark.parametrize("amplitude", [1, 20, 255])
-    def test_noise_spans_exactly_its_amplitude(self, amplitude):
-        noise = render_module._noise(key_hash(9, 600, 3), amplitude) - amplitude
-        assert (noise.min(), noise.max()) == (-amplitude, amplitude)
+    def test_noise_spans_exactly_its_amplitude(self, camera, amplitude):
+        # On the background (255, 0, 0), the noise's full range shows clipped on one side:
+        # G spans [0, a] and R spans [255 - a, 255].
+        cam = replace(camera, noise_amplitude=amplitude, noise_seed=9)
+        frame, _ = shoot(plant_of(40.0, 20.0), cam, 100.0, (600, 3))
+        red, green = frame.pixels[~paint(frame.runs)][:, :2].T
+        assert (green.min(), green.max()) == (0, amplitude)
+        assert (red.min(), red.max()) == (255 - amplitude, 255)
 
-    def test_zero_amplitude_draws_zeros(self):
-        noise = render_module._noise(key_hash(9, 600, 3), 0)
-        assert noise.shape == (480 * 640 * 3,) and not noise.any()
+    def test_zero_amplitude_draws_zeros(self, camera, monkeypatch):
+        # The two-colour frame, drawn without constructing the noise stream.
+        def no_stream(key):
+            raise AssertionError("amplitude 0 constructed a noise stream")
 
-    @pytest.mark.parametrize("block", [1000, 1 << 14, 921600, 1 << 20])
-    def test_noise_does_not_depend_on_the_block_size(self, monkeypatch, block):
-        # 1000 leaves a short last block; 921,600 is the whole frame in one block.
-        want = render_module._noise(key_hash(9, 600, 3), 255)
-        assert (want - 255 == spec_noise(key_hash(9, 600, 3), 255)).all()
-        monkeypatch.setattr(render_module, "_NOISE_BLOCK", block)
-        assert (render_module._noise(key_hash(9, 600, 3), 255) == want).all()
+        monkeypatch.setattr(np.random, "PCG64", no_stream)
+        frame, _ = shoot(plant_of(40.0, 20.0), replace(camera, noise_seed=9), 100.0, (600, 3))
+        assert frame.cam.noise_amplitude == 0
+        expected = np.where(paint(frame.runs)[..., None], PLANT_COLOR, BACKGROUND)
+        assert (frame.pixels == expected).all()
+
+    @pytest.mark.parametrize("block_rows", [1, 7, 48, 60, 480])
+    def test_noise_does_not_depend_on_the_block_size(self, camera, monkeypatch, block_rows):
+        # 7 leaves a short last block; 60 is the shipped size; 480 is the whole frame in
+        # one block. The silhouette's top row, 283, falls inside a block for every size but 1.
+        monkeypatch.setattr(render_module, "_BLOCK_ROWS", block_rows)
+        cam = replace(camera, noise_amplitude=255, noise_seed=9)
+        noisy, _ = shoot(plant_of(41.0, 20.0, 0.9), cam, 100.0, (600, 3))
+        clean, _ = shoot(plant_of(41.0, 20.0, 0.9), camera, 100.0, (600, 3))
+        assert noisy.runs.top == 283
+        noise = spec_noise(key_hash(9, 600, 3), 255).reshape(480, 640, 3)
+        assert (noisy.pixels == np.clip(clean.pixels + noise, 0, 255)).all()
 
     def test_noise_is_drawn_only_when_pixels_are_read(self, camera, monkeypatch):
         # Not even the generator's seed is hashed before the pixels are read.
@@ -331,8 +347,8 @@ def test_many_threads_reading_one_frame_get_one_image(camera):
 
 
 def test_a_noisy_draw_holds_no_second_frame_sized_copy(camera):
-    # The int16 noise buffer (1,843,200 B) is narrowed into its own front half:
-    # a uint8 copy beside it (``astype``) would peak near 2.7 MiB.
+    # The frame is drawn a block of rows at a time into its uint8 output (921,600 B):
+    # a frame-sized int16 noise buffer (1,843,200 B) alone would reach the bound.
     cam = replace(camera, noise_amplitude=20, noise_seed=9)
     shoot(plant_of(40.0, 20.0), cam, 100.0, (600, 2))[0].pixels  # imports np.random, untraced
     frame, _ = shoot(plant_of(40.0, 20.0), cam, 100.0, (600, 3))
@@ -342,4 +358,4 @@ def test_a_noisy_draw_holds_no_second_frame_sized_copy(camera):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.25 * 480 * 640 * 3 * 2
+    assert peak < 480 * 640 * 3 * 2

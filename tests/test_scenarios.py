@@ -175,6 +175,27 @@ class TestMonitoringTrace:
         for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
+    def test_dumped_frames_do_not_depend_on_the_dump_threads(self, tmp_path, monkeypatch):
+        # Noisy frames drawn and written on a pool of 1, 2 or 3 threads: the same
+        # files, and no more writer threads than the pool has.
+        cfg = parse_config("camera.noise_amplitude = 20\noutput.dump_frames = true\n")
+        trees, write_ppm = {}, scenarios.write_ppm
+        for threads in (1, 2, 3):
+            writers = set()
+
+            def recorded(frame, path):
+                writers.add(threading.current_thread().name)
+                write_ppm(frame, path)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(scenarios, "_DUMP_THREADS", threads)
+                patch.setattr(scenarios, "write_ppm", recorded)
+                run_monitoring_trace(cfg, tmp_path / str(threads))
+            assert 1 <= len(writers) <= threads
+            trees[threads] = tree(tmp_path / str(threads) / "frames")
+        assert len(trees[1]) == cfg["monitor.sample_count"]
+        assert trees[2] == trees[1] and trees[3] == trees[1]
+
     @pytest.mark.parametrize("amplitude", [0, 20, 105])
     def test_dumped_frames_measure_as_their_trace_rows(self, tmp_path, amplitude):
         # Each PPM read back and segmented whole reproduces its trace.csv row,
